@@ -26,7 +26,6 @@ from .data import (
 from .federation import (
     FederationConfig,
     HypothesisSet,
-    RoundRecord,
     client_step,
     run_experiment,
     server_round,

@@ -15,6 +15,7 @@ import csv
 import math
 import statistics
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Hashable, Iterator
 
@@ -26,6 +27,7 @@ __all__ = [
     "PrivacyLedger",
     "LedgerSummary",
     "ledger_summary",
+    "max_leakage_series",
     "write_ledger_csv",
     "write_budget_table",
 ]
@@ -131,17 +133,6 @@ class PrivacyLedger:
     def composed_leakage(self, client_id: Hashable) -> float:
         return self._composed.get(client_id, 0.0)
 
-    def cluster_of(self, client_id: Hashable) -> int | None:
-        """Cluster of the client's most recent event."""
-        events = self._events.get(client_id)
-        if not events:
-            return None
-        return max(events, key=lambda e: e.round).cluster_id
-
-    def max_round(self) -> int | None:
-        rounds = [e.round for evs in self._events.values() for e in evs]
-        return max(rounds) if rounds else None
-
     def __len__(self) -> int:
         return sum(len(evs) for evs in self._events.values())
 
@@ -154,15 +145,6 @@ class PrivacyLedger:
             running[cid] = running.get(cid, 0.0) + event.leakage
             yield cid, event, running[cid]
 
-    def max_composed_per_cluster(self, n_clusters: int) -> list[float]:
-        """Current max composed leakage per cluster (client grouped by latest cluster)."""
-        out = [0.0] * n_clusters
-        for cid in self._events:
-            cluster = self.cluster_of(cid)
-            if cluster is not None and 0 <= cluster < n_clusters:
-                out[cluster] = max(out[cluster], self._composed[cid])
-        return out
-
 
 @dataclass
 class ClusterBudget:
@@ -173,12 +155,36 @@ class ClusterBudget:
 @dataclass
 class LedgerSummary:
     """Median/max composed leakage, overall and per cluster, plus the
-    per-round max trajectory used for plotting."""
+    per-cluster leakage series used for plotting.
+
+    ``per_cluster`` groups each client under the cluster of its latest
+    release; ``max_trajectory`` is ``max_leakage_series`` of the ledger.
+    """
 
     overall: ClusterBudget | None
     per_cluster: dict[int | None, ClusterBudget] = field(default_factory=dict)
-    # cluster -> one value per round 0..max_round: max composed leakage so far
     max_trajectory: dict[int | None, list[float]] = field(default_factory=dict)
+
+
+def max_leakage_series(ledger: PrivacyLedger) -> dict[int | None, list[float]]:
+    """Running-max leakage per cluster, one value per round 0..last round.
+
+    For cluster c at round t the value is the largest composed leakage any
+    client held right after a release aggregated into c, over rounds 0..t;
+    it is 0.0 before c's first release.  The series never decreases, also
+    when clients move between clusters.  Clusters without any release are
+    absent.
+    """
+    peaks: dict[int | None, dict[int, float]] = {}
+    n_rounds = 0
+    for _, event, composed in ledger.iter_rows():
+        n_rounds = event.round + 1
+        peak = peaks.setdefault(event.cluster_id, {})
+        peak[event.round] = max(peak.get(event.round, 0.0), composed)
+    return {
+        cluster: list(accumulate((peak.get(t, 0.0) for t in range(n_rounds)), max))
+        for cluster, peak in peaks.items()
+    }
 
 
 def ledger_summary(ledger: PrivacyLedger) -> LedgerSummary:
@@ -192,31 +198,18 @@ def ledger_summary(ledger: PrivacyLedger) -> LedgerSummary:
         median=statistics.median(composed.values()), maximum=max(composed.values())
     )
 
-    per_cluster: dict[int | None, ClusterBudget] = {}
+    # iter_rows runs in round order, so each client keeps its latest cluster.
+    latest = {cid: event.cluster_id for cid, event, _ in ledger.iter_rows()}
     by_cluster: dict[int | None, list[float]] = {}
     for cid in clients:
-        by_cluster.setdefault(ledger.cluster_of(cid), []).append(composed[cid])
-    for cluster, values in by_cluster.items():
-        per_cluster[cluster] = ClusterBudget(median=statistics.median(values), maximum=max(values))
-
-    max_round = ledger.max_round()
-    assert max_round is not None
-    running: dict[Hashable, float] = {cid: 0.0 for cid in clients}
-    current_cluster: dict[Hashable, int | None] = {}
-    trajectory: dict[int | None, list[float]] = {c: [] for c in by_cluster}
-    events_by_round: dict[int, list[tuple[Hashable, LeakageEvent]]] = {}
-    for cid in clients:
-        for event in ledger.events(cid):
-            events_by_round.setdefault(event.round, []).append((cid, event))
-    for t in range(max_round + 1):
-        for cid, event in events_by_round.get(t, []):
-            running[cid] += event.leakage
-            current_cluster[cid] = event.cluster_id
-        for cluster in trajectory:
-            members = [cid for cid, c in current_cluster.items() if c == cluster]
-            trajectory[cluster].append(max((running[cid] for cid in members), default=0.0))
-
-    return LedgerSummary(overall=overall, per_cluster=per_cluster, max_trajectory=trajectory)
+        by_cluster.setdefault(latest[cid], []).append(composed[cid])
+    per_cluster = {
+        cluster: ClusterBudget(median=statistics.median(values), maximum=max(values))
+        for cluster, values in by_cluster.items()
+    }
+    return LedgerSummary(
+        overall=overall, per_cluster=per_cluster, max_trajectory=max_leakage_series(ledger)
+    )
 
 
 def _fmt(value: Any) -> str:

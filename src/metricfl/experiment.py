@@ -389,12 +389,12 @@ def run_cell(config: ExperimentConfig, nu: float, k: int, seed: int, run_dir: Pa
     (run_dir / "config.yaml").write_text(
         yaml.safe_dump(effective_dict(config, nu=nu, k=k, seed=seed), sort_keys=True)
     )
-    write_metrics_csv(result.history, k, run_dir / "metrics.csv")
+    summary = ledger_summary(result.ledger)
+    write_metrics_csv(result.history, summary.max_trajectory, k, run_dir / "metrics.csv")
     write_ledger_csv(result.ledger, run_dir / "ledger.csv")
     write_hypotheses(result.best_hypotheses, run_dir / "hypotheses.txt")
     write_hypotheses(result.final_hypotheses, run_dir / "hypotheses_final.txt")
 
-    summary = ledger_summary(result.ledger)
     budget_median = summary.overall.median if summary.overall else 0.0
     budget_max = summary.overall.maximum if summary.overall else 0.0
     return CellRun(

@@ -22,7 +22,7 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from .accounting import RADIUS_FLOOR, PrivacyLedger, heuristic_epsilon
+from .accounting import _REL_TOL, RADIUS_FLOOR, PrivacyLedger, _fmt, heuristic_epsilon
 from .clustering import kmeans_from_hypotheses
 from .mechanism import NoiseScale, sanitize
 from .models import Batch, ModelSpec, init_params, local_update, loss, n_params
@@ -31,7 +31,6 @@ from .rng import substream
 __all__ = [
     "FederationConfig",
     "HypothesisSet",
-    "RoundRecord",
     "RoundMetrics",
     "ClientStepResult",
     "ExperimentResult",
@@ -56,7 +55,9 @@ class FederationConfig:
     nu   noise multiplier; 0 disables sanitization entirely
 
     ``budget_cap`` (optional) removes a client from the sampling pool as soon
-    as one more participation would push its composed leakage above the cap.
+    as one more participation would push its composed leakage above the cap
+    (beyond a relative float tolerance of 1e-12).  Training ends before the
+    first round whose pool cannot field U clients.
     """
 
     k: int
@@ -131,30 +132,12 @@ class ClientStepResult:
     train_loss: float
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """Server-visible trace of one round.
-
-    Contains only what the protocol discloses: sanitized-vector bookkeeping,
-    never raw updates, dataset sizes or client-declared memberships.
-    """
-
-    round: int
-    sampled: tuple
-    chosen: dict[Hashable, int]
-    update_norms: dict[Hashable, float]
-    leakages: dict[Hashable, float]
-    assignment: dict[Hashable, int]
-    mean_train_loss: float
-
-
 @dataclass
 class RoundMetrics:
     round: int
     mean_train_loss: float
     validation_loss: float | None
     hypothesis_norms: list[float]
-    max_leakage_per_cluster: list[float]
 
 
 @dataclass
@@ -164,7 +147,6 @@ class ExperimentResult:
     best_validation_loss: float
     best_round: int | None
     history: list[RoundMetrics]
-    records: list[RoundRecord]
     ledger: PrivacyLedger
 
 
@@ -219,15 +201,18 @@ def client_step(
 
 def _eligible_ids(
     clients: Mapping[Hashable, Batch],
+    spec: ModelSpec,
     config: FederationConfig,
     ledger: PrivacyLedger,
-    per_round_cost: float,
 ) -> list[Hashable]:
+    """Clients that can afford one more release under the budget cap."""
     ids = sorted(clients)
     if config.budget_cap is None:
         return ids
-    cap = config.budget_cap
-    return [cid for cid in ids if ledger.composed_leakage(cid) + per_round_cost <= cap]
+    cost = n_params(spec) / config.nu  # a cap requires nu > 0
+    # The tolerance lets a cap of m releases admit all m despite float drift.
+    cap = config.budget_cap * (1 + _REL_TOL)
+    return [cid for cid in ids if ledger.composed_leakage(cid) + cost <= cap]
 
 
 def server_round(
@@ -239,11 +224,16 @@ def server_round(
     round_index: int,
     client_indices: Mapping[Hashable, int],
     objective: str = "rmse",
-) -> tuple[HypothesisSet, RoundRecord]:
-    """One full round: sample, collect sanitized vectors, cluster, average."""
-    dim = n_params(spec)
-    per_round_cost = math.inf if config.nu == 0 else dim / config.nu
-    pool = _eligible_ids(clients, config, ledger, per_round_cost)
+) -> tuple[HypothesisSet, float]:
+    """One full round: sample, collect sanitized vectors, cluster, average.
+
+    Returns the new hypotheses and the sampled clients' mean training loss.
+    Who was sampled and which cluster each release was aggregated into is
+    recorded in ``ledger`` as the round's events; the cluster a client chose
+    for itself is never kept.  Raises RuntimeError when fewer than U clients
+    are eligible under the budget cap.
+    """
+    pool = _eligible_ids(clients, spec, config, ledger)
     if len(pool) < config.U:
         raise RuntimeError(
             f"round {round_index}: only {len(pool)} eligible clients, need U={config.U}"
@@ -279,16 +269,8 @@ def server_round(
             leakage=res.leakage,
         )
 
-    record = RoundRecord(
-        round=round_index,
-        sampled=tuple(sampled),
-        chosen={cid: results[cid].chosen for cid in sampled},
-        update_norms={cid: results[cid].radius for cid in sampled},
-        leakages={cid: results[cid].leakage for cid in sampled},
-        assignment=dict(grouping.assignment),
-        mean_train_loss=float(np.mean([results[cid].train_loss for cid in sampled])),
-    )
-    return HypothesisSet(new_vectors, round_index + 1), record
+    mean_train_loss = float(np.mean([results[cid].train_loss for cid in sampled]))
+    return HypothesisSet(new_vectors, round_index + 1), mean_train_loss
 
 
 def _validation_loss(
@@ -318,8 +300,9 @@ def run_experiment(
     Every ``validation_every`` rounds the validation clients are scored at
     their per-client best hypothesis; training stops after
     ``validation_patience`` consecutive evaluations without a strict
-    round-over-round improvement.  The returned model is the hypothesis set
-    of the best evaluation, not the last round.
+    round-over-round improvement, or before a round in which the budget cap
+    leaves fewer than U eligible clients.  Either way the returned model is
+    the hypothesis set of the best evaluation, not the last round.
     """
     if config.U > len(train):
         raise ValueError(f"U={config.U} exceeds the {len(train)} training clients")
@@ -331,24 +314,23 @@ def run_experiment(
 
     ledger = PrivacyLedger()
     history: list[RoundMetrics] = []
-    records: list[RoundRecord] = []
     best = ExperimentResult(
         best_hypotheses=hypotheses.copy(),
         final_hypotheses=hypotheses,
         best_validation_loss=math.inf,
         best_round=None,
         history=history,
-        records=records,
         ledger=ledger,
     )
 
     stale_evaluations = 0
     previous_val = math.inf
     for t in range(config.T):
-        hypotheses, record = server_round(
+        if len(_eligible_ids(train, spec, config, ledger)) < config.U:
+            break
+        hypotheses, mean_train_loss = server_round(
             train, hypotheses, spec, config, ledger, t, client_indices, objective
         )
-        records.append(record)
 
         val_loss: float | None = None
         if validation and (t + 1) % config.validation_every == 0:
@@ -368,10 +350,9 @@ def run_experiment(
         history.append(
             RoundMetrics(
                 round=t,
-                mean_train_loss=record.mean_train_loss,
+                mean_train_loss=mean_train_loss,
                 validation_loss=val_loss,
                 hypothesis_norms=[float(np.linalg.norm(v)) for v in hypotheses.vectors],
-                max_leakage_per_cluster=ledger.max_composed_per_cluster(config.k),
             )
         )
         if stale_evaluations >= config.validation_patience:
@@ -384,17 +365,20 @@ def run_experiment(
     return best
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_metrics_csv(history: list[RoundMetrics], k: int, path: str | Path) -> None:
+def write_metrics_csv(
+    history: list[RoundMetrics],
+    leakage: Mapping[int | None, list[float]],
+    k: int,
+    path: str | Path,
+) -> None:
     """Per-round series: losses, hypothesis norms and the per-cluster
-    running-max leakage used for privacy plots."""
+    running-max leakage used for privacy plots.
+
+    ``leakage`` is ``max_leakage_series`` of the run's ledger; a cluster
+    with no release yet reads 0.0.
+    """
+    no_release = [0.0] * len(history)
+    series = [leakage.get(j, no_release) for j in range(k)]
     header = (
         ["round", "mean_train_loss", "validation_loss"]
         + [f"hypothesis_{j}_norm" for j in range(k)]
@@ -407,7 +391,7 @@ def write_metrics_csv(history: list[RoundMetrics], k: int, path: str | Path) -> 
             writer.writerow(
                 [row.round, _fmt(row.mean_train_loss), _fmt(row.validation_loss)]
                 + [_fmt(v) for v in row.hypothesis_norms]
-                + [_fmt(v) for v in row.max_leakage_per_cluster]
+                + [_fmt(values[row.round]) for values in series]
             )
 
 

@@ -179,6 +179,27 @@ class TestSummary:
         assert trajectory == pytest.approx([0.4, 0.4, 0.8, 0.8, 0.8, 1.2])
         assert all(b >= a for a, b in zip(trajectory, trajectory[1:]))
 
+    def test_trajectory_holds_when_a_client_switches_clusters(self):
+        # "mover" releases into cluster 0 at rounds 0-1, then into cluster 1;
+        # "stay" releases into cluster 2 at round 0 and then into cluster 1.
+        ledger = PrivacyLedger()
+        for t, cluster in enumerate([0, 0, 1, 1]):
+            ledger.record_participation(
+                "mover", round=t, epsilon=4.0, radius=0.1, cluster_id=cluster, leakage=0.4
+            )
+        for t, cluster in [(0, 2), (3, 1)]:
+            ledger.record_participation(
+                "stay", round=t, epsilon=4.0, radius=0.1, cluster_id=cluster, leakage=0.4
+            )
+        summary = ledger_summary(ledger)
+        # cluster 0 keeps the 0.8 "mover" held after its last release there
+        assert summary.max_trajectory[0] == pytest.approx([0.4, 0.8, 0.8, 0.8])
+        assert summary.max_trajectory[1] == pytest.approx([0.0, 0.0, 1.2, 1.6])
+        # no client ends in cluster 2, yet its releases are still plotted
+        assert summary.max_trajectory[2] == pytest.approx([0.4, 0.4, 0.4, 0.4])
+        assert set(summary.per_cluster) == {1}
+        assert summary.per_cluster[1].maximum == pytest.approx(1.6)
+
 
 class TestCsvExport:
     def test_rows_ordered_and_composed(self, tmp_path):

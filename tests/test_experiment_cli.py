@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from metricfl.accounting import PrivacyLedger, ledger_summary
 from metricfl.cli import main
 from metricfl.experiment import ConfigError, format_value, load_config, run_sweep
 
@@ -33,6 +34,21 @@ def small_synthetic_config(tmp_path, **overrides):
     path = tmp_path / "config.yaml"
     path.write_text(yaml.safe_dump(doc))
     return path
+
+
+def read_ledger(path):
+    ledger = PrivacyLedger()
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            ledger.record_participation(
+                int(row["client_id"]),
+                round=int(row["round"]),
+                epsilon=float(row["epsilon"]),
+                radius=float(row["radius"]),
+                cluster_id=int(row["cluster_id"]),
+                leakage=float(row["leakage"]),
+            )
+    return ledger
 
 
 class TestLoadConfig:
@@ -170,14 +186,35 @@ class TestRunSweep:
             "hypothesis_0_norm", "hypothesis_1_norm",
             "cluster_0_max_leakage", "cluster_1_max_leakage",
         }
-        # the overall running max (over clusters, i.e. over all clients)
-        # never decreases; per-cluster series can dip only when a heavy
-        # client migrates between clusters
-        overall = [
-            max(float(row["cluster_0_max_leakage"]), float(row["cluster_1_max_leakage"]))
-            for row in rows
-        ]
-        assert all(b >= a for a, b in zip(overall, overall[1:]))
+        trajectory = ledger_summary(read_ledger(exp_dir / "5_2_0" / "ledger.csv")).max_trajectory
+        for j in range(2):
+            series = [float(row[f"cluster_{j}_max_leakage"]) for row in rows]
+            assert all(b >= a for a, b in zip(series, series[1:]))
+            assert series == trajectory.get(j, [0.0] * len(rows))
+
+    def test_exhausted_budget_ends_the_run_with_all_artifacts(self, tmp_path):
+        # 8 training clients, U=3 and a cap of two 0.4 releases: the pool
+        # cannot field U long before T=400 and patience=400 run out
+        path = small_synthetic_config(
+            tmp_path,
+            federation={"T": 400, "U": 3, "E": 1, "s": 0.1, "B_s": 10,
+                        "validation_patience": 400, "budget_cap": 1.0},
+            sweep={"nu": [5.0], "k": [1, 2], "seeds": [0]},
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        for cell in ("5_1_0", "5_2_0"):
+            run_dir = out / "mini" / cell
+            for artifact in ("config.yaml", "metrics.csv", "ledger.csv",
+                             "hypotheses.txt", "hypotheses_final.txt"):
+                assert (run_dir / artifact).is_file()
+            with open(run_dir / "metrics.csv", newline="") as fh:
+                rounds = len(list(csv.DictReader(fh)))
+            assert 1 <= rounds < 400
+            with open(run_dir / "ledger.csv", newline="") as fh:
+                ledger_rows = list(csv.DictReader(fh))
+            assert len(ledger_rows) == 3 * rounds
+            assert max(float(row["composed_leakage"]) for row in ledger_rows) <= 1.0
 
 
 class TestCli:

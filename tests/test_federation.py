@@ -13,12 +13,11 @@ from metricfl.federation import (
     ClientStepResult,
     FederationConfig,
     HypothesisSet,
-    RoundRecord,
     client_step,
     run_experiment,
     server_round,
 )
-from metricfl.accounting import PrivacyLedger
+from metricfl.accounting import LeakageEvent, PrivacyLedger
 from metricfl.models import Batch, ModelSpec, gradient, local_update, loss
 from metricfl.rng import substream
 
@@ -45,6 +44,11 @@ def split_views(seed=0, n_clients=30):
     pop = generate_synthetic(n_clients=n_clients, rng=substream(seed, "data"))
     train, val = split_population(pop, 0.3, substream(seed, "split"))
     return train.federation_view(), val.federation_view()
+
+
+def round_assignment(ledger, t):
+    """Sampled client -> server-side cluster, read from the round-t ledger events."""
+    return {cid: event.cluster_id for cid, event, _ in ledger.iter_rows() if event.round == t}
 
 
 class TestClientStep:
@@ -105,19 +109,19 @@ class TestServerRound:
         config = make_config(k=1, U=1, nu=5.0)
         hyps = HypothesisSet(np.array([[0.0, 0.0]]))
         ledger = PrivacyLedger()
-        new_hyps, record = server_round(clients, hyps, LINEAR, config, ledger, 0, {0: 0})
+        new_hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, 0, {0: 0})
         step = client_step(
             LINEAR, clients[0], hyps, config, substream(0, "client", 0, 0)
         )
         assert new_hyps.vectors[0] == pytest.approx(step.sanitized, rel=1e-12)
-        assert record.sampled == (0,)
+        assert round_assignment(ledger, 0) == {0: 0}
 
     def test_identical_vectors_average_to_themselves(self):
         dataset = make_dataset()
         clients = {i: dataset for i in range(4)}
         config = make_config(k=1, U=4, nu=0.0)
         hyps = HypothesisSet(np.array([[1.0, -1.0]]))
-        new_hyps, record = server_round(
+        new_hyps, _ = server_round(
             clients, hyps, LINEAR, config, PrivacyLedger(), 0, {i: i for i in range(4)}
         )
         expected = client_step(LINEAR, dataset, hyps, config, substream(0, "client", 0, 0))
@@ -134,15 +138,16 @@ class TestServerRound:
         config = make_config(k=2, U=6, nu=0.0)
         hyps = HypothesisSet(np.array([[5.0, 6.0], [4.0, -4.5]]))
         ledger = PrivacyLedger()
-        new_hyps, record = server_round(
+        new_hyps, _ = server_round(
             clients, hyps, LINEAR, config, ledger, 0, {i: i for i in range(6)}
         )
+        assignment = round_assignment(ledger, 0)
         outputs = {
             cid: client_step(LINEAR, clients[cid], hyps, config, substream(0, "client", cid, 0)).sanitized
-            for cid in record.sampled
+            for cid in assignment
         }
         for j in range(2):
-            members = [cid for cid, c in record.assignment.items() if c == j]
+            members = [cid for cid, c in assignment.items() if c == j]
             assert members
             expected = np.mean([outputs[cid] for cid in members], axis=0)
             assert new_hyps.vectors[j] == pytest.approx(expected, rel=1e-12)
@@ -154,8 +159,10 @@ class TestServerRound:
         ledger = PrivacyLedger()
         indices = {cid: i for i, cid in enumerate(sorted(clients))}
         for t in range(3):
-            hyps, record = server_round(clients, hyps, LINEAR, config, ledger, t, indices)
-            for cid in record.sampled:
+            hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, t, indices)
+            sampled = round_assignment(ledger, t)
+            assert len(sampled) == 5
+            for cid in sampled:
                 events = [e for e in ledger.events(cid) if e.round == t]
                 assert len(events) == 1
 
@@ -164,9 +171,10 @@ class TestServerRound:
         config = make_config(U=7)
         hyps = HypothesisSet(np.zeros((2, 2)))
         indices = {cid: i for i, cid in enumerate(sorted(clients))}
-        _, record = server_round(clients, hyps, LINEAR, config, PrivacyLedger(), 0, indices)
-        assert len(record.sampled) == 7
-        assert len(set(record.sampled)) == 7
+        ledger = PrivacyLedger()
+        server_round(clients, hyps, LINEAR, config, ledger, 0, indices)
+        assert len(round_assignment(ledger, 0)) == 7
+        assert len(ledger) == 7
 
     def test_too_few_clients_rejected(self):
         clients = {0: make_dataset()}
@@ -177,16 +185,31 @@ class TestServerRound:
 
 
 class TestInformationHygiene:
-    def test_round_record_discloses_only_protocol_fields(self):
-        fields = {f.name for f in dataclasses.fields(RoundRecord)}
-        assert fields == {
+    def test_server_round_returns_hypotheses_and_mean_loss_only(self):
+        # The server keeps the new hypotheses, one scalar loss and the ledger
+        # events; nothing records the cluster a client chose for itself.
+        clients, _ = split_views()
+        config = make_config(U=5)
+        hyps = HypothesisSet(np.zeros((2, 2)))
+        indices = {cid: i for i, cid in enumerate(sorted(clients))}
+        ledger = PrivacyLedger()
+        returned = server_round(clients, hyps, LINEAR, config, ledger, 0, indices)
+        assert len(returned) == 2
+        new_hyps, mean_train_loss = returned
+        assert isinstance(new_hyps, HypothesisSet)
+        assert new_hyps.round_index == 1
+        assert type(mean_train_loss) is float
+        steps = [
+            client_step(LINEAR, clients[cid], hyps, config, substream(0, "client", indices[cid], 0))
+            for cid in round_assignment(ledger, 0)
+        ]
+        assert mean_train_loss == pytest.approx(np.mean([s.train_loss for s in steps]), rel=1e-12)
+        assert {f.name for f in dataclasses.fields(LeakageEvent)} == {
             "round",
-            "sampled",
-            "chosen",
-            "update_norms",
-            "leakages",
-            "assignment",
-            "mean_train_loss",
+            "epsilon",
+            "radius",
+            "leakage",
+            "cluster_id",
         }
 
     def test_client_result_has_no_raw_update(self):
@@ -267,9 +290,9 @@ class TestReproducibilityAndReduction:
         hyps = HypothesisSet(np.zeros((1, 2)))
         ledger = PrivacyLedger()
         for t in range(3):
-            new_hyps, record = server_round(train, hyps, LINEAR, config, ledger, t, indices)
+            new_hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices)
             manual = []
-            for cid in record.sampled:
+            for cid in round_assignment(ledger, t):
                 rng = substream(config.master_seed, "client", indices[cid], t)
                 manual.append(
                     local_update(LINEAR, hyps.vectors[0], train[cid], 0.1, 1, 10, "rmse", rng)
@@ -288,12 +311,42 @@ class TestBudgetCap:
         ledger = PrivacyLedger()
         seen = set()
         for t in range(3):
-            hyps, record = server_round(train, hyps, LINEAR, config, ledger, t, indices)
-            assert not (set(record.sampled) & seen), "an exhausted client was resampled"
-            seen |= set(record.sampled)
+            hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices)
+            sampled = set(round_assignment(ledger, t))
+            assert not (sampled & seen), "an exhausted client was resampled"
+            seen |= sampled
         # all 9 clients used up: a fourth round cannot field U=3
         with pytest.raises(RuntimeError):
             server_round(train, hyps, LINEAR, config, ledger, 3, indices)
+
+    def test_cap_admits_every_release_it_covers(self):
+        # per-release cost 2/20 = 0.1; three releases sum to 0.30000000000000004
+        # in floating point but must fit under a cap of 0.3, and a fourth must not
+        clients = {i: make_dataset(seed=i) for i in range(3)}
+        config = make_config(k=1, U=3, nu=20.0, budget_cap=0.3)
+        indices = {i: i for i in range(3)}
+        hyps = HypothesisSet(np.zeros((1, 2)))
+        ledger = PrivacyLedger()
+        for t in range(3):
+            hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, t, indices)
+        assert all(len(ledger.events(cid)) == 3 for cid in clients)
+        with pytest.raises(RuntimeError):
+            server_round(clients, hyps, LINEAR, config, ledger, 3, indices)
+
+    def test_exhausted_budget_ends_training(self, monkeypatch):
+        # 9 training clients, U=3, one release each: three rounds, then the
+        # run stops and returns the best evaluation instead of raising
+        train, val = split_views(n_clients=13)
+        sequence = iter([3.0, 1.0, 2.0])
+        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: next(sequence))
+        config = make_config(U=3, nu=5.0, budget_cap=0.5, T=50, validation_patience=50)
+        result = run_experiment(train, val, LINEAR, config)
+        assert [m.round for m in result.history] == [0, 1, 2]
+        assert result.best_round == 1
+        assert result.best_validation_loss == 1.0
+        assert result.best_hypotheses.round_index == 2
+        assert result.final_hypotheses.round_index == 3
+        assert max(result.ledger.composed_leakage(cid) for cid in train) <= 0.5
 
     def test_cap_requires_sanitization(self):
         with pytest.raises(ValueError):
