@@ -25,7 +25,7 @@ import numpy as np
 from .accounting import _REL_TOL, RADIUS_FLOOR, PrivacyLedger, _fmt, heuristic_epsilon
 from .clustering import kmeans_from_hypotheses
 from .mechanism import NoiseScale, sanitize
-from .models import Batch, ModelSpec, init_params, local_update, loss, n_params
+from .models import Batch, ModelSpec, init_params, local_update, loss, loss_matrix, n_params
 from .rng import substream
 
 __all__ = [
@@ -168,7 +168,7 @@ def client_step(
     """
     if len(dataset) == 0:
         raise ValueError("empty client dataset")
-    losses = [loss(spec, vec, dataset, objective) for vec in hypotheses.vectors]
+    losses = loss_matrix(spec, hypotheses.vectors, [dataset], objective)[0]
     chosen = int(np.argmin(losses))
     received = hypotheses.vectors[chosen]
     updated = local_update(
@@ -281,10 +281,8 @@ def _validation_loss(
 ) -> float:
     """Mean over validation clients of the loss at their best-fitting
     hypothesis; with personalization there is no single global model."""
-    per_client = []
-    for cid in sorted(validation):
-        losses = [loss(spec, vec, validation[cid], objective) for vec in hypotheses.vectors]
-        per_client.append(min(losses))
+    batches = [validation[cid] for cid in sorted(validation)]
+    per_client = loss_matrix(spec, hypotheses.vectors, batches, objective).min(axis=1)
     return float(np.mean(per_client))
 
 

@@ -9,7 +9,10 @@ fixed: per layer, weights row-major then biases, layers in forward order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +25,7 @@ __all__ = [
     "init_params",
     "predict",
     "loss",
+    "loss_matrix",
     "gradient",
     "local_update",
 ]
@@ -54,11 +58,36 @@ class ModelSpec:
         if self.kind == "linear" and (self.hidden or self.output_dim != 1):
             raise ValueError("linear models have no hidden layers and scalar output")
 
-    @property
-    def layer_sizes(self) -> list[tuple[int, int]]:
+    # Derived values are cached in the instance dict on first use; the
+    # dataclass equality and hash read the fields only, and pickling drops
+    # the cache (``__getstate__``), so a spec pickles as its fields alone.
+
+    @cached_property
+    def layer_sizes(self) -> tuple[tuple[int, int], ...]:
         """(fan_out, fan_in) per affine layer, forward order (mlp only)."""
         widths = [self.input_dim, *self.hidden, self.output_dim]
-        return [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
+        return tuple((widths[i + 1], widths[i]) for i in range(len(widths) - 1))
+
+    @cached_property
+    def layer_slices(self) -> tuple[tuple[int, int, slice, slice], ...]:
+        """(fan_out, fan_in, weight slice, bias slice) of the flat vector per layer."""
+        slices = []
+        offset = 0
+        for out, fin in self.layer_sizes:
+            weights = slice(offset, offset + out * fin)
+            offset += out * fin
+            slices.append((out, fin, weights, slice(offset, offset + out)))
+            offset += out
+        return tuple(slices)
+
+    @cached_property
+    def n_params(self) -> int:
+        if self.kind == "linear":
+            return self.input_dim
+        return self.layer_slices[-1][3].stop
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -87,13 +116,16 @@ class Batch:
         return len(self.x)
 
     def take(self, idx: np.ndarray) -> "Batch":
-        return Batch(self.x[idx], self.y[idx])
+        """Row subset; its rows were validated with this batch, so the
+        subset skips ``__post_init__``."""
+        subset = object.__new__(Batch)
+        object.__setattr__(subset, "x", self.x[idx])
+        object.__setattr__(subset, "y", self.y[idx])
+        return subset
 
 
 def n_params(spec: ModelSpec) -> int:
-    if spec.kind == "linear":
-        return spec.input_dim
-    return sum(out * fin + out for out, fin in spec.layer_sizes)
+    return spec.n_params
 
 
 def pack(spec: ModelSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -108,15 +140,10 @@ def pack(spec: ModelSpec, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.nda
 def unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Inverse of pack: recover (weight, bias) per layer."""
     params = _check_params(spec, params)
-    layers = []
-    offset = 0
-    for out, fin in spec.layer_sizes:
-        weight = params[offset : offset + out * fin].reshape(out, fin)
-        offset += out * fin
-        bias = params[offset : offset + out]
-        offset += out
-        layers.append((weight, bias))
-    return layers
+    return [
+        (params[weights].reshape(out, fin), params[biases])
+        for out, fin, weights, biases in spec.layer_slices
+    ]
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
@@ -136,34 +163,37 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
 
 def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
     params = np.asarray(params, dtype=float)
-    if params.shape != (n_params(spec),):
+    if params.shape != (spec.n_params,):
         raise ValueError(
-            f"parameter vector has shape {params.shape}, spec needs ({n_params(spec)},)"
+            f"parameter vector has shape {params.shape}, spec needs ({spec.n_params},)"
         )
     return params
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
-    """Return (output, per-layer (input, pre-activation) cache for backprop)."""
-    layers = unpack(spec, params)
-    cache = []
+def _check_features(spec: ModelSpec, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise ValueError(f"features must have shape (m, {spec.input_dim})")
+
+
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
+    """Return (output, per-layer input cache for backprop)."""
+    inputs = []
     a = x
     for i, (weight, bias) in enumerate(layers):
+        inputs.append(a)
         z = a @ weight.T + bias
-        cache.append((a, z))
         a = np.maximum(z, 0.0) if i < len(layers) - 1 else z
-    return a, cache
+    return a, inputs
 
 
 def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Model outputs per feature row; scalar-output models return a 1-D array."""
     params = _check_params(spec, params)
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(f"features must have shape (m, {spec.input_dim})")
+    _check_features(spec, x)
     if spec.kind == "linear":
         return x @ params
-    out, _ = _forward(spec, params, x)
+    out, _ = _forward(unpack(spec, params), x)
     return out[:, 0] if spec.output_dim == 1 else out
 
 
@@ -182,6 +212,60 @@ def loss(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) -> f
         logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
         return float(np.mean(logsumexp - logits[np.arange(len(batch)), targets]))
     raise ValueError(f"unknown objective {objective!r}")
+
+
+def loss_matrix(
+    spec: ModelSpec, hypotheses: np.ndarray, batches: Sequence[Batch], objective: str
+) -> np.ndarray:
+    """Loss of every hypothesis on every batch, from one forward pass.
+
+    ``hypotheses`` is a (k, n_params(spec)) array with k >= 1 and ``batches``
+    a non-empty sequence of non-empty batches.  Returns a float array of
+    shape (len(batches), k) whose entry [i, j] is
+    ``loss(spec, hypotheses[j], batches[i], objective)`` up to rounding in
+    the last bits.  All k hypotheses run over the concatenated rows as
+    (k, rows, width) matmuls; per-row losses are then summed per batch.
+    """
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}")
+    h = np.asarray(hypotheses, dtype=float)
+    if h.ndim != 2 or len(h) == 0 or h.shape[1] != spec.n_params:
+        raise ValueError(f"hypotheses must be a (k, {spec.n_params}) array with k >= 1")
+    sizes = [len(batch) for batch in batches]
+    if not sizes:
+        raise ValueError("no batches")
+    if min(sizes) == 0:
+        raise ValueError("empty batch")
+    if len(batches) == 1:
+        x, y = batches[0].x, batches[0].y
+    else:
+        x = np.concatenate([batch.x for batch in batches])
+        y = np.concatenate([batch.y for batch in batches])
+    _check_features(spec, x)
+
+    if spec.kind == "linear":
+        pred = (x @ h.T).T
+    else:
+        a = x
+        last = len(spec.layer_slices) - 1
+        for i, (out, fin, weights, biases) in enumerate(spec.layer_slices):
+            stacked = h[:, weights].reshape(-1, out, fin).transpose(0, 2, 1)
+            z = a @ stacked + h[:, None, biases]
+            a = np.maximum(z, 0.0) if i < last else z
+        pred = a[..., 0] if spec.output_dim == 1 else a
+    # pred: (k, rows) for scalar outputs, (k, rows, classes) for logits
+
+    starts = list(accumulate(sizes[:-1], initial=0))
+    if objective == "rmse":
+        residual = np.asarray(y, dtype=float) - pred
+        totals = np.add.reduceat(residual * residual, starts, axis=1)
+        return (np.sqrt(totals) / np.sqrt(sizes)).T
+    logits = _as_logits(spec, pred)
+    targets = _as_classes(spec, y)
+    top = logits.max(axis=2)
+    logsumexp = np.log(np.exp(logits - top[..., None]).sum(axis=2)) + top
+    per_row = logsumexp - logits[:, np.arange(len(targets)), targets]
+    return (np.add.reduceat(per_row, starts, axis=1) / np.array(sizes)).T
 
 
 def _as_logits(spec: ModelSpec, pred: np.ndarray) -> np.ndarray:
@@ -208,8 +292,14 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) 
     if len(batch) == 0:
         raise ValueError("empty batch")
     params = _check_params(spec, params)
+    _check_features(spec, batch.x)
     m = len(batch)
-    pred = predict(spec, params, batch.x)
+    if spec.kind == "linear":
+        pred = batch.x @ params
+    else:
+        layers = unpack(spec, params)
+        out, inputs = _forward(layers, batch.x)
+        pred = out[:, 0] if spec.output_dim == 1 else out
 
     if objective == "rmse":
         residual = np.asarray(batch.y, dtype=float) - pred
@@ -231,12 +321,10 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) 
     if spec.kind == "linear":
         return batch.x.T @ d_pred
 
-    layers = unpack(spec, params)
-    _, cache = _forward(spec, params, batch.x)
     d_out = d_pred.reshape(m, spec.output_dim) if d_pred.ndim == 1 else d_pred
     grads = []
     for i in range(len(layers) - 1, -1, -1):
-        a_in, _ = cache[i]
+        a_in = inputs[i]
         grads.append((d_out.T @ a_in, d_out.sum(axis=0)))
         if i > 0:
             d_out = (d_out @ layers[i][0]) * (a_in > 0)

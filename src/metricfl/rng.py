@@ -23,6 +23,10 @@ _ROLE_CODES = {
     "verify": 6,      # mechanism diagnostics
 }
 
+# Set in the role word of client-only keys, whose entropy would otherwise
+# equal the round-only key's [seed, role, index].
+_CLIENT_ONLY = 1 << 16
+
 
 def substream(
     master_seed: int,
@@ -34,12 +38,16 @@ def substream(
 
     ``client_index`` is a nonnegative integer position, not an arbitrary
     client label; callers with string ids map them to sorted positions first.
+    Within one seed and role the four key forms (none, client only, round
+    only, client and round) give distinct streams for indices below 2**32.
     """
     if role not in _ROLE_CODES:
         raise ValueError(f"unknown rng role {role!r}")
     if master_seed < 0:
         raise ValueError("master_seed must be nonnegative")
     entropy = [int(master_seed), _ROLE_CODES[role]]
+    if client_index is not None and round_index is None:
+        entropy[1] |= _CLIENT_ONLY
     if client_index is not None:
         if client_index < 0:
             raise ValueError("client_index must be nonnegative")

@@ -219,6 +219,17 @@ class TestInformationHygiene:
 
 
 class TestEarlyStopping:
+    def test_validation_loss_is_mean_of_per_client_minimum(self):
+        gen = np.random.default_rng(11)
+        validation = {f"c{i}": make_dataset(seed=i, m=m) for i, m in enumerate([1, 4, 9, 2])}
+        hyps = HypothesisSet(gen.standard_normal((3, 2)))
+        per_client = [
+            min(loss(LINEAR, vec, validation[cid], "rmse") for vec in hyps.vectors)
+            for cid in sorted(validation)
+        ]
+        got = federation._validation_loss(validation, hyps, LINEAR, "rmse")
+        assert got == pytest.approx(np.mean(per_client), rel=1e-12)
+
     def test_zero_rounds_returns_initial_hypotheses(self):
         train, val = split_views()
         config = make_config(T=0)

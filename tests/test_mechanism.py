@@ -234,6 +234,21 @@ class TestDeterminism:
         assert not np.array_equal(base, other_client)
         assert not np.array_equal(base, other_round)
 
+    def test_client_only_and_round_only_keys_differ(self):
+        by_client = substream(0, "client", client_index=5).random(4)
+        by_round = substream(0, "client", round_index=5).random(4)
+        assert not np.array_equal(by_client, by_round)
+
+    def test_existing_key_forms_keep_their_streams(self):
+        # Pinned draws: these streams feed every recorded run.
+        assert substream(7, "hypotheses").random() == 0.625095466604667
+        assert substream(7, "sampling", round_index=3).random() == 0.5167858979187351
+        assert substream(0, "client", round_index=5).random() == 0.794837676802343
+        assert (
+            substream(7, "client", client_index=2, round_index=3).random()
+            == 0.38733141924730263
+        )
+
 
 @settings(max_examples=30, deadline=None)
 @given(

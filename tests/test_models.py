@@ -2,6 +2,7 @@
 and local SGD."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from metricfl.models import (
     init_params,
     local_update,
     loss,
+    loss_matrix,
     n_params,
     pack,
     predict,
@@ -85,6 +87,26 @@ class TestSpecAndPacking:
         params = np.random.default_rng(seed).standard_normal(n_params(spec))
         assert np.array_equal(pack(spec, unpack(spec, params)), params)
 
+    def test_cached_layout_leaves_equality_hash_and_pickle_alone(self):
+        fresh = ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=1)
+        used = ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=1)
+        before = pickle.dumps(used)
+        assert used.layer_sizes == ((2, 3), (1, 2))
+        assert n_params(used) == 11
+        assert used == fresh and hash(used) == hash(fresh)
+        assert pickle.dumps(used) == before
+        restored = pickle.loads(before)
+        assert restored == used and n_params(restored) == 11
+
+
+class TestBatch:
+    def test_take_returns_the_row_subset(self):
+        batch = Batch(np.arange(12.0).reshape(6, 2), np.arange(6.0))
+        subset = batch.take(np.array([4, 1]))
+        assert np.array_equal(subset.x, [[8.0, 9.0], [2.0, 3.0]])
+        assert np.array_equal(subset.y, [4.0, 1.0])
+        assert len(subset) == 2
+
 
 class TestPredict:
     def test_linear_dot_product(self):
@@ -152,6 +174,66 @@ class TestLoss:
             gradient(LINEAR_2D, np.zeros(2), empty, "rmse")
 
 
+def random_batches(gen, spec, objective, sizes):
+    batches = []
+    for m in sizes:
+        x = gen.standard_normal((m, spec.input_dim))
+        if objective == "cross_entropy":
+            y = gen.integers(0, spec.output_dim, size=m)
+        else:
+            y = gen.standard_normal(m)
+        batches.append(Batch(x, y))
+    return batches
+
+
+class TestLossMatrix:
+    CASES = [
+        (ModelSpec("linear", input_dim=3), "rmse"),
+        (ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=1), "rmse"),
+        (ModelSpec("mlp", input_dim=2, hidden=(4, 3), output_dim=1), "rmse"),
+        (ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=4), "cross_entropy"),
+        (ModelSpec("mlp", input_dim=2, hidden=(3, 2), output_dim=3), "cross_entropy"),
+    ]
+
+    @pytest.mark.parametrize("spec,objective", CASES)
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_matches_loss_entry_by_entry(self, spec, objective, k):
+        gen = np.random.default_rng(k + n_params(spec))
+        hypotheses = gen.standard_normal((k, n_params(spec)))
+        for sizes in ([1], [4], [1, 7, 1, 3], [2, 1, 64, 5, 1]):
+            batches = random_batches(gen, spec, objective, sizes)
+            matrix = loss_matrix(spec, hypotheses, batches, objective)
+            assert matrix.shape == (len(batches), k)
+            for i, batch in enumerate(batches):
+                for j in range(k):
+                    expected = loss(spec, hypotheses[j], batch, objective)
+                    assert matrix[i, j] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_argmin_breaks_ties_to_lowest_index(self):
+        spec = SMALL_MLP
+        gen = np.random.default_rng(6)
+        best = gen.standard_normal(n_params(spec))
+        worse = best + 1.0
+        hypotheses = np.stack([worse, best, best, worse])
+        batch = Batch(gen.standard_normal((5, 3)), gen.standard_normal(5))
+        row = loss_matrix(spec, hypotheses, [batch], "rmse")[0]
+        assert row[1] == row[2]
+        assert int(np.argmin(row)) == 1
+
+    def test_rejects_empty_batches_and_wrong_width(self):
+        hypotheses = np.zeros((2, 11))
+        batch = Batch(np.zeros((3, 3)), np.zeros(3))
+        empty = Batch(np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ValueError):
+            loss_matrix(SMALL_MLP, hypotheses, [batch, empty], "rmse")
+        with pytest.raises(ValueError):
+            loss_matrix(SMALL_MLP, hypotheses, [], "rmse")
+        with pytest.raises(ValueError):
+            loss_matrix(SMALL_MLP, np.zeros((2, 10)), [batch], "rmse")
+        with pytest.raises(ValueError):
+            loss_matrix(SMALL_MLP, hypotheses, [Batch(np.zeros((3, 2)), np.zeros(3))], "rmse")
+
+
 class TestGradient:
     def test_linear_gradient_direction_at_zero(self):
         # single sample (x, y): gradient of the rmse objective at 0 is
@@ -178,6 +260,15 @@ class TestGradient:
         bias_grad = unpack(spec, grad)[-1][1]
         # each class is the target exactly once: (1/k - count/m) per class
         assert bias_grad == pytest.approx(np.full(classes, 1 / classes - 1 / m), rel=1e-9)
+
+    def test_feature_width_checked(self):
+        wrong = Batch(np.ones((4, 2)), np.ones(4))
+        with pytest.raises(ValueError):
+            gradient(SMALL_MLP, np.zeros(11), wrong, "rmse")
+        with pytest.raises(ValueError):
+            gradient(ModelSpec("linear", input_dim=3), np.zeros(3), wrong, "rmse")
+        with pytest.raises(ValueError):
+            local_update(SMALL_MLP, np.zeros(11), wrong, 0.1, 1, 2, "rmse", np.random.default_rng(0))
 
     def test_zero_residual_gives_zero_gradient(self):
         theta = np.array([1.0, 2.0])
