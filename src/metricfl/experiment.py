@@ -41,7 +41,7 @@ from .federation import (
     write_hypotheses,
     write_metrics_csv,
 )
-from .models import OBJECTIVES, Batch, ModelSpec
+from .models import OBJECTIVES, Batch, ModelSpec, _check_objective
 from .rng import substream
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_sweep"]
@@ -202,6 +202,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     objective = root.take("objective", str, default="rmse")
     if objective not in OBJECTIVES:
         raise ConfigError(f"objective: must be one of {OBJECTIVES}, got {objective!r}")
+    try:
+        _check_objective(model, objective)
+    except ValueError as exc:
+        raise ConfigError(f"objective: {objective} does not fit model.output_dim ({exc})") from None
 
     data_sec = root.child("data")
     data: SyntheticDataConfig | TabularDataConfig

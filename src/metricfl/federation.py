@@ -8,8 +8,11 @@ local dataset size and the client's own idea of its cluster never do.  The
 server groups the received vectors with k-means seeded at the hypotheses and
 averages within groups.
 
-Client steps inside a round are independent; results are consumed in
-ascending client-id order, so any execution schedule gives the same outcome.
+The sampled clients' steps run as one stacked computation (selection, local
+SGD, training loss), in ascending client-id order; sanitization runs per
+client on the client's own stream.  No operation mixes two clients' rows,
+so each client's release is bit-identical to the one it makes when stepped
+alone: the outcome does not depend on which clients share a round.
 """
 
 from __future__ import annotations
@@ -25,7 +28,15 @@ import numpy as np
 from .accounting import _REL_TOL, RADIUS_FLOOR, PrivacyLedger, _fmt, heuristic_epsilon
 from .clustering import kmeans_from_hypotheses
 from .mechanism import NoiseScale, sanitize
-from .models import Batch, ModelSpec, init_params, local_update, loss, loss_matrix, n_params
+from .models import (
+    Batch,
+    ModelSpec,
+    client_losses,
+    init_params,
+    local_updates,
+    loss_matrix,
+    n_params,
+)
 from .rng import substream
 
 __all__ = [
@@ -164,39 +175,58 @@ def client_step(
     dataset (ties to the lowest index), trains it locally, and releases the
     full updated vector perturbed by noise calibrated to the update norm.
     With nu = 0 the updated vector is released as-is and the leakage is
-    recorded as infinite.
+    recorded as infinite.  This is the one-client case of ``_client_steps``.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty client dataset")
-    losses = loss_matrix(spec, hypotheses.vectors, [dataset], objective)[0]
-    chosen = int(np.argmin(losses))
+    return _client_steps(spec, [dataset], hypotheses, config, [rng], objective)[0]
+
+
+def _client_steps(
+    spec: ModelSpec,
+    datasets: list[Batch],
+    hypotheses: HypothesisSet,
+    config: FederationConfig,
+    rngs: list[np.random.Generator],
+    objective: str,
+) -> list[ClientStepResult]:
+    """``client_step`` for several clients at once, one result per client.
+
+    Selection, local SGD and the training loss each run once for the whole
+    stack; the update norm, epsilon and the noise draw run per client, the
+    noise from the client's own stream after its SGD permutations.
+    """
+    chosen = np.argmin(loss_matrix(spec, hypotheses.vectors, datasets, objective), axis=1)
     received = hypotheses.vectors[chosen]
-    updated = local_update(
-        spec, received, dataset, config.s, config.E, config.B_s, objective, rng
+    updated = local_updates(
+        spec, received, datasets, config.s, config.E, config.B_s, objective, rngs
     )
-    update_norm = float(np.linalg.norm(updated - received))
+    train_losses = client_losses(spec, updated, datasets, objective)
     dim = n_params(spec)
 
-    if config.nu == 0:
-        sanitized = updated
-        epsilon = math.inf
-        radius = update_norm
-        leakage = math.inf
-    else:
-        radius = update_norm if update_norm > 0 else RADIUS_FLOOR
-        epsilon = heuristic_epsilon(radius, dim, config.nu)
-        sanitized = sanitize(updated, NoiseScale(epsilon, dim), rng)
-        # One division, not epsilon*radius: keeps the recorded cost exact.
-        leakage = dim / config.nu
-
-    return ClientStepResult(
-        chosen=chosen,
-        sanitized=sanitized,
-        epsilon=epsilon,
-        radius=radius,
-        leakage=leakage,
-        train_loss=loss(spec, updated, dataset, objective),
-    )
+    results = []
+    for i, rng in enumerate(rngs):
+        update_norm = float(np.linalg.norm(updated[i] - received[i]))
+        if config.nu == 0:
+            sanitized = updated[i]
+            epsilon = math.inf
+            radius = update_norm
+            leakage = math.inf
+        else:
+            radius = update_norm if update_norm > 0 else RADIUS_FLOOR
+            epsilon = heuristic_epsilon(radius, dim, config.nu)
+            sanitized = sanitize(updated[i], NoiseScale(epsilon, dim), rng)
+            # One division, not epsilon*radius: keeps the recorded cost exact.
+            leakage = dim / config.nu
+        results.append(
+            ClientStepResult(
+                chosen=int(chosen[i]),
+                sanitized=sanitized,
+                epsilon=epsilon,
+                radius=radius,
+                leakage=leakage,
+                train_loss=float(train_losses[i]),
+            )
+        )
+    return results
 
 
 def _eligible_ids(
@@ -242,12 +272,15 @@ def server_round(
     picked = rng_sampling.choice(len(pool), size=config.U, replace=False)
     sampled = sorted(pool[i] for i in picked)
 
-    results: dict[Hashable, ClientStepResult] = {}
-    for cid in sampled:
-        rng_client = substream(
+    rngs = [
+        substream(
             config.master_seed, "client", client_index=client_indices[cid], round_index=round_index
         )
-        results[cid] = client_step(spec, clients[cid], hypotheses, config, rng_client, objective)
+        for cid in sampled
+    ]
+    datasets = [clients[cid] for cid in sampled]
+    steps = _client_steps(spec, datasets, hypotheses, config, rngs, objective)
+    results = dict(zip(sampled, steps))
 
     points = [(cid, results[cid].sanitized) for cid in sampled]
     grouping = kmeans_from_hypotheses(points, hypotheses.vectors)

@@ -26,8 +26,10 @@ __all__ = [
     "predict",
     "loss",
     "loss_matrix",
+    "client_losses",
     "gradient",
     "local_update",
+    "local_updates",
 ]
 
 OBJECTIVES = ("rmse", "cross_entropy")
@@ -115,14 +117,6 @@ class Batch:
     def __len__(self) -> int:
         return len(self.x)
 
-    def take(self, idx: np.ndarray) -> "Batch":
-        """Row subset; its rows were validated with this batch, so the
-        subset skips ``__post_init__``."""
-        subset = object.__new__(Batch)
-        object.__setattr__(subset, "x", self.x[idx])
-        object.__setattr__(subset, "y", self.y[idx])
-        return subset
-
 
 def n_params(spec: ModelSpec) -> int:
     return spec.n_params
@@ -170,67 +164,41 @@ def _check_params(spec: ModelSpec, params: np.ndarray) -> np.ndarray:
     return params
 
 
+def _check_stack(spec: ModelSpec, stack: np.ndarray, name: str) -> np.ndarray:
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 2 or len(stack) == 0 or stack.shape[1] != spec.n_params:
+        raise ValueError(f"{name} must be a (k, {spec.n_params}) array with k >= 1")
+    return stack
+
+
 def _check_features(spec: ModelSpec, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"features must have shape (m, {spec.input_dim})")
 
 
-def _forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
-    """Return (output, per-layer input cache for backprop)."""
-    inputs = []
-    a = x
-    for i, (weight, bias) in enumerate(layers):
-        inputs.append(a)
-        z = a @ weight.T + bias
-        a = np.maximum(z, 0.0) if i < len(layers) - 1 else z
-    return a, inputs
-
-
-def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Model outputs per feature row; scalar-output models return a 1-D array."""
-    params = _check_params(spec, params)
-    x = np.asarray(features, dtype=float)
-    _check_features(spec, x)
-    if spec.kind == "linear":
-        return x @ params
-    out, _ = _forward(unpack(spec, params), x)
-    return out[:, 0] if spec.output_dim == 1 else out
-
-
-def loss(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) -> float:
-    """RMSE (residual norm over sqrt(batch size)) or mean cross entropy."""
-    if len(batch) == 0:
-        raise ValueError("empty batch")
-    pred = predict(spec, params, batch.x)
+def _check_objective(spec: ModelSpec, objective: str) -> None:
     if objective == "rmse":
-        residual = np.asarray(batch.y, dtype=float) - pred
-        return float(np.linalg.norm(residual) / math.sqrt(len(batch)))
-    if objective == "cross_entropy":
-        logits = _as_logits(spec, pred)
-        targets = _as_classes(spec, batch.y)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-        return float(np.mean(logsumexp - logits[np.arange(len(batch)), targets]))
-    raise ValueError(f"unknown objective {objective!r}")
-
-
-def loss_matrix(
-    spec: ModelSpec, hypotheses: np.ndarray, batches: Sequence[Batch], objective: str
-) -> np.ndarray:
-    """Loss of every hypothesis on every batch, from one forward pass.
-
-    ``hypotheses`` is a (k, n_params(spec)) array with k >= 1 and ``batches``
-    a non-empty sequence of non-empty batches.  Returns a float array of
-    shape (len(batches), k) whose entry [i, j] is
-    ``loss(spec, hypotheses[j], batches[i], objective)`` up to rounding in
-    the last bits.  All k hypotheses run over the concatenated rows as
-    (k, rows, width) matmuls; per-row losses are then summed per batch.
-    """
-    if objective not in OBJECTIVES:
+        if spec.output_dim != 1:
+            raise ValueError(
+                f"rmse needs output_dim == 1 (one prediction per row), got {spec.output_dim}"
+            )
+    elif objective == "cross_entropy":
+        if spec.output_dim < 2:
+            raise ValueError("cross_entropy needs output_dim >= 2 (one logit per class)")
+    else:
         raise ValueError(f"unknown objective {objective!r}")
-    h = np.asarray(hypotheses, dtype=float)
-    if h.ndim != 2 or len(h) == 0 or h.shape[1] != spec.n_params:
-        raise ValueError(f"hypotheses must be a (k, {spec.n_params}) array with k >= 1")
+
+
+def _rows(
+    spec: ModelSpec, batches: Sequence[Batch], objective: str
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Concatenated rows and targets of the batches, and their sizes.
+
+    Everything a pass over these rows needs checked is checked here, once:
+    the objective against the output width, non-empty batches, the feature
+    width, and for cross entropy the class labels.
+    """
+    _check_objective(spec, objective)
     sizes = [len(batch) for batch in batches]
     if not sizes:
         raise ValueError("no batches")
@@ -242,45 +210,151 @@ def loss_matrix(
         x = np.concatenate([batch.x for batch in batches])
         y = np.concatenate([batch.y for batch in batches])
     _check_features(spec, x)
-
-    if spec.kind == "linear":
-        pred = (x @ h.T).T
-    else:
-        a = x
-        last = len(spec.layer_slices) - 1
-        for i, (out, fin, weights, biases) in enumerate(spec.layer_slices):
-            stacked = h[:, weights].reshape(-1, out, fin).transpose(0, 2, 1)
-            z = a @ stacked + h[:, None, biases]
-            a = np.maximum(z, 0.0) if i < last else z
-        pred = a[..., 0] if spec.output_dim == 1 else a
-    # pred: (k, rows) for scalar outputs, (k, rows, classes) for logits
-
-    starts = list(accumulate(sizes[:-1], initial=0))
     if objective == "rmse":
-        residual = np.asarray(y, dtype=float) - pred
-        totals = np.add.reduceat(residual * residual, starts, axis=1)
-        return (np.sqrt(totals) / np.sqrt(sizes)).T
-    logits = _as_logits(spec, pred)
-    targets = _as_classes(spec, y)
-    top = logits.max(axis=2)
-    logsumexp = np.log(np.exp(logits - top[..., None]).sum(axis=2)) + top
-    per_row = logsumexp - logits[:, np.arange(len(targets)), targets]
-    return (np.add.reduceat(per_row, starts, axis=1) / np.array(sizes)).T
-
-
-def _as_logits(spec: ModelSpec, pred: np.ndarray) -> np.ndarray:
-    if spec.output_dim < 2:
-        raise ValueError("cross_entropy needs output_dim >= 2 (one logit per class)")
-    return pred
-
-
-def _as_classes(spec: ModelSpec, y: np.ndarray) -> np.ndarray:
-    targets = np.asarray(y)
-    if not np.issubdtype(targets.dtype, np.integer):
+        return x, np.asarray(y, dtype=float), sizes
+    if not np.issubdtype(y.dtype, np.integer):
         raise ValueError("cross_entropy targets must be integer class labels")
-    if targets.min() < 0 or targets.max() >= spec.output_dim:
+    if y.min() < 0 or y.max() >= spec.output_dim:
         raise ValueError("class label out of range")
-    return targets
+    return x, y, sizes
+
+
+def _forward(spec: ModelSpec, stack: np.ndarray, x: np.ndarray):
+    """Stacked forward pass: (outputs, per-layer input cache for backprop).
+
+    ``stack`` holds G parameter vectors as a (G, n) array; ``x`` holds each
+    vector's rows as a (G, rows, input_dim) array, or (1, rows, input_dim)
+    to run all G vectors on the same rows.  Outputs are (G, rows,
+    output_dim).  Every product is one matmul per stacked vector, so a
+    vector's outputs do not depend on what else is stacked with it.
+    """
+    if spec.kind == "linear":
+        return x @ stack[:, :, None], [x]
+    inputs = []
+    a = x
+    last = len(spec.layer_slices) - 1
+    for i, (out, fin, weights, biases) in enumerate(spec.layer_slices):
+        inputs.append(a)
+        z = a @ stack[:, weights].reshape(-1, out, fin).transpose(0, 2, 1) + stack[:, None, biases]
+        a = np.maximum(z, 0.0) if i < last else z
+    return a, inputs
+
+
+def _output_gradient(
+    out: np.ndarray, y: np.ndarray, mask: np.ndarray, counts: np.ndarray, objective: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Derivative of each stacked block's objective w.r.t. its outputs.
+
+    ``out`` is (G, rows, output_dim), ``y`` (G, rows) targets, ``mask``
+    (G, rows) marks real rows and ``counts`` (G,) holds their number per
+    block.  Masked rows get an exactly zero derivative.  Also returns which
+    blocks take a step: those with at least one row, and for RMSE a nonzero
+    residual (where the zero vector is the subgradient, so the step is
+    skipped rather than divided by the zero norm).
+    """
+    if objective == "rmse":
+        residual = np.where(mask, y - out[..., 0], 0.0)
+        res_norm = np.sqrt(np.sum(residual * residual, axis=1))
+        flat = res_norm == 0.0
+        scale = np.where(flat, 1.0, np.sqrt(counts) * res_norm)
+        return (-residual / scale[:, None])[..., None], ~flat
+    shifted = out - out.max(axis=2, keepdims=True)
+    expz = np.exp(shifted)
+    probs = expz / expz.sum(axis=2, keepdims=True)
+    probs[np.arange(len(probs))[:, None], np.arange(probs.shape[1]), y] -= 1.0
+    d_out = np.where(mask[..., None], probs / np.maximum(counts, 1)[:, None, None], 0.0)
+    return d_out, counts > 0
+
+
+def _backward(
+    spec: ModelSpec, stack: np.ndarray, inputs: list[np.ndarray], d_out: np.ndarray
+) -> np.ndarray:
+    """Stacked backward pass: the (G, n) gradient from the output derivative."""
+    if spec.kind == "linear":
+        return (inputs[0].transpose(0, 2, 1) @ d_out)[:, :, 0]
+    grad = np.empty_like(stack)
+    for i in range(len(spec.layer_slices) - 1, -1, -1):
+        out, fin, weights, biases = spec.layer_slices[i]
+        a_in = inputs[i]
+        grad[:, weights] = (d_out.transpose(0, 2, 1) @ a_in).reshape(len(grad), -1)
+        grad[:, biases] = d_out.sum(axis=1)
+        if i > 0:
+            d_out = (d_out @ stack[:, weights].reshape(-1, out, fin)) * (a_in > 0)
+    return grad
+
+
+def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Model outputs per feature row; scalar-output models return a 1-D array."""
+    params = _check_params(spec, params)
+    x = np.asarray(features, dtype=float)
+    _check_features(spec, x)
+    out = _forward(spec, params[None], x[None])[0][0]
+    return out[:, 0] if spec.output_dim == 1 else out
+
+
+def loss(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) -> float:
+    """RMSE (residual norm over sqrt(batch size)) or mean cross entropy: the
+    single-vector, single-batch entry of ``loss_matrix``."""
+    return float(loss_matrix(spec, _check_params(spec, params)[None], [batch], objective)[0, 0])
+
+
+def loss_matrix(
+    spec: ModelSpec, hypotheses: np.ndarray, batches: Sequence[Batch], objective: str
+) -> np.ndarray:
+    """Loss of every hypothesis on every batch, from one forward pass.
+
+    ``hypotheses`` is a (k, n_params(spec)) array with k >= 1 and ``batches``
+    a non-empty sequence of non-empty batches.  Returns a float array of
+    shape (len(batches), k) whose entry [i, j] is the loss of
+    ``hypotheses[j]`` on ``batches[i]``.  All k hypotheses run over the
+    concatenated rows as (k, rows, width) matmuls; per-row losses are then
+    summed per batch.
+    """
+    h = _check_stack(spec, hypotheses, "hypotheses")
+    x, y, sizes = _rows(spec, batches, objective)
+    out, _ = _forward(spec, h, x[None])
+    starts = list(accumulate(sizes[:-1], initial=0))
+    totals = np.add.reduceat(_row_losses(out, y, objective), starts, axis=1)
+    return _mean_losses(totals, np.array(sizes), objective).T
+
+
+def client_losses(
+    spec: ModelSpec, params: np.ndarray, batches: Sequence[Batch], objective: str
+) -> np.ndarray:
+    """Loss of ``params[i]`` on ``batches[i]`` for each i, from one forward
+    pass: the batches are stacked, padded to the largest one, each under its
+    own vector."""
+    stack = _check_stack(spec, params, "params")
+    if len(batches) != len(stack):
+        raise ValueError("need one batch per parameter vector")
+    x, y, sizes = _rows(spec, batches, objective)
+    sizes = np.array(sizes)
+    slot = np.arange(sizes.max())
+    mask = slot < sizes[:, None]
+    rows = (np.cumsum(sizes) - sizes)[:, None] + np.where(mask, slot, 0)
+    out, _ = _forward(spec, stack, x[rows])
+    totals = np.sum(np.where(mask, _row_losses(out, y[rows], objective), 0.0), axis=1)
+    return _mean_losses(totals, sizes, objective)
+
+
+def _row_losses(out: np.ndarray, y: np.ndarray, objective: str) -> np.ndarray:
+    """Per-row loss terms of outputs (..., rows, output_dim) against targets
+    (rows,) or (..., rows): squared residuals, or cross entropies."""
+    if objective == "rmse":
+        residual = y - out[..., 0]
+        return residual * residual
+    top = out.max(axis=-1)
+    logsumexp = np.log(np.exp(out - top[..., None]).sum(axis=-1)) + top
+    labels = np.broadcast_to(y, top.shape)[..., None]
+    return logsumexp - np.take_along_axis(out, labels, axis=-1)[..., 0]
+
+
+def _mean_losses(totals: np.ndarray, sizes: np.ndarray, objective: str) -> np.ndarray:
+    """RMSE (root of the summed squares over root of the row count) or mean
+    cross entropy from per-batch sums of ``_row_losses``."""
+    if objective == "rmse":
+        return np.sqrt(totals) / np.sqrt(sizes)
+    return totals / sizes
 
 
 def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) -> np.ndarray:
@@ -289,47 +363,67 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) 
     The RMSE gradient at an exactly-zero residual is the zero vector (a valid
     subgradient; avoids dividing by the residual norm).
     """
-    if len(batch) == 0:
-        raise ValueError("empty batch")
     params = _check_params(spec, params)
-    _check_features(spec, batch.x)
-    m = len(batch)
-    if spec.kind == "linear":
-        pred = batch.x @ params
-    else:
-        layers = unpack(spec, params)
-        out, inputs = _forward(layers, batch.x)
-        pred = out[:, 0] if spec.output_dim == 1 else out
+    x, y, (m,) = _rows(spec, [batch], objective)
+    out, inputs = _forward(spec, params[None], x[None])
+    d_out, moving = _output_gradient(out, y[None], np.ones((1, m), bool), np.array([m]), objective)
+    if not moving[0]:
+        return np.zeros_like(params)
+    return _backward(spec, params[None], inputs, d_out)[0]
 
-    if objective == "rmse":
-        residual = np.asarray(batch.y, dtype=float) - pred
-        res_norm = float(np.linalg.norm(residual))
-        if res_norm == 0.0:
-            return np.zeros_like(params)
-        d_pred = -residual / (math.sqrt(m) * res_norm)
-    elif objective == "cross_entropy":
-        logits = _as_logits(spec, pred)
-        targets = _as_classes(spec, batch.y)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expz = np.exp(shifted)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-        probs[np.arange(m), targets] -= 1.0
-        d_pred = probs / m
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
 
-    if spec.kind == "linear":
-        return batch.x.T @ d_pred
+def local_updates(
+    spec: ModelSpec,
+    params: np.ndarray,
+    datasets: Sequence[Batch],
+    step_size: float,
+    epochs: int,
+    batch_size: int,
+    objective: str,
+    rngs: Sequence[np.random.Generator],
+) -> np.ndarray:
+    """Mini-batch SGD for U clients at once; row i of the result is client i's.
 
-    d_out = d_pred.reshape(m, spec.output_dim) if d_pred.ndim == 1 else d_pred
-    grads = []
-    for i in range(len(layers) - 1, -1, -1):
-        a_in = inputs[i]
-        grads.append((d_out.T @ a_in, d_out.sum(axis=0)))
-        if i > 0:
-            d_out = (d_out @ layers[i][0]) * (a_in > 0)
-    grads.reverse()
-    return pack(spec, grads)
+    ``params`` is a (U, n_params(spec)) array of starting vectors and
+    ``datasets`` and ``rngs`` hold the U local datasets and streams; the
+    input array is untouched.  Each epoch every client reshuffles with its
+    own stream, in stack order, and walks blocks of ``batch_size`` rows (its
+    last one may be smaller).  All clients step together: step j of an
+    epoch takes block j of every client, padded to ``batch_size`` rows with
+    copies of the client's first row.  A padded row, and a step past a
+    client's last block, leave that client's vector exactly as it was.
+    Blocks are ``batch_size`` rows wide whatever the stack, and no operation
+    mixes clients, so row i is bit-identical to ``local_update`` on client i
+    alone; the price is that a ``batch_size`` above the largest dataset
+    computes padding rows.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
+    stack = _check_stack(spec, params, "params").copy()
+    if not len(datasets) == len(rngs) == len(stack):
+        raise ValueError("need one dataset and one stream per parameter vector")
+    x, y, sizes = _rows(spec, datasets, objective)
+    sizes = np.array(sizes)
+    n_clients = len(sizes)
+    steps = -(-sizes.max() // batch_size)
+    slots = steps * batch_size
+    mask = (np.arange(slots) < sizes[:, None]).reshape(n_clients, steps, batch_size)
+    counts = mask.sum(axis=2)
+    starts = np.cumsum(sizes) - sizes
+    for _ in range(epochs):
+        rows = np.repeat(starts[:, None], slots, axis=1)
+        for i, rng in enumerate(rngs):
+            rows[i, : sizes[i]] += rng.permutation(sizes[i])
+        xs = x[rows].reshape(n_clients, steps, batch_size, -1)
+        ys = y[rows].reshape(n_clients, steps, batch_size)
+        for j in range(steps):
+            out, inputs = _forward(spec, stack, xs[:, j])
+            d_out, moving = _output_gradient(out, ys[:, j], mask[:, j], counts[:, j], objective)
+            stepped = stack - step_size * _backward(spec, stack, inputs, d_out)
+            stack = np.where(moving[:, None], stepped, stack)
+    return stack
 
 
 def local_update(
@@ -345,19 +439,10 @@ def local_update(
     """Mini-batch SGD over the local dataset; the input vector is untouched.
 
     Each epoch reshuffles with the caller's stream and walks batches of
-    ``batch_size`` rows (the last one may be smaller).
+    ``batch_size`` rows (the last one may be smaller).  This is the
+    one-client case of ``local_updates``.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
-    params = _check_params(spec, params).copy()
-    m = len(dataset)
-    for _ in range(epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, batch_size):
-            minibatch = dataset.take(order[start : start + batch_size])
-            params -= step_size * gradient(spec, params, minibatch, objective)
-    return params
+    params = _check_params(spec, params)
+    return local_updates(
+        spec, params[None], [dataset], step_size, epochs, batch_size, objective, [rng]
+    )[0]

@@ -86,6 +86,21 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "objective,output_dim",
+        [("rmse", 3), ("rmse", 4), ("cross_entropy", 1)],
+    )
+    def test_objective_must_fit_output_dim(self, tmp_path, objective, output_dim):
+        model = {"kind": "mlp", "input_dim": 2, "hidden": [2], "output_dim": output_dim}
+        path = small_synthetic_config(tmp_path, model=model, objective=objective)
+        with pytest.raises(ConfigError, match=r"objective.*model\.output_dim"):
+            load_config(path)
+
+    def test_linear_model_cannot_classify(self, tmp_path):
+        path = small_synthetic_config(tmp_path, objective="cross_entropy")
+        with pytest.raises(ConfigError, match=r"objective.*model\.output_dim"):
+            load_config(path)
+
     def test_model_dimension_must_match_generators(self, tmp_path):
         path = small_synthetic_config(tmp_path, **{"model.input_dim": 3})
         with pytest.raises(ConfigError, match="input_dim"):

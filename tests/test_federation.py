@@ -18,7 +18,8 @@ from metricfl.federation import (
     server_round,
 )
 from metricfl.accounting import LeakageEvent, PrivacyLedger
-from metricfl.models import Batch, ModelSpec, gradient, local_update, loss
+from metricfl.mechanism import NoiseScale, sample_noise
+from metricfl.models import Batch, ModelSpec, gradient, local_update, loss, n_params
 from metricfl.rng import substream
 
 LINEAR = ModelSpec("linear", input_dim=2)
@@ -175,6 +176,28 @@ class TestServerRound:
         server_round(clients, hyps, LINEAR, config, ledger, 0, indices)
         assert len(round_assignment(ledger, 0)) == 7
         assert len(ledger) == 7
+
+    def test_released_noise_follows_each_clients_permutations(self):
+        # Clients of 1 to 13 rows, one cluster: the new hypothesis is the mean
+        # of the releases, and each release is the client's solo update plus
+        # the noise drawn from its stream right after its E permutations.
+        spec = ModelSpec("mlp", input_dim=2, hidden=(3,), output_dim=1)
+        clients = {i: make_dataset(seed=20 + i, m=m) for i, m in enumerate([1, 13, 4, 7, 2])}
+        config = make_config(k=1, U=3, E=2, B_s=4, nu=5.0)
+        hyps = HypothesisSet(np.full((1, n_params(spec)), 0.3))
+        ledger = PrivacyLedger()
+        indices = {cid: cid for cid in clients}
+        new_hyps, _ = server_round(clients, hyps, spec, config, ledger, 0, indices)
+        events = {cid: event for cid, event, _ in ledger.iter_rows() if event.round == 0}
+        assert len(events) == 3
+        releases = []
+        for cid in sorted(events):
+            rng = substream(0, "client", indices[cid], 0)
+            updated = local_update(spec, hyps.vectors[0], clients[cid], 0.1, 2, 4, "rmse", rng)
+            assert events[cid].radius == float(np.linalg.norm(updated - hyps.vectors[0]))
+            noise = sample_noise(NoiseScale(events[cid].epsilon, n_params(spec)), rng)
+            releases.append(updated + noise.components)
+        assert np.array_equal(new_hyps.vectors[0], np.mean(releases, axis=0))
 
     def test_too_few_clients_rejected(self):
         clients = {0: make_dataset()}

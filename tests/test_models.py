@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle_sgd import sgd_reference
 
 from metricfl.models import (
     Batch,
     ModelSpec,
+    client_losses,
     gradient,
     init_params,
     local_update,
+    local_updates,
     loss,
     loss_matrix,
     n_params,
@@ -97,15 +100,6 @@ class TestSpecAndPacking:
         assert pickle.dumps(used) == before
         restored = pickle.loads(before)
         assert restored == used and n_params(restored) == 11
-
-
-class TestBatch:
-    def test_take_returns_the_row_subset(self):
-        batch = Batch(np.arange(12.0).reshape(6, 2), np.arange(6.0))
-        subset = batch.take(np.array([4, 1]))
-        assert np.array_equal(subset.x, [[8.0, 9.0], [2.0, 3.0]])
-        assert np.array_equal(subset.y, [4.0, 1.0])
-        assert len(subset) == 2
 
 
 class TestPredict:
@@ -209,6 +203,20 @@ class TestLossMatrix:
                     expected = loss(spec, hypotheses[j], batch, objective)
                     assert matrix[i, j] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("spec,objective", CASES)
+    def test_client_losses_match_loss_per_client(self, spec, objective):
+        gen = np.random.default_rng(n_params(spec))
+        sizes = [2, 1, 64, 5, 1]
+        params = gen.standard_normal((len(sizes), n_params(spec)))
+        batches = random_batches(gen, spec, objective, sizes)
+        losses = client_losses(spec, params, batches, objective)
+        assert losses.shape == (len(sizes),)
+        for i, batch in enumerate(batches):
+            expected = loss(spec, params[i], batch, objective)
+            assert losses[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        with pytest.raises(ValueError):
+            client_losses(spec, params[:2], batches, objective)
+
     def test_argmin_breaks_ties_to_lowest_index(self):
         spec = SMALL_MLP
         gen = np.random.default_rng(6)
@@ -269,6 +277,26 @@ class TestGradient:
             gradient(ModelSpec("linear", input_dim=3), np.zeros(3), wrong, "rmse")
         with pytest.raises(ValueError):
             local_update(SMALL_MLP, np.zeros(11), wrong, 0.1, 1, 2, "rmse", np.random.default_rng(0))
+
+    def test_class_labels_checked(self):
+        spec = ModelSpec("mlp", input_dim=2, hidden=(2,), output_dim=3)
+        params = np.zeros(n_params(spec))
+        gen = np.random.default_rng(0)
+        for labels in (np.array([0, 1, 3]), np.array([0, -1, 2]), np.array([0.0, 1.0, 2.0])):
+            batch = Batch(np.ones((3, 2)), labels)
+            with pytest.raises(ValueError):
+                gradient(spec, params, batch, "cross_entropy")
+            with pytest.raises(ValueError):
+                local_update(spec, params, batch, 0.1, 1, 2, "cross_entropy", gen)
+
+    def test_objective_must_fit_output_width(self):
+        wide = ModelSpec("mlp", input_dim=2, hidden=(2,), output_dim=3)
+        batch = Batch(np.ones((3, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="output_dim"):
+            loss(wide, np.zeros(n_params(wide)), batch, "rmse")
+        labels = Batch(np.ones((3, 2)), np.array([0, 1, 0]))
+        with pytest.raises(ValueError, match="output_dim"):
+            gradient(LINEAR_2D, np.zeros(2), labels, "cross_entropy")
 
     def test_zero_residual_gives_zero_gradient(self):
         theta = np.array([1.0, 2.0])
@@ -351,3 +379,115 @@ class TestInitParams:
                 bound = 1.0 / math.sqrt(weight.shape[1])
                 assert np.all(np.abs(weight) <= bound)
                 assert np.all(np.abs(bias) <= bound)
+
+
+def random_stack(gen, spec, objective, sizes):
+    """Starting vectors, datasets and stream seeds for one stack of clients."""
+    params = gen.standard_normal((len(sizes), n_params(spec)))
+    datasets = random_batches(gen, spec, objective, sizes)
+    seeds = [int(v) for v in gen.integers(0, 2**31, size=len(sizes))]
+    return params, datasets, seeds
+
+
+def streams(seeds):
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
+def solo_runs(spec, params, datasets, step, epochs, batch_size, objective, seeds):
+    return [
+        local_update(spec, p, d, step, epochs, batch_size, objective, np.random.default_rng(seed))
+        for p, d, seed in zip(params, datasets, seeds)
+    ]
+
+
+STACK_CASES = {
+    "linear": (ModelSpec("linear", input_dim=3), "rmse"),
+    "mlp_rmse": (ModelSpec("mlp", input_dim=9, hidden=(4, 2), output_dim=1), "rmse"),
+    "mlp_ce": (ModelSpec("mlp", input_dim=2, hidden=(3,), output_dim=3), "cross_entropy"),
+}
+
+
+class TestLocalUpdates:
+    @given(
+        case=st.sampled_from(sorted(STACK_CASES)),
+        batch_size=st.integers(1, 4),
+        epochs=st.integers(1, 3),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=4),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_plain_loop_and_solo_runs(self, case, batch_size, epochs, fractions, seed):
+        spec, objective = STACK_CASES[case]
+        largest = 3 * batch_size + 1
+        sizes = [1, largest] + [1 + int(f * (largest - 1)) for f in fractions]
+        gen = np.random.default_rng(seed)
+        params, datasets, seeds = random_stack(gen, spec, objective, sizes)
+        stacked = local_updates(
+            spec, params, datasets, 0.05, epochs, batch_size, objective, streams(seeds)
+        )
+        solo = solo_runs(spec, params, datasets, 0.05, epochs, batch_size, objective, seeds)
+        for i, (p, d, s) in enumerate(zip(params, datasets, seeds)):
+            reference = np.array(
+                sgd_reference(
+                    spec, p, d.x, d.y, 0.05, epochs, batch_size, objective,
+                    np.random.default_rng(s),
+                )
+            )
+            error = np.linalg.norm(stacked[i] - reference)
+            assert error <= 1e-12 * max(np.linalg.norm(reference), 1.0)
+            assert np.array_equal(stacked[i], solo[i])
+
+    def test_masked_steps_leave_a_client_unchanged(self):
+        # One 1-row client next to a 13-row one: with batch_size 4 each epoch
+        # has four steps, three of them past the small client's only block.
+        spec, objective = STACK_CASES["mlp_rmse"]
+        gen = np.random.default_rng(11)
+        params, datasets, seeds = random_stack(gen, spec, objective, [1, 13])
+        stacked = local_updates(spec, params, datasets, 0.05, 2, 4, objective, streams(seeds))
+        alone = local_updates(
+            spec, params[:1], datasets[:1], 0.05, 2, 4, objective, streams(seeds[:1])
+        )
+        assert np.array_equal(stacked[0], alone[0])
+        # zero epochs: every step is absent, the vectors come back as given
+        assert np.array_equal(
+            local_updates(spec, params, datasets, 0.05, 0, 4, objective, streams(seeds)), params
+        )
+
+    def test_zero_residual_client_stays_put_while_others_move(self):
+        # Integer rows and coefficients: every prediction is exact, so the
+        # first client's residual is exactly zero in every block.
+        theta = np.array([1.0, -2.0, 3.0])
+        gen = np.random.default_rng(12)
+        x = gen.integers(-3, 4, size=(9, 3)).astype(float)
+        fitted = Batch(x, x @ theta)
+        noisy = Batch(x, x @ theta + gen.standard_normal(9))
+        spec = STACK_CASES["linear"][0]
+        params = np.stack([theta, theta])
+        out = local_updates(spec, params, [fitted, noisy], 0.1, 2, 4, "rmse", streams([1, 2]))
+        assert np.array_equal(out[0], theta)
+        assert not np.array_equal(out[1], theta)
+
+    def test_diverging_client_leaves_the_others_untouched(self):
+        spec, objective = STACK_CASES["mlp_rmse"]
+        gen = np.random.default_rng(13)
+        params, datasets, seeds = random_stack(gen, spec, objective, [5, 9, 3])
+        params[1] *= 1e150
+        datasets[1] = Batch(datasets[1].x * 1e150, datasets[1].y)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = local_updates(spec, params, datasets, 0.05, 2, 4, objective, streams(seeds))
+            solo = solo_runs(spec, params, datasets, 0.05, 2, 4, objective, seeds)
+        assert not np.all(np.isfinite(stacked[1]))
+        for i in (0, 2):
+            assert np.all(np.isfinite(stacked[i]))
+            assert np.array_equal(stacked[i], solo[i])
+
+    def test_stack_shape_checked(self):
+        spec, objective = STACK_CASES["linear"]
+        dataset = Batch(np.ones((3, 3)), np.ones(3))
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            local_updates(spec, np.zeros((2, 3)), [dataset], 0.1, 1, 2, objective, [gen])
+        with pytest.raises(ValueError):
+            local_updates(spec, np.zeros((1, 4)), [dataset], 0.1, 1, 2, objective, [gen])
+        with pytest.raises(ValueError):
+            local_updates(spec, np.zeros((1, 3)), [dataset], 0.1, 1, 2, objective, [gen, gen])
