@@ -73,6 +73,8 @@ class LeakageEvent:
     cluster_id: int | None = None
 
     def __post_init__(self) -> None:
+        if self.round < 0:
+            raise ValueError("round must be nonnegative")
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
         if math.isfinite(self.epsilon):
@@ -95,6 +97,7 @@ class PrivacyLedger:
 
     def __init__(self) -> None:
         self._events: dict[Hashable, list[LeakageEvent]] = {}
+        self._rounds: dict[Hashable, set[int]] = {}
         self._composed: dict[Hashable, float] = {}
 
     def record_participation(
@@ -110,17 +113,18 @@ class PrivacyLedger:
 
         ``leakage`` defaults to epsilon * radius.  Callers using the
         heuristic pass the algebraically cancelled n / noise_multiplier so
-        the recorded cost is exact.
+        the recorded cost is exact.  A rejected call leaves the ledger as
+        it was.
         """
-        events = self._events.setdefault(client_id, [])
-        if any(e.round == round for e in events):
+        if round in self._rounds.get(client_id, ()):
             raise ValueError(f"client {client_id!r} already has an event for round {round}")
         if leakage is None:
             leakage = epsilon * radius
         event = LeakageEvent(
             round=round, epsilon=epsilon, radius=radius, leakage=leakage, cluster_id=cluster_id
         )
-        events.append(event)
+        self._events.setdefault(client_id, []).append(event)
+        self._rounds.setdefault(client_id, set()).add(round)
         self._composed[client_id] = self._composed.get(client_id, 0.0) + event.leakage
         return event
 

@@ -35,13 +35,12 @@ from .data import (
     split_population,
 )
 from .federation import (
-    ExperimentResult,
     FederationConfig,
     run_experiment,
     write_hypotheses,
     write_metrics_csv,
 )
-from .models import OBJECTIVES, Batch, ModelSpec, _check_objective
+from .models import Batch, ModelSpec
 from .rng import substream
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_sweep"]
@@ -73,7 +72,6 @@ class ExperimentConfig:
     experiment: str  # "synthetic" | "tabular"
     name: str
     model: ModelSpec
-    objective: str
     data: SyntheticDataConfig | TabularDataConfig
     # Non-swept federation fields; k, nu and master_seed come from the sweep.
     T: int
@@ -199,13 +197,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 
+    # RMSE regression is the only objective; the key stays for explicit configs.
     objective = root.take("objective", str, default="rmse")
-    if objective not in OBJECTIVES:
-        raise ConfigError(f"objective: must be one of {OBJECTIVES}, got {objective!r}")
-    try:
-        _check_objective(model, objective)
-    except ValueError as exc:
-        raise ConfigError(f"objective: {objective} does not fit model.output_dim ({exc})") from None
+    if objective != "rmse":
+        raise ConfigError(f"objective: only 'rmse' is supported, got {objective!r}")
+    if model.output_dim != 1:
+        raise ConfigError(
+            f"objective: rmse needs model.output_dim == 1 (one prediction per row), "
+            f"got {model.output_dim}"
+        )
 
     data_sec = root.child("data")
     data: SyntheticDataConfig | TabularDataConfig
@@ -275,7 +275,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         experiment=experiment,
         name=name,
         model=model,
-        objective=objective,
         data=data,
         T=T,
         U=U,
@@ -334,7 +333,7 @@ def effective_dict(
             "hidden": list(config.model.hidden),
             "output_dim": config.model.output_dim,
         },
-        "objective": config.objective,
+        "objective": "rmse",
         "data": data,
         "sweep": {
             "nu": list(config.sweep_nu) if nu is None else [nu],
@@ -369,11 +368,13 @@ def build_population(
 
 @dataclass(frozen=True)
 class CellRun:
+    """What the sweep keeps of a finished cell; the ledger is not kept."""
+
     nu: float
     k: int
     seed: int
     run_dir: Path
-    result: ExperimentResult
+    best_validation_loss: float
     budget_median: float
     budget_max: float
 
@@ -388,7 +389,7 @@ def run_cell(config: ExperimentConfig, nu: float, k: int, seed: int, run_dir: Pa
     run_dir.mkdir(parents=True, exist_ok=True)
     train, val = build_population(config, seed)
     fed_config = config.federation_config(nu=nu, k=k, seed=seed)
-    result = run_experiment(train, val, config.model, fed_config, config.objective)
+    result = run_experiment(train, val, config.model, fed_config)
 
     (run_dir / "config.yaml").write_text(
         yaml.safe_dump(effective_dict(config, nu=nu, k=k, seed=seed), sort_keys=True)
@@ -406,7 +407,7 @@ def run_cell(config: ExperimentConfig, nu: float, k: int, seed: int, run_dir: Pa
         k=k,
         seed=seed,
         run_dir=run_dir,
-        result=result,
+        best_validation_loss=result.best_validation_loss,
         budget_median=budget_median,
         budget_max=budget_max,
     )
@@ -444,7 +445,7 @@ def _write_summary(config: ExperimentConfig, cells: list[CellRun], path: Path) -
         writer = csv.writer(fh)
         writer.writerow(["nu", "k", "runs", "mean_validation_loss", "std_validation_loss"])
         for nu, k, group in _cell_groups(config, cells):
-            losses = [c.result.best_validation_loss for c in group]
+            losses = [c.best_validation_loss for c in group]
             mean = statistics.fmean(losses)
             std = statistics.stdev(losses) if len(losses) > 1 else 0.0
             writer.writerow([format_value(nu), k, len(group), repr(mean), repr(std)])

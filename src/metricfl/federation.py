@@ -167,7 +167,6 @@ def client_step(
     hypotheses: HypothesisSet,
     config: FederationConfig,
     rng: np.random.Generator,
-    objective: str = "rmse",
 ) -> ClientStepResult:
     """Select, train and release: the client-side half of one round.
 
@@ -177,7 +176,7 @@ def client_step(
     With nu = 0 the updated vector is released as-is and the leakage is
     recorded as infinite.  This is the one-client case of ``_client_steps``.
     """
-    return _client_steps(spec, [dataset], hypotheses, config, [rng], objective)[0]
+    return _client_steps(spec, [dataset], hypotheses, config, [rng])[0]
 
 
 def _client_steps(
@@ -186,7 +185,6 @@ def _client_steps(
     hypotheses: HypothesisSet,
     config: FederationConfig,
     rngs: list[np.random.Generator],
-    objective: str,
 ) -> list[ClientStepResult]:
     """``client_step`` for several clients at once, one result per client.
 
@@ -194,12 +192,10 @@ def _client_steps(
     stack; the update norm, epsilon and the noise draw run per client, the
     noise from the client's own stream after its SGD permutations.
     """
-    chosen = np.argmin(loss_matrix(spec, hypotheses.vectors, datasets, objective), axis=1)
+    chosen = np.argmin(loss_matrix(spec, hypotheses.vectors, datasets), axis=1)
     received = hypotheses.vectors[chosen]
-    updated = local_updates(
-        spec, received, datasets, config.s, config.E, config.B_s, objective, rngs
-    )
-    train_losses = client_losses(spec, updated, datasets, objective)
+    updated = local_updates(spec, received, datasets, config.s, config.E, config.B_s, rngs)
+    train_losses = client_losses(spec, updated, datasets)
     dim = n_params(spec)
 
     results = []
@@ -253,7 +249,6 @@ def server_round(
     ledger: PrivacyLedger,
     round_index: int,
     client_indices: Mapping[Hashable, int],
-    objective: str = "rmse",
 ) -> tuple[HypothesisSet, float]:
     """One full round: sample, collect sanitized vectors, cluster, average.
 
@@ -279,7 +274,7 @@ def server_round(
         for cid in sampled
     ]
     datasets = [clients[cid] for cid in sampled]
-    steps = _client_steps(spec, datasets, hypotheses, config, rngs, objective)
+    steps = _client_steps(spec, datasets, hypotheses, config, rngs)
     results = dict(zip(sampled, steps))
 
     points = [(cid, results[cid].sanitized) for cid in sampled]
@@ -310,12 +305,11 @@ def _validation_loss(
     validation: Mapping[Hashable, Batch],
     hypotheses: HypothesisSet,
     spec: ModelSpec,
-    objective: str,
 ) -> float:
     """Mean over validation clients of the loss at their best-fitting
     hypothesis; with personalization there is no single global model."""
     batches = [validation[cid] for cid in sorted(validation)]
-    per_client = loss_matrix(spec, hypotheses.vectors, batches, objective).min(axis=1)
+    per_client = loss_matrix(spec, hypotheses.vectors, batches).min(axis=1)
     return float(np.mean(per_client))
 
 
@@ -324,7 +318,6 @@ def run_experiment(
     validation: Mapping[Hashable, Batch],
     spec: ModelSpec,
     config: FederationConfig,
-    objective: str = "rmse",
 ) -> ExperimentResult:
     """Drive up to T rounds with early stopping on the validation loss.
 
@@ -360,12 +353,12 @@ def run_experiment(
         if len(_eligible_ids(train, spec, config, ledger)) < config.U:
             break
         hypotheses, mean_train_loss = server_round(
-            train, hypotheses, spec, config, ledger, t, client_indices, objective
+            train, hypotheses, spec, config, ledger, t, client_indices
         )
 
         val_loss: float | None = None
         if validation and (t + 1) % config.validation_every == 0:
-            val_loss = _validation_loss(validation, hypotheses, spec, objective)
+            val_loss = _validation_loss(validation, hypotheses, spec)
             if val_loss < best.best_validation_loss:
                 best.best_validation_loss = val_loss
                 best.best_hypotheses = hypotheses.copy()

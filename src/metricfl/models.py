@@ -1,9 +1,11 @@
-"""Trainable predictors with analytic gradients and local mini-batch SGD.
+"""Regression predictors with analytic RMSE gradients and local mini-batch SGD.
 
 Two model families: a linear map (no intercept) and a small fully connected
-ReLU network.  Parameters live in a single flat vector so that sanitization
-and clustering can treat a model as a point in R^n.  The packing order is
-fixed: per layer, weights row-major then biases, layers in forward order.
+ReLU network.  The objective is RMSE, the residual norm over the square root
+of the row count, so every model predicts one value per row.  Parameters
+live in a single flat vector so that sanitization and clustering can treat a
+model as a point in R^n.  The packing order is fixed: per layer, weights
+row-major then biases, layers in forward order.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ __all__ = [
     "local_update",
     "local_updates",
 ]
-
-OBJECTIVES = ("rmse", "cross_entropy")
 
 
 @dataclass(frozen=True)
@@ -94,22 +94,25 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Batch:
-    """Feature rows and aligned targets; regression targets are floats,
-    classification targets integer class labels."""
+    """Feature rows (m, input_dim) and their float regression targets (m,),
+    checked once here."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y)
+        y = np.asarray(self.y, dtype=float)
         if x.ndim != 2:
             raise ValueError("features must be a 2-D array (rows = samples)")
-        if len(x) != len(y):
-            raise ValueError(f"row mismatch: {len(x)} feature rows, {len(y)} targets")
+        if y.shape != (len(x),):
+            raise ValueError(
+                f"targets must be a 1-D array with one entry per feature row: "
+                f"{len(x)} feature rows, targets of shape {y.shape}"
+            )
         if not np.all(np.isfinite(x)):
             raise ValueError("features contain non-finite values")
-        if np.issubdtype(y.dtype, np.floating) and not np.all(np.isfinite(y)):
+        if not np.all(np.isfinite(y)):
             raise ValueError("targets contain non-finite values")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -176,29 +179,21 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> None:
         raise ValueError(f"features must have shape (m, {spec.input_dim})")
 
 
-def _check_objective(spec: ModelSpec, objective: str) -> None:
-    if objective == "rmse":
-        if spec.output_dim != 1:
-            raise ValueError(
-                f"rmse needs output_dim == 1 (one prediction per row), got {spec.output_dim}"
-            )
-    elif objective == "cross_entropy":
-        if spec.output_dim < 2:
-            raise ValueError("cross_entropy needs output_dim >= 2 (one logit per class)")
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
+def _require_rmse(objective: str) -> None:
+    if objective != "rmse":
+        raise ValueError(f"objective must be 'rmse', the only one, got {objective!r}")
 
 
-def _rows(
-    spec: ModelSpec, batches: Sequence[Batch], objective: str
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _rows(spec: ModelSpec, batches: Sequence[Batch]) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Concatenated rows and targets of the batches, and their sizes.
 
     Everything a pass over these rows needs checked is checked here, once:
-    the objective against the output width, non-empty batches, the feature
-    width, and for cross entropy the class labels.
+    one output per row, non-empty batches and the feature width.
     """
-    _check_objective(spec, objective)
+    if spec.output_dim != 1:
+        raise ValueError(
+            f"rmse needs output_dim == 1 (one prediction per row), got {spec.output_dim}"
+        )
     sizes = [len(batch) for batch in batches]
     if not sizes:
         raise ValueError("no batches")
@@ -210,12 +205,6 @@ def _rows(
         x = np.concatenate([batch.x for batch in batches])
         y = np.concatenate([batch.y for batch in batches])
     _check_features(spec, x)
-    if objective == "rmse":
-        return x, np.asarray(y, dtype=float), sizes
-    if not np.issubdtype(y.dtype, np.integer):
-        raise ValueError("cross_entropy targets must be integer class labels")
-    if y.min() < 0 or y.max() >= spec.output_dim:
-        raise ValueError("class label out of range")
     return x, y, sizes
 
 
@@ -241,29 +230,22 @@ def _forward(spec: ModelSpec, stack: np.ndarray, x: np.ndarray):
 
 
 def _output_gradient(
-    out: np.ndarray, y: np.ndarray, mask: np.ndarray, counts: np.ndarray, objective: str
+    out: np.ndarray, y: np.ndarray, mask: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative of each stacked block's objective w.r.t. its outputs.
+    """Derivative of each stacked block's RMSE w.r.t. its outputs.
 
-    ``out`` is (G, rows, output_dim), ``y`` (G, rows) targets, ``mask``
-    (G, rows) marks real rows and ``counts`` (G,) holds their number per
-    block.  Masked rows get an exactly zero derivative.  Also returns which
-    blocks take a step: those with at least one row, and for RMSE a nonzero
-    residual (where the zero vector is the subgradient, so the step is
-    skipped rather than divided by the zero norm).
+    ``out`` is (G, rows, 1), ``y`` (G, rows) targets, ``mask`` (G, rows)
+    marks real rows and ``counts`` (G,) holds their number per block.
+    Masked rows get an exactly zero derivative.  Also returns which blocks
+    take a step: those with a nonzero residual.  At a zero residual, and in
+    a block without rows, the zero vector is the subgradient, so the step is
+    skipped rather than divided by the zero norm.
     """
-    if objective == "rmse":
-        residual = np.where(mask, y - out[..., 0], 0.0)
-        res_norm = np.sqrt(np.sum(residual * residual, axis=1))
-        flat = res_norm == 0.0
-        scale = np.where(flat, 1.0, np.sqrt(counts) * res_norm)
-        return (-residual / scale[:, None])[..., None], ~flat
-    shifted = out - out.max(axis=2, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=2, keepdims=True)
-    probs[np.arange(len(probs))[:, None], np.arange(probs.shape[1]), y] -= 1.0
-    d_out = np.where(mask[..., None], probs / np.maximum(counts, 1)[:, None, None], 0.0)
-    return d_out, counts > 0
+    residual = np.where(mask, y - out[..., 0], 0.0)
+    res_norm = np.sqrt(np.sum(residual * residual, axis=1))
+    flat = res_norm == 0.0
+    scale = np.where(flat, 1.0, np.sqrt(counts) * res_norm)
+    return (-residual / scale[:, None])[..., None], ~flat
 
 
 def _backward(
@@ -293,14 +275,13 @@ def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.nda
 
 
 def loss(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) -> float:
-    """RMSE (residual norm over sqrt(batch size)) or mean cross entropy: the
-    single-vector, single-batch entry of ``loss_matrix``."""
-    return float(loss_matrix(spec, _check_params(spec, params)[None], [batch], objective)[0, 0])
+    """RMSE (residual norm over sqrt(batch size)): the single-vector,
+    single-batch entry of ``loss_matrix``.  ``objective`` must be "rmse"."""
+    _require_rmse(objective)
+    return float(loss_matrix(spec, _check_params(spec, params)[None], [batch])[0, 0])
 
 
-def loss_matrix(
-    spec: ModelSpec, hypotheses: np.ndarray, batches: Sequence[Batch], objective: str
-) -> np.ndarray:
+def loss_matrix(spec: ModelSpec, hypotheses: np.ndarray, batches: Sequence[Batch]) -> np.ndarray:
     """Loss of every hypothesis on every batch, from one forward pass.
 
     ``hypotheses`` is a (k, n_params(spec)) array with k >= 1 and ``batches``
@@ -311,62 +292,49 @@ def loss_matrix(
     summed per batch.
     """
     h = _check_stack(spec, hypotheses, "hypotheses")
-    x, y, sizes = _rows(spec, batches, objective)
+    x, y, sizes = _rows(spec, batches)
     out, _ = _forward(spec, h, x[None])
     starts = list(accumulate(sizes[:-1], initial=0))
-    totals = np.add.reduceat(_row_losses(out, y, objective), starts, axis=1)
-    return _mean_losses(totals, np.array(sizes), objective).T
+    totals = np.add.reduceat(_squared_residuals(out, y), starts, axis=1)
+    return (np.sqrt(totals) / np.sqrt(np.array(sizes))).T
 
 
-def client_losses(
-    spec: ModelSpec, params: np.ndarray, batches: Sequence[Batch], objective: str
-) -> np.ndarray:
+def client_losses(spec: ModelSpec, params: np.ndarray, batches: Sequence[Batch]) -> np.ndarray:
     """Loss of ``params[i]`` on ``batches[i]`` for each i, from one forward
     pass: the batches are stacked, padded to the largest one, each under its
     own vector."""
     stack = _check_stack(spec, params, "params")
     if len(batches) != len(stack):
         raise ValueError("need one batch per parameter vector")
-    x, y, sizes = _rows(spec, batches, objective)
+    x, y, sizes = _rows(spec, batches)
     sizes = np.array(sizes)
     slot = np.arange(sizes.max())
     mask = slot < sizes[:, None]
     rows = (np.cumsum(sizes) - sizes)[:, None] + np.where(mask, slot, 0)
     out, _ = _forward(spec, stack, x[rows])
-    totals = np.sum(np.where(mask, _row_losses(out, y[rows], objective), 0.0), axis=1)
-    return _mean_losses(totals, sizes, objective)
+    totals = np.sum(np.where(mask, _squared_residuals(out, y[rows]), 0.0), axis=1)
+    return np.sqrt(totals) / np.sqrt(sizes)
 
 
-def _row_losses(out: np.ndarray, y: np.ndarray, objective: str) -> np.ndarray:
-    """Per-row loss terms of outputs (..., rows, output_dim) against targets
-    (rows,) or (..., rows): squared residuals, or cross entropies."""
-    if objective == "rmse":
-        residual = y - out[..., 0]
-        return residual * residual
-    top = out.max(axis=-1)
-    logsumexp = np.log(np.exp(out - top[..., None]).sum(axis=-1)) + top
-    labels = np.broadcast_to(y, top.shape)[..., None]
-    return logsumexp - np.take_along_axis(out, labels, axis=-1)[..., 0]
-
-
-def _mean_losses(totals: np.ndarray, sizes: np.ndarray, objective: str) -> np.ndarray:
-    """RMSE (root of the summed squares over root of the row count) or mean
-    cross entropy from per-batch sums of ``_row_losses``."""
-    if objective == "rmse":
-        return np.sqrt(totals) / np.sqrt(sizes)
-    return totals / sizes
+def _squared_residuals(out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row squared residuals of outputs (..., rows, 1) against targets
+    (rows,) or (..., rows)."""
+    residual = y - out[..., 0]
+    return residual * residual
 
 
 def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) -> np.ndarray:
-    """Analytic gradient of the batch objective w.r.t. the flat vector.
+    """Analytic gradient of the batch RMSE w.r.t. the flat vector.
 
-    The RMSE gradient at an exactly-zero residual is the zero vector (a valid
-    subgradient; avoids dividing by the residual norm).
+    ``objective`` must be "rmse".  The gradient at an exactly-zero residual
+    is the zero vector (a valid subgradient; avoids dividing by the residual
+    norm).
     """
+    _require_rmse(objective)
     params = _check_params(spec, params)
-    x, y, (m,) = _rows(spec, [batch], objective)
+    x, y, (m,) = _rows(spec, [batch])
     out, inputs = _forward(spec, params[None], x[None])
-    d_out, moving = _output_gradient(out, y[None], np.ones((1, m), bool), np.array([m]), objective)
+    d_out, moving = _output_gradient(out, y[None], np.ones((1, m), bool), np.array([m]))
     if not moving[0]:
         return np.zeros_like(params)
     return _backward(spec, params[None], inputs, d_out)[0]
@@ -379,7 +347,6 @@ def local_updates(
     step_size: float,
     epochs: int,
     batch_size: int,
-    objective: str,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
     """Mini-batch SGD for U clients at once; row i of the result is client i's.
@@ -404,7 +371,7 @@ def local_updates(
     stack = _check_stack(spec, params, "params").copy()
     if not len(datasets) == len(rngs) == len(stack):
         raise ValueError("need one dataset and one stream per parameter vector")
-    x, y, sizes = _rows(spec, datasets, objective)
+    x, y, sizes = _rows(spec, datasets)
     sizes = np.array(sizes)
     n_clients = len(sizes)
     steps = -(-sizes.max() // batch_size)
@@ -420,7 +387,7 @@ def local_updates(
         ys = y[rows].reshape(n_clients, steps, batch_size)
         for j in range(steps):
             out, inputs = _forward(spec, stack, xs[:, j])
-            d_out, moving = _output_gradient(out, ys[:, j], mask[:, j], counts[:, j], objective)
+            d_out, moving = _output_gradient(out, ys[:, j], mask[:, j], counts[:, j])
             stepped = stack - step_size * _backward(spec, stack, inputs, d_out)
             stack = np.where(moving[:, None], stepped, stack)
     return stack
@@ -436,13 +403,13 @@ def local_update(
     objective: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Mini-batch SGD over the local dataset; the input vector is untouched.
+    """Mini-batch SGD on the RMSE over the local dataset; the input vector is
+    untouched.  ``objective`` must be "rmse".
 
     Each epoch reshuffles with the caller's stream and walks batches of
     ``batch_size`` rows (the last one may be smaller).  This is the
     one-client case of ``local_updates``.
     """
+    _require_rmse(objective)
     params = _check_params(spec, params)
-    return local_updates(
-        spec, params[None], [dataset], step_size, epochs, batch_size, objective, [rng]
-    )[0]
+    return local_updates(spec, params[None], [dataset], step_size, epochs, batch_size, [rng])[0]

@@ -4,8 +4,8 @@ Deliberately written per client, per mini-batch and per row with scalar
 arithmetic; shares only the contract: each epoch draws one permutation of
 the client's rows from its stream and walks blocks of ``batch_size`` rows
 (the last one may be smaller); the block objective is RMSE (residual norm
-over sqrt(block size), no step at an exactly-zero residual) or mean cross
-entropy; parameters are packed per layer, weights row-major then biases.
+over sqrt(block size), no step at an exactly-zero residual); parameters are
+packed per layer, weights row-major then biases.
 """
 
 import math
@@ -51,34 +51,24 @@ def forward_row(layers, row):
     return a, inputs
 
 
-def output_derivatives(outputs, targets, objective):
-    """d objective / d output per row, or None for a zero-residual block."""
+def output_derivatives(outputs, targets):
+    """d RMSE / d output per row, or None for a zero-residual block."""
     m = len(outputs)
-    if objective == "rmse":
-        residuals = [float(y) - out[0] for out, y in zip(outputs, targets)]
-        norm = math.sqrt(sum(r * r for r in residuals))
-        if norm == 0.0:
-            return None
-        return [[-r / (math.sqrt(m) * norm)] for r in residuals]
-    derivatives = []
-    for logits, label in zip(outputs, targets):
-        top = max(logits)
-        exps = [math.exp(v - top) for v in logits]
-        total = sum(exps)
-        probs = [e / total for e in exps]
-        probs[int(label)] -= 1.0
-        derivatives.append([p / m for p in probs])
-    return derivatives
+    residuals = [float(y) - out[0] for out, y in zip(outputs, targets)]
+    norm = math.sqrt(sum(r * r for r in residuals))
+    if norm == 0.0:
+        return None
+    return [[-r / (math.sqrt(m) * norm)] for r in residuals]
 
 
-def block_gradient(spec, flat, rows, targets, objective):
+def block_gradient(spec, flat, rows, targets):
     layers = unpack_layers(spec, flat)
     outputs, caches = [], []
     for row in rows:
         out, inputs = forward_row(layers, row)
         outputs.append(out)
         caches.append(inputs)
-    derivatives = output_derivatives(outputs, targets, objective)
+    derivatives = output_derivatives(outputs, targets)
     if derivatives is None:
         return None
     grads = [
@@ -110,7 +100,7 @@ def block_gradient(spec, flat, rows, targets, objective):
     return flat_grad
 
 
-def sgd_reference(spec, params, x, y, step_size, epochs, batch_size, objective, rng):
+def sgd_reference(spec, params, x, y, step_size, epochs, batch_size, rng):
     """One client's local SGD; returns the updated vector as a list."""
     flat = [float(v) for v in params]
     m = len(x)
@@ -119,7 +109,7 @@ def sgd_reference(spec, params, x, y, step_size, epochs, batch_size, objective, 
         for start in range(0, m, batch_size):
             block = order[start : start + batch_size]
             rows = [x[i] for i in block]
-            grad = block_gradient(spec, flat, rows, [y[i] for i in block], objective)
+            grad = block_gradient(spec, flat, rows, [y[i] for i in block])
             if grad is not None:
                 flat = [p - step_size * g for p, g in zip(flat, grad)]
     return flat

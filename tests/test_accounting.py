@@ -95,6 +95,26 @@ class TestLedger:
         with pytest.raises(ValueError):
             ledger.record_participation(0, round=1, epsilon=2.0, radius=0.25)
 
+    def test_rejected_call_leaves_the_ledger_unchanged(self):
+        ledger = PrivacyLedger()
+        ledger.record_participation(0, round=1, epsilon=1.0, radius=0.5, cluster_id=0)
+        rejected = [
+            {"client_id": 0, "round": 1, "epsilon": 2.0, "radius": 0.25},  # duplicate round
+            {"client_id": 1, "round": 2, "epsilon": 1.0, "radius": 0.5, "leakage": 0.7},
+            {"client_id": 2, "round": -1, "epsilon": 1.0, "radius": 0.5},
+            {"client_id": 3, "round": 0, "epsilon": -1.0, "radius": 0.5},
+        ]
+
+        def state():
+            composed = [ledger.composed_leakage(cid) for cid in range(4)]
+            return ledger.clients(), len(ledger), ledger_summary(ledger), composed
+
+        for call in rejected:
+            before = state()
+            with pytest.raises(ValueError):
+                ledger.record_participation(**call, cluster_id=0)
+            assert state() == before
+
     def test_composed_is_monotone_in_rounds(self):
         ledger = PrivacyLedger()
         previous = 0.0

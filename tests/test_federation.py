@@ -250,7 +250,7 @@ class TestEarlyStopping:
             min(loss(LINEAR, vec, validation[cid], "rmse") for vec in hyps.vectors)
             for cid in sorted(validation)
         ]
-        got = federation._validation_loss(validation, hyps, LINEAR, "rmse")
+        got = federation._validation_loss(validation, hyps, LINEAR)
         assert got == pytest.approx(np.mean(per_client), rel=1e-12)
 
     def test_zero_rounds_returns_initial_hypotheses(self):

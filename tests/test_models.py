@@ -1,5 +1,5 @@
-"""Predictors, objectives, analytic gradients against finite differences,
-and local SGD."""
+"""Predictors, the RMSE objective, analytic gradients against finite
+differences, and local SGD."""
 
 import math
 import pickle
@@ -43,29 +43,19 @@ def finite_difference(spec, params, batch, objective, h=1e-5):
 
 
 def random_instance(gen):
-    """One random (spec, params, batch, objective) tuple."""
-    kind = gen.choice(["linear", "mlp", "mlp_ce"])
+    """One random (spec, params, batch, objective) tuple; the objective is
+    always "rmse"."""
+    kind = gen.choice(["linear", "mlp"])
     m = int(gen.integers(2, 7))
     if kind == "linear":
-        dim = int(gen.integers(1, 5))
-        spec = ModelSpec("linear", input_dim=dim)
-        objective = "rmse"
-        y = gen.standard_normal(m)
+        spec = ModelSpec("linear", input_dim=int(gen.integers(1, 5)))
     else:
         dim = int(gen.integers(1, 4))
         hidden = tuple(int(w) for w in gen.integers(1, 4, size=int(gen.integers(1, 3))))
-        if kind == "mlp_ce":
-            classes = int(gen.integers(2, 5))
-            spec = ModelSpec("mlp", input_dim=dim, hidden=hidden, output_dim=classes)
-            objective = "cross_entropy"
-            y = gen.integers(0, classes, size=m)
-        else:
-            spec = ModelSpec("mlp", input_dim=dim, hidden=hidden, output_dim=1)
-            objective = "rmse"
-            y = gen.standard_normal(m)
+        spec = ModelSpec("mlp", input_dim=dim, hidden=hidden, output_dim=1)
     params = gen.standard_normal(n_params(spec))
-    batch = Batch(gen.standard_normal((m, spec.input_dim)), y)
-    return spec, params, batch, objective
+    batch = Batch(gen.standard_normal((m, spec.input_dim)), gen.standard_normal(m))
+    return spec, params, batch, "rmse"
 
 
 class TestSpecAndPacking:
@@ -121,6 +111,22 @@ class TestPredict:
             predict(SMALL_MLP, np.zeros(10), np.zeros((1, 3)))
 
 
+class TestBatch:
+    def test_targets_are_one_float_per_feature_row(self):
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        y = np.array([1.0, -2.0, 3.0])
+        # A column of targets would broadcast the residual to (m, m) in
+        # ``loss`` and make ``gradient`` fail; a 0-d target has no length.
+        for bad in (y[:, None], y[None, :], np.float64(1.0), y[:2]):
+            with pytest.raises(ValueError, match="targets"):
+                Batch(x, bad)
+        batch = Batch(x, y)
+        expected = np.linalg.norm(y) / math.sqrt(3)
+        assert loss(LINEAR_2D, np.zeros(2), batch, "rmse") == pytest.approx(expected, rel=1e-15)
+        assert gradient(LINEAR_2D, np.zeros(2), batch, "rmse").shape == (2,)
+        assert Batch(x, np.array([1, -2, 3])).y.dtype == np.float64
+
+
 class TestLoss:
     def test_perfect_predictions(self):
         theta = np.array([5.0, 6.0])
@@ -144,21 +150,11 @@ class TestLoss:
     def test_rmse_is_residual_norm_over_sqrt_m(self):
         gen = np.random.default_rng(4)
         for _ in range(20):
-            spec, params, batch, objective = random_instance(gen)
-            if objective != "rmse":
-                continue
+            spec, params, batch, _ = random_instance(gen)
             residual = batch.y - predict(spec, params, batch.x)
             expected = np.linalg.norm(residual) / math.sqrt(len(batch))
             assert loss(spec, params, batch, "rmse") == pytest.approx(expected, rel=1e-15)
             assert loss(spec, params, batch, "rmse") >= 0.0
-
-    def test_cross_entropy_at_uniform_logits(self):
-        spec = ModelSpec("mlp", input_dim=2, hidden=(2,), output_dim=4)
-        batch = Batch(np.ones((3, 2)), np.array([0, 1, 2]))
-        # zero parameters give zero logits, i.e. uniform class probabilities
-        assert loss(spec, np.zeros(n_params(spec)), batch, "cross_entropy") == pytest.approx(
-            math.log(4.0), rel=1e-12
-        )
 
     def test_empty_batch_rejected(self):
         empty = Batch(np.zeros((0, 2)), np.zeros(0))
@@ -168,25 +164,16 @@ class TestLoss:
             gradient(LINEAR_2D, np.zeros(2), empty, "rmse")
 
 
-def random_batches(gen, spec, objective, sizes):
-    batches = []
-    for m in sizes:
-        x = gen.standard_normal((m, spec.input_dim))
-        if objective == "cross_entropy":
-            y = gen.integers(0, spec.output_dim, size=m)
-        else:
-            y = gen.standard_normal(m)
-        batches.append(Batch(x, y))
-    return batches
+def random_batches(gen, spec, sizes):
+    return [Batch(gen.standard_normal((m, spec.input_dim)), gen.standard_normal(m)) for m in sizes]
 
 
 class TestLossMatrix:
+    # ``objective`` goes to the reference ``loss`` only; it names the cases.
     CASES = [
         (ModelSpec("linear", input_dim=3), "rmse"),
         (ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=1), "rmse"),
         (ModelSpec("mlp", input_dim=2, hidden=(4, 3), output_dim=1), "rmse"),
-        (ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=4), "cross_entropy"),
-        (ModelSpec("mlp", input_dim=2, hidden=(3, 2), output_dim=3), "cross_entropy"),
     ]
 
     @pytest.mark.parametrize("spec,objective", CASES)
@@ -195,8 +182,8 @@ class TestLossMatrix:
         gen = np.random.default_rng(k + n_params(spec))
         hypotheses = gen.standard_normal((k, n_params(spec)))
         for sizes in ([1], [4], [1, 7, 1, 3], [2, 1, 64, 5, 1]):
-            batches = random_batches(gen, spec, objective, sizes)
-            matrix = loss_matrix(spec, hypotheses, batches, objective)
+            batches = random_batches(gen, spec, sizes)
+            matrix = loss_matrix(spec, hypotheses, batches)
             assert matrix.shape == (len(batches), k)
             for i, batch in enumerate(batches):
                 for j in range(k):
@@ -208,14 +195,14 @@ class TestLossMatrix:
         gen = np.random.default_rng(n_params(spec))
         sizes = [2, 1, 64, 5, 1]
         params = gen.standard_normal((len(sizes), n_params(spec)))
-        batches = random_batches(gen, spec, objective, sizes)
-        losses = client_losses(spec, params, batches, objective)
+        batches = random_batches(gen, spec, sizes)
+        losses = client_losses(spec, params, batches)
         assert losses.shape == (len(sizes),)
         for i, batch in enumerate(batches):
             expected = loss(spec, params[i], batch, objective)
             assert losses[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
         with pytest.raises(ValueError):
-            client_losses(spec, params[:2], batches, objective)
+            client_losses(spec, params[:2], batches)
 
     def test_argmin_breaks_ties_to_lowest_index(self):
         spec = SMALL_MLP
@@ -224,7 +211,7 @@ class TestLossMatrix:
         worse = best + 1.0
         hypotheses = np.stack([worse, best, best, worse])
         batch = Batch(gen.standard_normal((5, 3)), gen.standard_normal(5))
-        row = loss_matrix(spec, hypotheses, [batch], "rmse")[0]
+        row = loss_matrix(spec, hypotheses, [batch])[0]
         assert row[1] == row[2]
         assert int(np.argmin(row)) == 1
 
@@ -233,13 +220,13 @@ class TestLossMatrix:
         batch = Batch(np.zeros((3, 3)), np.zeros(3))
         empty = Batch(np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(ValueError):
-            loss_matrix(SMALL_MLP, hypotheses, [batch, empty], "rmse")
+            loss_matrix(SMALL_MLP, hypotheses, [batch, empty])
         with pytest.raises(ValueError):
-            loss_matrix(SMALL_MLP, hypotheses, [], "rmse")
+            loss_matrix(SMALL_MLP, hypotheses, [])
         with pytest.raises(ValueError):
-            loss_matrix(SMALL_MLP, np.zeros((2, 10)), [batch], "rmse")
+            loss_matrix(SMALL_MLP, np.zeros((2, 10)), [batch])
         with pytest.raises(ValueError):
-            loss_matrix(SMALL_MLP, hypotheses, [Batch(np.zeros((3, 2)), np.zeros(3))], "rmse")
+            loss_matrix(SMALL_MLP, hypotheses, [Batch(np.zeros((3, 2)), np.zeros(3))])
 
 
 class TestGradient:
@@ -260,15 +247,6 @@ class TestGradient:
             denominator = max(np.linalg.norm(numeric), 1e-12)
             assert np.linalg.norm(analytic - numeric) / denominator < 1e-4
 
-    def test_cross_entropy_bias_gradient_at_uniform_logits(self):
-        spec = ModelSpec("mlp", input_dim=2, hidden=(2,), output_dim=3)
-        m, classes = 3, 3
-        batch = Batch(np.ones((m, 2)), np.arange(m) % classes)
-        grad = gradient(spec, np.zeros(n_params(spec)), batch, "cross_entropy")
-        bias_grad = unpack(spec, grad)[-1][1]
-        # each class is the target exactly once: (1/k - count/m) per class
-        assert bias_grad == pytest.approx(np.full(classes, 1 / classes - 1 / m), rel=1e-9)
-
     def test_feature_width_checked(self):
         wrong = Batch(np.ones((4, 2)), np.ones(4))
         with pytest.raises(ValueError):
@@ -278,25 +256,21 @@ class TestGradient:
         with pytest.raises(ValueError):
             local_update(SMALL_MLP, np.zeros(11), wrong, 0.1, 1, 2, "rmse", np.random.default_rng(0))
 
-    def test_class_labels_checked(self):
-        spec = ModelSpec("mlp", input_dim=2, hidden=(2,), output_dim=3)
-        params = np.zeros(n_params(spec))
-        gen = np.random.default_rng(0)
-        for labels in (np.array([0, 1, 3]), np.array([0, -1, 2]), np.array([0.0, 1.0, 2.0])):
-            batch = Batch(np.ones((3, 2)), labels)
-            with pytest.raises(ValueError):
-                gradient(spec, params, batch, "cross_entropy")
-            with pytest.raises(ValueError):
-                local_update(spec, params, batch, 0.1, 1, 2, "cross_entropy", gen)
-
     def test_objective_must_fit_output_width(self):
         wide = ModelSpec("mlp", input_dim=2, hidden=(2,), output_dim=3)
         batch = Batch(np.ones((3, 2)), np.ones(3))
         with pytest.raises(ValueError, match="output_dim"):
             loss(wide, np.zeros(n_params(wide)), batch, "rmse")
-        labels = Batch(np.ones((3, 2)), np.array([0, 1, 0]))
-        with pytest.raises(ValueError, match="output_dim"):
-            gradient(LINEAR_2D, np.zeros(2), labels, "cross_entropy")
+
+    def test_only_rmse_is_accepted(self):
+        batch = Batch(np.ones((3, 2)), np.ones(3))
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="objective"):
+            loss(LINEAR_2D, np.zeros(2), batch, "cross_entropy")
+        with pytest.raises(ValueError, match="objective"):
+            gradient(LINEAR_2D, np.zeros(2), batch, "cross_entropy")
+        with pytest.raises(ValueError, match="objective"):
+            local_update(LINEAR_2D, np.zeros(2), batch, 0.1, 1, 2, "cross_entropy", gen)
 
     def test_zero_residual_gives_zero_gradient(self):
         theta = np.array([1.0, 2.0])
@@ -381,10 +355,10 @@ class TestInitParams:
                 assert np.all(np.abs(bias) <= bound)
 
 
-def random_stack(gen, spec, objective, sizes):
+def random_stack(gen, spec, sizes):
     """Starting vectors, datasets and stream seeds for one stack of clients."""
     params = gen.standard_normal((len(sizes), n_params(spec)))
-    datasets = random_batches(gen, spec, objective, sizes)
+    datasets = random_batches(gen, spec, sizes)
     seeds = [int(v) for v in gen.integers(0, 2**31, size=len(sizes))]
     return params, datasets, seeds
 
@@ -393,17 +367,16 @@ def streams(seeds):
     return [np.random.default_rng(seed) for seed in seeds]
 
 
-def solo_runs(spec, params, datasets, step, epochs, batch_size, objective, seeds):
+def solo_runs(spec, params, datasets, step, epochs, batch_size, seeds):
     return [
-        local_update(spec, p, d, step, epochs, batch_size, objective, np.random.default_rng(seed))
+        local_update(spec, p, d, step, epochs, batch_size, "rmse", np.random.default_rng(seed))
         for p, d, seed in zip(params, datasets, seeds)
     ]
 
 
 STACK_CASES = {
-    "linear": (ModelSpec("linear", input_dim=3), "rmse"),
-    "mlp_rmse": (ModelSpec("mlp", input_dim=9, hidden=(4, 2), output_dim=1), "rmse"),
-    "mlp_ce": (ModelSpec("mlp", input_dim=2, hidden=(3,), output_dim=3), "cross_entropy"),
+    "linear": ModelSpec("linear", input_dim=3),
+    "mlp_rmse": ModelSpec("mlp", input_dim=9, hidden=(4, 2), output_dim=1),
 }
 
 
@@ -417,21 +390,16 @@ class TestLocalUpdates:
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_plain_loop_and_solo_runs(self, case, batch_size, epochs, fractions, seed):
-        spec, objective = STACK_CASES[case]
+        spec = STACK_CASES[case]
         largest = 3 * batch_size + 1
         sizes = [1, largest] + [1 + int(f * (largest - 1)) for f in fractions]
         gen = np.random.default_rng(seed)
-        params, datasets, seeds = random_stack(gen, spec, objective, sizes)
-        stacked = local_updates(
-            spec, params, datasets, 0.05, epochs, batch_size, objective, streams(seeds)
-        )
-        solo = solo_runs(spec, params, datasets, 0.05, epochs, batch_size, objective, seeds)
+        params, datasets, seeds = random_stack(gen, spec, sizes)
+        stacked = local_updates(spec, params, datasets, 0.05, epochs, batch_size, streams(seeds))
+        solo = solo_runs(spec, params, datasets, 0.05, epochs, batch_size, seeds)
         for i, (p, d, s) in enumerate(zip(params, datasets, seeds)):
             reference = np.array(
-                sgd_reference(
-                    spec, p, d.x, d.y, 0.05, epochs, batch_size, objective,
-                    np.random.default_rng(s),
-                )
+                sgd_reference(spec, p, d.x, d.y, 0.05, epochs, batch_size, np.random.default_rng(s))
             )
             error = np.linalg.norm(stacked[i] - reference)
             assert error <= 1e-12 * max(np.linalg.norm(reference), 1.0)
@@ -440,17 +408,15 @@ class TestLocalUpdates:
     def test_masked_steps_leave_a_client_unchanged(self):
         # One 1-row client next to a 13-row one: with batch_size 4 each epoch
         # has four steps, three of them past the small client's only block.
-        spec, objective = STACK_CASES["mlp_rmse"]
+        spec = STACK_CASES["mlp_rmse"]
         gen = np.random.default_rng(11)
-        params, datasets, seeds = random_stack(gen, spec, objective, [1, 13])
-        stacked = local_updates(spec, params, datasets, 0.05, 2, 4, objective, streams(seeds))
-        alone = local_updates(
-            spec, params[:1], datasets[:1], 0.05, 2, 4, objective, streams(seeds[:1])
-        )
+        params, datasets, seeds = random_stack(gen, spec, [1, 13])
+        stacked = local_updates(spec, params, datasets, 0.05, 2, 4, streams(seeds))
+        alone = local_updates(spec, params[:1], datasets[:1], 0.05, 2, 4, streams(seeds[:1]))
         assert np.array_equal(stacked[0], alone[0])
         # zero epochs: every step is absent, the vectors come back as given
         assert np.array_equal(
-            local_updates(spec, params, datasets, 0.05, 0, 4, objective, streams(seeds)), params
+            local_updates(spec, params, datasets, 0.05, 0, 4, streams(seeds)), params
         )
 
     def test_zero_residual_client_stays_put_while_others_move(self):
@@ -461,33 +427,33 @@ class TestLocalUpdates:
         x = gen.integers(-3, 4, size=(9, 3)).astype(float)
         fitted = Batch(x, x @ theta)
         noisy = Batch(x, x @ theta + gen.standard_normal(9))
-        spec = STACK_CASES["linear"][0]
+        spec = STACK_CASES["linear"]
         params = np.stack([theta, theta])
-        out = local_updates(spec, params, [fitted, noisy], 0.1, 2, 4, "rmse", streams([1, 2]))
+        out = local_updates(spec, params, [fitted, noisy], 0.1, 2, 4, streams([1, 2]))
         assert np.array_equal(out[0], theta)
         assert not np.array_equal(out[1], theta)
 
     def test_diverging_client_leaves_the_others_untouched(self):
-        spec, objective = STACK_CASES["mlp_rmse"]
+        spec = STACK_CASES["mlp_rmse"]
         gen = np.random.default_rng(13)
-        params, datasets, seeds = random_stack(gen, spec, objective, [5, 9, 3])
+        params, datasets, seeds = random_stack(gen, spec, [5, 9, 3])
         params[1] *= 1e150
         datasets[1] = Batch(datasets[1].x * 1e150, datasets[1].y)
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = local_updates(spec, params, datasets, 0.05, 2, 4, objective, streams(seeds))
-            solo = solo_runs(spec, params, datasets, 0.05, 2, 4, objective, seeds)
+            stacked = local_updates(spec, params, datasets, 0.05, 2, 4, streams(seeds))
+            solo = solo_runs(spec, params, datasets, 0.05, 2, 4, seeds)
         assert not np.all(np.isfinite(stacked[1]))
         for i in (0, 2):
             assert np.all(np.isfinite(stacked[i]))
             assert np.array_equal(stacked[i], solo[i])
 
     def test_stack_shape_checked(self):
-        spec, objective = STACK_CASES["linear"]
+        spec = STACK_CASES["linear"]
         dataset = Batch(np.ones((3, 3)), np.ones(3))
         gen = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            local_updates(spec, np.zeros((2, 3)), [dataset], 0.1, 1, 2, objective, [gen])
+            local_updates(spec, np.zeros((2, 3)), [dataset], 0.1, 1, 2, [gen])
         with pytest.raises(ValueError):
-            local_updates(spec, np.zeros((1, 4)), [dataset], 0.1, 1, 2, objective, [gen])
+            local_updates(spec, np.zeros((1, 4)), [dataset], 0.1, 1, 2, [gen])
         with pytest.raises(ValueError):
-            local_updates(spec, np.zeros((1, 3)), [dataset], 0.1, 1, 2, objective, [gen, gen])
+            local_updates(spec, np.zeros((1, 3)), [dataset], 0.1, 1, 2, [gen, gen])
