@@ -24,17 +24,6 @@ class ClusterAssignment:
     centroids: np.ndarray
     n_iterations: int
 
-    @property
-    def k(self) -> int:
-        return len(self.centroids)
-
-    def members(self, cluster: int) -> list[Hashable]:
-        return sorted(cid for cid, c in self.assignment.items() if c == cluster)
-
-    @property
-    def clusters(self) -> list[list[Hashable]]:
-        return [self.members(j) for j in range(self.k)]
-
 
 def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin returns the first minimum, i.e. ties break to the lowest index.

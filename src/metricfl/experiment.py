@@ -17,10 +17,11 @@ Run layout under ``<out>/<name>/``:
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Hashable, Mapping
 
@@ -28,6 +29,7 @@ import yaml
 
 from .accounting import ledger_summary, write_budget_table, write_ledger_csv
 from .data import (
+    DEFAULT_THETAS,
     ClientPopulation,
     FeatureScaling,
     generate_synthetic,
@@ -45,7 +47,18 @@ from .rng import substream
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_sweep"]
 
-_SCALE_FIELDS = ("service_id", "longitude", "latitude", "payment")
+# YAML types of the federation section; FederationConfig holds the defaults
+# and judges the values.  k, nu and master_seed come from the sweep.
+_FEDERATION_KINDS = {
+    "T": int,
+    "U": int,
+    "E": int,
+    "s": float,
+    "B_s": int,
+    "validation_every": int,
+    "validation_patience": int,
+    "budget_cap": float,
+}
 
 
 class ConfigError(ValueError):
@@ -54,17 +67,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SyntheticDataConfig:
-    n_clients: int = 100
-    samples_per_client: int = 10
-    thetas: tuple = ((5.0, 6.0), (4.0, -4.5))
-    validation_fraction: float = 0.3
+    n_clients: int
+    samples_per_client: int
+    thetas: tuple
+    validation_fraction: float
 
 
 @dataclass(frozen=True)
 class TabularDataConfig:
-    path: Path = Path()
-    scales: FeatureScaling = FeatureScaling()
-    validation_fraction: float = 0.3
+    path: Path
+    scales: FeatureScaling
+    validation_fraction: float
 
 
 @dataclass(frozen=True)
@@ -73,37 +86,30 @@ class ExperimentConfig:
     name: str
     model: ModelSpec
     data: SyntheticDataConfig | TabularDataConfig
-    # Non-swept federation fields; k, nu and master_seed come from the sweep.
-    T: int
-    U: int
-    E: int
-    s: float
-    B_s: int
-    validation_every: int
-    validation_patience: int
-    budget_cap: float | None
     sweep_nu: tuple[float, ...]
     sweep_k: tuple[int, ...]
     seeds: tuple[int, ...]
+    # Every accepted value as parsed, defaults applied: what config.yaml echoes.
+    document: dict
 
     def federation_config(self, nu: float, k: int, seed: int) -> FederationConfig:
-        return FederationConfig(
-            k=k,
-            T=self.T,
-            U=self.U,
-            E=self.E,
-            s=self.s,
-            B_s=int(self.B_s),
-            nu=nu,
-            validation_every=self.validation_every,
-            validation_patience=self.validation_patience,
-            master_seed=seed,
-            budget_cap=self.budget_cap,
-        )
+        return FederationConfig(k=k, nu=nu, master_seed=seed, **self.document["federation"])
+
+
+def _coerce(value: Any, kind, where: str):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return value
 
 
 class _Section:
-    """Typed accessor over one mapping level; errors carry full field paths."""
+    """Typed accessor over one mapping level; errors carry full field paths.
+
+    Each accepted value is stored in ``record`` after coercion, defaults
+    applied, so the records of all sections form the effective document.
+    """
 
     def __init__(self, mapping: Any, path: str):
         if mapping is None:
@@ -112,44 +118,33 @@ class _Section:
             raise ConfigError(f"{path}: expected a mapping")
         self.mapping = dict(mapping)
         self.path = path
+        self.record: dict = {}
 
     def child(self, key: str) -> "_Section":
-        return _Section(self.mapping.pop(key, None), f"{self.path}{key}.")
+        section = _Section(self.mapping.pop(key, None), f"{self.path}{key}.")
+        self.record[key] = section.record
+        return section
 
-    def take(self, key: str, kind, default=..., minimum=None):
-        if key not in self.mapping:
-            if default is ...:
+    def take(self, key: str, kind, default=MISSING, minimum=None):
+        value = self.mapping.pop(key, None)
+        if value is None:
+            if default is MISSING:
                 raise ConfigError(f"{self.path}{key}: required field is missing")
-            return default
-        value = self.mapping.pop(key)
-        if value is None and default is not ...:
-            return default
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ConfigError(f"{self.path}{key}: expected {kind.__name__}, got {value!r}")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"{self.path}{key}: must be >= {minimum}, got {value!r}")
+            value = default
+        else:
+            value = _coerce(value, kind, f"{self.path}{key}")
+            if minimum is not None and value < minimum:
+                raise ConfigError(f"{self.path}{key}: must be >= {minimum}, got {value!r}")
+        self.record[key] = value
         return value
 
-    def take_list(self, key: str, kind, default=..., nonempty=True) -> tuple:
-        if key not in self.mapping:
-            if default is ...:
-                raise ConfigError(f"{self.path}{key}: required field is missing")
-            return default
-        value = self.mapping.pop(key)
-        if not isinstance(value, list):
-            raise ConfigError(f"{self.path}{key}: expected a list")
+    def take_list(self, key: str, kind, default=MISSING, nonempty=True) -> tuple:
+        value = self.take(key, list, default)
         if nonempty and not value:
             raise ConfigError(f"{self.path}{key}: list must be nonempty")
-        out = []
-        for i, item in enumerate(value):
-            if kind is float and isinstance(item, int) and not isinstance(item, bool):
-                item = float(item)
-            if not isinstance(item, kind) or isinstance(item, bool):
-                raise ConfigError(f"{self.path}{key}[{i}]: expected {kind.__name__}")
-            out.append(item)
-        return tuple(out)
+        value = [_coerce(item, kind, f"{self.path}{key}[{i}]") for i, item in enumerate(value)]
+        self.record[key] = value
+        return tuple(value)
 
     def finish(self) -> None:
         if self.mapping:
@@ -158,7 +153,11 @@ class _Section:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and validate a config file; raises ConfigError on any problem."""
+    """Parse and validate a config file; raises ConfigError on any problem.
+
+    Every sweep cell's FederationConfig is built here, so a value that one
+    cell rejects fails the load rather than the sweep.
+    """
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
@@ -174,26 +173,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
     name = root.take("name", str, default=experiment)
 
     fed = root.child("federation")
-    T = fed.take("T", int, minimum=0)
-    U = fed.take("U", int, minimum=1)
-    E = fed.take("E", int, minimum=1)
-    s = fed.take("s", float)
-    B_s = fed.take("B_s", int, minimum=1)
-    validation_every = fed.take("validation_every", int, default=1, minimum=1)
-    validation_patience = fed.take("validation_patience", int, default=6, minimum=1)
-    budget_cap = fed.take("budget_cap", float, default=None)
+    for f in fields(FederationConfig):
+        if f.name in _FEDERATION_KINDS:
+            fed.take(f.name, _FEDERATION_KINDS[f.name], default=f.default)
     fed.finish()
-    if not s > 0:
-        raise ConfigError(f"federation.s: must be positive, got {s!r}")
 
     model_sec = root.child("model")
     kind = model_sec.take("kind", str)
     input_dim = model_sec.take("input_dim", int, minimum=1)
-    hidden = model_sec.take_list("hidden", int, default=(), nonempty=False)
-    output_dim = model_sec.take("output_dim", int, default=1, minimum=1)
+    hidden = model_sec.take_list("hidden", int, default=[], nonempty=False)
+    output_dim = model_sec.take("output_dim", int, default=1)
     model_sec.finish()
     try:
-        model = ModelSpec(kind=kind, input_dim=input_dim, hidden=hidden, output_dim=output_dim)
+        model = ModelSpec(kind=kind, input_dim=input_dim, hidden=hidden)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
 
@@ -201,33 +193,34 @@ def load_config(path: str | Path) -> ExperimentConfig:
     objective = root.take("objective", str, default="rmse")
     if objective != "rmse":
         raise ConfigError(f"objective: only 'rmse' is supported, got {objective!r}")
-    if model.output_dim != 1:
+    if output_dim != 1:
         raise ConfigError(
             f"objective: rmse needs model.output_dim == 1 (one prediction per row), "
-            f"got {model.output_dim}"
+            f"got {output_dim}"
         )
 
     data_sec = root.child("data")
+    validation_fraction = data_sec.take("validation_fraction", float, default=0.3)
+    if not 0 < validation_fraction < 1:
+        raise ConfigError("data.validation_fraction: must be in (0, 1)")
     data: SyntheticDataConfig | TabularDataConfig
     if experiment == "synthetic":
-        thetas_raw = data_sec.mapping.pop("thetas", [[5.0, 6.0], [4.0, -4.5]])
-        if not isinstance(thetas_raw, list) or not thetas_raw:
+        thetas_raw = data_sec.take("thetas", list, default=[list(v) for v in DEFAULT_THETAS])
+        if not thetas_raw:
             raise ConfigError("data.thetas: expected a nonempty list of vectors")
         thetas = []
         for i, vec in enumerate(thetas_raw):
             if not isinstance(vec, list) or not vec:
                 raise ConfigError(f"data.thetas[{i}]: expected a nonempty vector")
-            try:
-                thetas.append(tuple(float(v) for v in vec))
-            except (TypeError, ValueError):
-                raise ConfigError(f"data.thetas[{i}]: expected numbers") from None
+            thetas.append(tuple(_coerce(v, float, f"data.thetas[{i}]") for v in vec))
         if len({len(v) for v in thetas}) != 1:
             raise ConfigError("data.thetas: vectors must share one dimension")
+        data_sec.record["thetas"] = [list(v) for v in thetas]
         data = SyntheticDataConfig(
             n_clients=data_sec.take("n_clients", int, default=100, minimum=1),
             samples_per_client=data_sec.take("samples_per_client", int, default=10, minimum=1),
             thetas=tuple(thetas),
-            validation_fraction=data_sec.take("validation_fraction", float, default=0.3),
+            validation_fraction=validation_fraction,
         )
         if model.input_dim != len(thetas[0]):
             raise ConfigError(
@@ -240,22 +233,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
             csv_path = (path.parent / csv_path).resolve()
         if not csv_path.exists():
             raise ConfigError(f"data.path: file does not exist: {csv_path}")
+        data_sec.record["path"] = str(csv_path)
         scales_sec = data_sec.child("scales")
-        scale_kwargs = {f: scales_sec.take(f, float, default=1.0) for f in _SCALE_FIELDS}
+        scale_kwargs = {
+            f.name: scales_sec.take(f.name, float, default=f.default)
+            for f in fields(FeatureScaling)
+        }
         scales_sec.finish()
         try:
             scaling = FeatureScaling(**scale_kwargs)
         except ValueError as exc:
             raise ConfigError(f"data.scales: {exc}") from None
-        data = TabularDataConfig(
-            path=csv_path,
-            scales=scaling,
-            validation_fraction=data_sec.take("validation_fraction", float, default=0.3),
-        )
+        data = TabularDataConfig(csv_path, scaling, validation_fraction)
         if model.input_dim != 3:
             raise ConfigError("model.input_dim: tabular data has 3 features per row")
-    if not 0 < data.validation_fraction < 1:
-        raise ConfigError("data.validation_fraction: must be in (0, 1)")
     data_sec.finish()
 
     sweep = root.child("sweep")
@@ -271,23 +262,27 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if any(seed < 0 for seed in seeds):
         raise ConfigError("sweep.seeds: seeds must be >= 0")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         experiment=experiment,
         name=name,
         model=model,
         data=data,
-        T=T,
-        U=U,
-        E=E,
-        s=s,
-        B_s=B_s,
-        validation_every=validation_every,
-        validation_patience=validation_patience,
-        budget_cap=budget_cap,
         sweep_nu=sweep_nu,
         sweep_k=sweep_k,
         seeds=seeds,
+        document=root.record,
     )
+    for nu in sweep_nu:
+        for k in sweep_k:
+            for seed in seeds:
+                try:
+                    config.federation_config(nu, k, seed)
+                except ValueError as exc:
+                    # FederationConfig's messages start with the field name.
+                    raise ConfigError(
+                        f"federation.{exc} (sweep cell nu={nu:g}, k={k}, seed={seed})"
+                    ) from None
+    return config
 
 
 def effective_dict(
@@ -301,46 +296,10 @@ def effective_dict(
     When a sweep cell is given, the sweep lists are narrowed to it so the
     echoed file reproduces exactly that run.
     """
-    if isinstance(config.data, SyntheticDataConfig):
-        data: dict[str, Any] = {
-            "n_clients": config.data.n_clients,
-            "samples_per_client": config.data.samples_per_client,
-            "thetas": [list(v) for v in config.data.thetas],
-            "validation_fraction": config.data.validation_fraction,
-        }
-    else:
-        data = {
-            "path": str(config.data.path),
-            "scales": {f: getattr(config.data.scales, f) for f in _SCALE_FIELDS},
-            "validation_fraction": config.data.validation_fraction,
-        }
-    return {
-        "experiment": config.experiment,
-        "name": config.name,
-        "federation": {
-            "T": config.T,
-            "U": config.U,
-            "E": config.E,
-            "s": config.s,
-            "B_s": config.B_s,
-            "validation_every": config.validation_every,
-            "validation_patience": config.validation_patience,
-            "budget_cap": config.budget_cap,
-        },
-        "model": {
-            "kind": config.model.kind,
-            "input_dim": config.model.input_dim,
-            "hidden": list(config.model.hidden),
-            "output_dim": config.model.output_dim,
-        },
-        "objective": "rmse",
-        "data": data,
-        "sweep": {
-            "nu": list(config.sweep_nu) if nu is None else [nu],
-            "k": list(config.sweep_k) if k is None else [k],
-            "seeds": list(config.seeds) if seed is None else [seed],
-        },
-    }
+    document = copy.deepcopy(config.document)
+    if nu is not None:
+        document["sweep"] = {"nu": [nu], "k": [k], "seeds": [seed]}
+    return document
 
 
 def build_population(

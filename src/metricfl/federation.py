@@ -98,8 +98,10 @@ class FederationConfig:
             raise ValueError("B_s must be >= 1")
         if self.nu < 0:
             raise ValueError("nu must be >= 0")
-        if self.validation_every < 1 or self.validation_patience < 1:
-            raise ValueError("validation_every and validation_patience must be >= 1")
+        if self.validation_every < 1:
+            raise ValueError("validation_every must be >= 1")
+        if self.validation_patience < 1:
+            raise ValueError("validation_patience must be >= 1")
         if self.master_seed < 0:
             raise ValueError("master_seed must be >= 0")
         if self.budget_cap is not None:
@@ -275,29 +277,28 @@ def server_round(
     ]
     datasets = [clients[cid] for cid in sampled]
     steps = _client_steps(spec, datasets, hypotheses, config, rngs)
-    results = dict(zip(sampled, steps))
 
-    points = [(cid, results[cid].sanitized) for cid in sampled]
-    grouping = kmeans_from_hypotheses(points, hypotheses.vectors)
+    released = np.stack([res.sanitized for res in steps])
+    grouping = kmeans_from_hypotheses(list(zip(sampled, released)), hypotheses.vectors)
+    labels = np.array([grouping.assignment[cid] for cid in sampled])
 
     new_vectors = hypotheses.vectors.copy()
     for j in range(config.k):
-        members = grouping.members(j)
-        if members:
-            new_vectors[j] = np.mean([results[cid].sanitized for cid in members], axis=0)
+        members = labels == j
+        if members.any():
+            new_vectors[j] = released[members].mean(axis=0)
 
-    for cid in sampled:
-        res = results[cid]
+    for cid, res, label in zip(sampled, steps, labels):
         ledger.record_participation(
             client_id=cid,
             round=round_index,
             epsilon=res.epsilon,
             radius=res.radius,
-            cluster_id=grouping.assignment[cid],
+            cluster_id=int(label),
             leakage=res.leakage,
         )
 
-    mean_train_loss = float(np.mean([results[cid].train_loss for cid in sampled]))
+    mean_train_loss = float(np.mean([res.train_loss for res in steps]))
     return HypothesisSet(new_vectors, round_index + 1), mean_train_loss
 
 

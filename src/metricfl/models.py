@@ -39,26 +39,25 @@ __all__ = [
 class ModelSpec:
     """Architecture description; the parameter count follows from it.
 
-    ``kind`` is "linear" (x @ theta, scalar output, no intercept) or "mlp"
-    (affine layers with ReLU between them, sizes input_dim -> hidden... ->
-    output_dim).
+    ``kind`` is "linear" (x @ theta, no intercept) or "mlp" (affine layers
+    with ReLU between them, sizes input_dim -> hidden... -> 1).  Both
+    predict one value per row.
     """
 
     kind: str
     input_dim: int
     hidden: tuple[int, ...] = ()
-    output_dim: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "mlp"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be >= 1")
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ValueError("hidden widths must be >= 1")
-        if self.kind == "linear" and (self.hidden or self.output_dim != 1):
-            raise ValueError("linear models have no hidden layers and scalar output")
+        if self.kind == "linear" and self.hidden:
+            raise ValueError("linear models have no hidden layers")
 
     # Derived values are cached in the instance dict on first use; the
     # dataclass equality and hash read the fields only, and pickling drops
@@ -67,7 +66,7 @@ class ModelSpec:
     @cached_property
     def layer_sizes(self) -> tuple[tuple[int, int], ...]:
         """(fan_out, fan_in) per affine layer, forward order (mlp only)."""
-        widths = [self.input_dim, *self.hidden, self.output_dim]
+        widths = [self.input_dim, *self.hidden, 1]
         return tuple((widths[i + 1], widths[i]) for i in range(len(widths) - 1))
 
     @cached_property
@@ -188,12 +187,8 @@ def _rows(spec: ModelSpec, batches: Sequence[Batch]) -> tuple[np.ndarray, np.nda
     """Concatenated rows and targets of the batches, and their sizes.
 
     Everything a pass over these rows needs checked is checked here, once:
-    one output per row, non-empty batches and the feature width.
+    non-empty batches and the feature width.
     """
-    if spec.output_dim != 1:
-        raise ValueError(
-            f"rmse needs output_dim == 1 (one prediction per row), got {spec.output_dim}"
-        )
     sizes = [len(batch) for batch in batches]
     if not sizes:
         raise ValueError("no batches")
@@ -213,9 +208,9 @@ def _forward(spec: ModelSpec, stack: np.ndarray, x: np.ndarray):
 
     ``stack`` holds G parameter vectors as a (G, n) array; ``x`` holds each
     vector's rows as a (G, rows, input_dim) array, or (1, rows, input_dim)
-    to run all G vectors on the same rows.  Outputs are (G, rows,
-    output_dim).  Every product is one matmul per stacked vector, so a
-    vector's outputs do not depend on what else is stacked with it.
+    to run all G vectors on the same rows.  Outputs are (G, rows, 1).  Every
+    product is one matmul per stacked vector, so a vector's outputs do not
+    depend on what else is stacked with it.
     """
     if spec.kind == "linear":
         return x @ stack[:, :, None], [x]
@@ -266,12 +261,12 @@ def _backward(
 
 
 def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Model outputs per feature row; scalar-output models return a 1-D array."""
+    """Model outputs per feature row, as a 1-D array."""
     params = _check_params(spec, params)
     x = np.asarray(features, dtype=float)
     _check_features(spec, x)
     out = _forward(spec, params[None], x[None])[0][0]
-    return out[:, 0] if spec.output_dim == 1 else out
+    return out[:, 0]
 
 
 def loss(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) -> float:

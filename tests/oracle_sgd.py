@@ -16,7 +16,7 @@ def layer_shapes(spec):
     without biases."""
     if spec.kind == "linear":
         return [(1, spec.input_dim)]
-    widths = [spec.input_dim, *spec.hidden, spec.output_dim]
+    widths = [spec.input_dim, *spec.hidden, 1]
     return [(widths[i + 1], widths[i]) for i in range(len(widths) - 1)]
 
 

@@ -23,7 +23,7 @@ class TestBasics:
         gen = np.random.default_rng(0)
         vectors = gen.standard_normal((6, 3))
         result = kmeans_from_hypotheses(make_points(vectors), np.zeros((1, 3)))
-        assert result.members(0) == list(range(6))
+        assert result.assignment == {i: 0 for i in range(6)}
         assert result.centroids[0] == pytest.approx(vectors.mean(axis=0))
 
     def test_well_separated_six_four_split(self):
@@ -37,14 +37,13 @@ class TestBasics:
         result = kmeans_from_hypotheses(points, anchors)
         expected, _ = lloyd_reference([list(v) for _, v in points], anchors.tolist())
         assert [result.assignment[i] for i in range(10)] == expected
-        assert result.members(0) == [0, 1, 2, 3, 4, 5]
-        assert result.members(1) == [6, 7, 8, 9]
+        assert result.assignment == {i: 0 if i < 6 else 1 for i in range(10)}
 
     def test_empty_cluster_keeps_its_hypothesis(self):
         init = np.array([[0.0, 0.0], [100.0, 100.0]])
         vectors = np.array([[0.1, 0.0], [-0.1, 0.0]])
         result = kmeans_from_hypotheses(make_points(vectors), init)
-        assert result.members(1) == []
+        assert 1 not in result.assignment.values()
         assert np.array_equal(result.centroids[1], init[1])
 
     def test_dimension_mismatch(self):
@@ -108,8 +107,8 @@ class TestProperties:
         gen = np.random.default_rng(10)
         points, init = self.random_instance(gen)
         result = kmeans_from_hypotheses(make_points(points), init)
-        seen = [cid for cluster in result.clusters for cid in cluster]
-        assert sorted(seen) == list(range(len(points)))
+        assert sorted(result.assignment) == list(range(len(points)))
+        assert all(0 <= c < len(init) for c in result.assignment.values())
 
     def test_separated_groups_recovered_in_one_assignment(self):
         # Hypotheses at least distance d apart, every point within d/3 of its

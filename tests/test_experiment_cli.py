@@ -10,7 +10,13 @@ import yaml
 
 from metricfl.accounting import PrivacyLedger, ledger_summary
 from metricfl.cli import main
-from metricfl.experiment import ConfigError, format_value, load_config, run_sweep
+from metricfl.experiment import (
+    ConfigError,
+    effective_dict,
+    format_value,
+    load_config,
+    run_sweep,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -63,9 +69,10 @@ class TestLoadConfig:
         path.write_text(yaml.safe_dump(doc))
         config = load_config(path)
         assert config.name == "synthetic"
-        assert config.validation_every == 1
-        assert config.validation_patience == 6
-        assert config.budget_cap is None
+        federation = config.federation_config(nu=0.0, k=1, seed=0)
+        assert federation.validation_every == 1
+        assert federation.validation_patience == 6
+        assert federation.budget_cap is None
         assert config.data.n_clients == 100
         assert config.data.thetas == ((5.0, 6.0), (4.0, -4.5))
 
@@ -80,6 +87,9 @@ class TestLoadConfig:
             ({"data.validation_fraction": 1.5}, "validation_fraction"),
             ({"federation.bogus": 1}, "federation.bogus"),
             ({"objective": "cross_entropy"}, "objective"),
+            ({"federation.validation_patience": 0}, "federation.validation_patience"),
+            ({"federation.budget_cap": -1.0}, "federation.budget_cap"),
+            ({"federation.budget_cap": 1.0, "sweep.nu": [0.0, 5.0]}, "federation.budget_cap"),
         ],
     )
     def test_errors_carry_field_paths(self, tmp_path, override, needle):
@@ -124,6 +134,59 @@ class TestLoadConfig:
         from metricfl.models import n_params
 
         assert n_params(tabular.model) == 11
+
+
+def echo(config):
+    return yaml.safe_dump(effective_dict(config), sort_keys=True)
+
+
+class TestEcho:
+    @pytest.mark.parametrize("name", ["synthetic.yaml", "tabular.yaml"])
+    def test_echo_reloads_to_the_same_echo(self, tmp_path, name):
+        first = echo(load_config(CONFIG_DIR / name))
+        path = tmp_path / name
+        path.write_text(first)
+        assert echo(load_config(path)) == first
+
+    @pytest.mark.parametrize("experiment", ["synthetic", "tabular"])
+    def test_omitted_defaults_echo_as_if_spelled_out(self, tmp_path, experiment):
+        sweep = {"nu": [0.0, 2.0], "k": [1], "seeds": [0]}
+        federation = {"T": 2, "U": 2, "E": 1, "s": 0.1, "B_s": 5}
+        defaults = {"validation_every": 1, "validation_patience": 6, "budget_cap": None}
+        if experiment == "synthetic":
+            model = {"kind": "linear", "input_dim": 2}
+            model_defaults = {"hidden": []}
+            data = {}
+            data_defaults = {
+                "n_clients": 100,
+                "samples_per_client": 10,
+                "thetas": [[5.0, 6.0], [4.0, -4.5]],
+            }
+        else:
+            model = {"kind": "mlp", "input_dim": 3, "hidden": [2]}
+            model_defaults = {}
+            data = {"path": str(CONFIG_DIR / "fixture.csv")}
+            data_defaults = {"scales": dict.fromkeys(
+                ["service_id", "longitude", "latitude", "payment"], 1.0
+            )}
+        minimal = {"experiment": experiment, "federation": federation, "model": model,
+                   "data": data, "sweep": sweep}
+        full = {
+            "experiment": experiment,
+            "name": experiment,
+            "federation": {**federation, **defaults},
+            "model": {**model, **model_defaults, "output_dim": 1},
+            "objective": "rmse",
+            "data": {**data, **data_defaults, "validation_fraction": 0.3},
+            "sweep": sweep,
+        }
+        echoes = []
+        for label, doc in (("minimal", minimal), ("full", full)):
+            path = tmp_path / f"{label}.yaml"
+            path.write_text(yaml.safe_dump(doc))
+            echoes.append(echo(load_config(path)))
+        assert echoes[0] == echoes[1]
+        assert yaml.safe_load(echoes[1]) == full
 
 
 class TestRunSweep:
@@ -241,6 +304,17 @@ class TestCli:
         # parseable config that fails at runtime: U larger than the population
         runtime = small_synthetic_config(tmp_path, **{"federation.U": 9})
         assert main(["run", "--config", str(runtime), "--out", str(tmp_path / "out3")]) == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"federation.budget_cap": -1.0}, {"federation.budget_cap": 1.0, "sweep.nu": [0.0, 5.0]}],
+    )
+    def test_bad_budget_cap_fails_before_any_output(self, tmp_path, capsys, override):
+        path = small_synthetic_config(tmp_path, **override)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert "federation.budget_cap" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.yaml"), "--out", str(tmp_path)]) == 1

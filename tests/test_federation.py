@@ -181,7 +181,7 @@ class TestServerRound:
         # Clients of 1 to 13 rows, one cluster: the new hypothesis is the mean
         # of the releases, and each release is the client's solo update plus
         # the noise drawn from its stream right after its E permutations.
-        spec = ModelSpec("mlp", input_dim=2, hidden=(3,), output_dim=1)
+        spec = ModelSpec("mlp", input_dim=2, hidden=(3,))
         clients = {i: make_dataset(seed=20 + i, m=m) for i, m in enumerate([1, 13, 4, 7, 2])}
         config = make_config(k=1, U=3, E=2, B_s=4, nu=5.0)
         hyps = HypothesisSet(np.full((1, n_params(spec)), 0.3))

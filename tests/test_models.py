@@ -27,7 +27,7 @@ from metricfl.models import (
 )
 
 LINEAR_2D = ModelSpec("linear", input_dim=2)
-SMALL_MLP = ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=1)
+SMALL_MLP = ModelSpec("mlp", input_dim=3, hidden=(2,))
 
 
 def finite_difference(spec, params, batch, objective, h=1e-5):
@@ -52,7 +52,7 @@ def random_instance(gen):
     else:
         dim = int(gen.integers(1, 4))
         hidden = tuple(int(w) for w in gen.integers(1, 4, size=int(gen.integers(1, 3))))
-        spec = ModelSpec("mlp", input_dim=dim, hidden=hidden, output_dim=1)
+        spec = ModelSpec("mlp", input_dim=dim, hidden=hidden)
     params = gen.standard_normal(n_params(spec))
     batch = Batch(gen.standard_normal((m, spec.input_dim)), gen.standard_normal(m))
     return spec, params, batch, "rmse"
@@ -71,18 +71,17 @@ class TestSpecAndPacking:
     @given(
         input_dim=st.integers(1, 4),
         hidden=st.lists(st.integers(1, 4), min_size=1, max_size=3),
-        output_dim=st.integers(1, 3),
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=50, deadline=None)
-    def test_pack_unpack_round_trip(self, input_dim, hidden, output_dim, seed):
-        spec = ModelSpec("mlp", input_dim=input_dim, hidden=tuple(hidden), output_dim=output_dim)
+    def test_pack_unpack_round_trip(self, input_dim, hidden, seed):
+        spec = ModelSpec("mlp", input_dim=input_dim, hidden=tuple(hidden))
         params = np.random.default_rng(seed).standard_normal(n_params(spec))
         assert np.array_equal(pack(spec, unpack(spec, params)), params)
 
     def test_cached_layout_leaves_equality_hash_and_pickle_alone(self):
-        fresh = ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=1)
-        used = ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=1)
+        fresh = ModelSpec("mlp", input_dim=3, hidden=(2,))
+        used = ModelSpec("mlp", input_dim=3, hidden=(2,))
         before = pickle.dumps(used)
         assert used.layer_sizes == ((2, 3), (1, 2))
         assert n_params(used) == 11
@@ -172,8 +171,8 @@ class TestLossMatrix:
     # ``objective`` goes to the reference ``loss`` only; it names the cases.
     CASES = [
         (ModelSpec("linear", input_dim=3), "rmse"),
-        (ModelSpec("mlp", input_dim=3, hidden=(2,), output_dim=1), "rmse"),
-        (ModelSpec("mlp", input_dim=2, hidden=(4, 3), output_dim=1), "rmse"),
+        (ModelSpec("mlp", input_dim=3, hidden=(2,)), "rmse"),
+        (ModelSpec("mlp", input_dim=2, hidden=(4, 3)), "rmse"),
     ]
 
     @pytest.mark.parametrize("spec,objective", CASES)
@@ -255,12 +254,6 @@ class TestGradient:
             gradient(ModelSpec("linear", input_dim=3), np.zeros(3), wrong, "rmse")
         with pytest.raises(ValueError):
             local_update(SMALL_MLP, np.zeros(11), wrong, 0.1, 1, 2, "rmse", np.random.default_rng(0))
-
-    def test_objective_must_fit_output_width(self):
-        wide = ModelSpec("mlp", input_dim=2, hidden=(2,), output_dim=3)
-        batch = Batch(np.ones((3, 2)), np.ones(3))
-        with pytest.raises(ValueError, match="output_dim"):
-            loss(wide, np.zeros(n_params(wide)), batch, "rmse")
 
     def test_only_rmse_is_accepted(self):
         batch = Batch(np.ones((3, 2)), np.ones(3))
@@ -376,7 +369,7 @@ def solo_runs(spec, params, datasets, step, epochs, batch_size, seeds):
 
 STACK_CASES = {
     "linear": ModelSpec("linear", input_dim=3),
-    "mlp_rmse": ModelSpec("mlp", input_dim=9, hidden=(4, 2), output_dim=1),
+    "mlp_rmse": ModelSpec("mlp", input_dim=9, hidden=(4, 2)),
 }
 
 
