@@ -19,10 +19,13 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Any, Hashable, Iterator
 
+import numpy as np
+
 __all__ = [
     "RADIUS_FLOOR",
     "DegenerateUpdateError",
     "heuristic_epsilon",
+    "heuristic_epsilons",
     "LeakageEvent",
     "PrivacyLedger",
     "LedgerSummary",
@@ -43,19 +46,27 @@ class DegenerateUpdateError(ValueError):
     """The client update has zero norm; callers substitute RADIUS_FLOOR."""
 
 
-def heuristic_epsilon(update_norm: float, dimension: int, noise_multiplier: float) -> float:
-    """epsilon = n / (noise_multiplier * update_norm).
+def heuristic_epsilons(
+    update_norms: np.ndarray, dimension: int, noise_multiplier: float
+) -> np.ndarray:
+    """epsilon_i = n / (noise_multiplier * update_norms[i]) for a stack of updates.
 
     With this choice every release costs exactly n / noise_multiplier within
     its own neighborhood, independent of the realized update norm.
     """
     if noise_multiplier <= 0:
         raise ValueError("noise_multiplier must be positive")
-    if update_norm < 0:
+    update_norms = np.asarray(update_norms, dtype=float)
+    if np.any(update_norms < 0):
         raise ValueError("update_norm must be nonnegative")
-    if update_norm == 0:
+    if np.any(update_norms == 0):
         raise DegenerateUpdateError("zero-norm update: epsilon would be infinite")
-    return dimension / (noise_multiplier * update_norm)
+    return dimension / (noise_multiplier * update_norms)
+
+
+def heuristic_epsilon(update_norm: float, dimension: int, noise_multiplier: float) -> float:
+    """The one-update case of ``heuristic_epsilons``."""
+    return float(heuristic_epsilons(np.array([update_norm]), dimension, noise_multiplier)[0])
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,8 @@ class PrivacyLedger:
         self._events: dict[Hashable, list[LeakageEvent]] = {}
         self._rounds: dict[Hashable, set[int]] = {}
         self._composed: dict[Hashable, float] = {}
+        # iter_rows' sorted rows, kept until the next record_participation.
+        self._rows: list[tuple[Hashable, LeakageEvent, float]] | None = None
 
     def record_participation(
         self,
@@ -126,6 +139,7 @@ class PrivacyLedger:
         self._events.setdefault(client_id, []).append(event)
         self._rounds.setdefault(client_id, set()).add(round)
         self._composed[client_id] = self._composed.get(client_id, 0.0) + event.leakage
+        self._rows = None
         return event
 
     def clients(self) -> list[Hashable]:
@@ -142,12 +156,15 @@ class PrivacyLedger:
 
     def iter_rows(self) -> Iterator[tuple[Hashable, LeakageEvent, float]]:
         """All events in (round, client_id) order with the running composed value."""
-        flat = [(e.round, cid, e) for cid, evs in self._events.items() for e in evs]
-        flat.sort(key=lambda item: (item[0], item[1]))
-        running: dict[Hashable, float] = {}
-        for _, cid, event in flat:
-            running[cid] = running.get(cid, 0.0) + event.leakage
-            yield cid, event, running[cid]
+        if self._rows is None:
+            flat = [(e.round, cid, e) for cid, evs in self._events.items() for e in evs]
+            flat.sort(key=lambda item: (item[0], item[1]))
+            running: dict[Hashable, float] = {}
+            self._rows = []
+            for _, cid, event in flat:
+                running[cid] = running.get(cid, 0.0) + event.leakage
+                self._rows.append((cid, event, running[cid]))
+        return iter(self._rows)
 
 
 @dataclass

@@ -55,6 +55,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     try:
         exp_dir = run_sweep(config, args.out)
+    except ConfigError as exc:
+        # Found once the table is ingested, before anything is written.
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - report and signal via exit code
         print(f"run failed ({config.name}): {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -18,9 +18,14 @@ __all__ = ["ClusterAssignment", "kmeans_from_hypotheses"]
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Partition of client ids over k clusters plus the final centroids."""
+    """Partition of client ids over k clusters plus the final centroids.
+
+    ``labels[i]`` is the cluster of the i-th point, ``assignment`` the same
+    partition keyed by client id.
+    """
 
     assignment: dict[Hashable, int]
+    labels: np.ndarray
     centroids: np.ndarray
     n_iterations: int
 
@@ -48,7 +53,7 @@ def kmeans_from_hypotheses(
     if init_centroids.ndim != 2 or len(init_centroids) < 1:
         raise ValueError("init_centroids must be a (k, n) array with k >= 1")
     if not points:
-        return ClusterAssignment({}, init_centroids.copy(), 0)
+        return ClusterAssignment({}, np.empty(0, dtype=np.intp), init_centroids.copy(), 0)
     ids = [cid for cid, _ in points]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate client ids in points")
@@ -78,6 +83,7 @@ def kmeans_from_hypotheses(
 
     return ClusterAssignment(
         assignment={cid: int(label) for cid, label in zip(ids, labels)},
+        labels=labels,
         centroids=centroids,
         n_iterations=iterations,
     )

@@ -182,6 +182,11 @@ def ingest_csv(path: str | Path, scaling: FeatureScaling = FeatureScaling()) -> 
     return ClientPopulation(clients=clients, metadata=metadata)
 
 
+def validation_size(n_clients: int, validation_fraction: float) -> int:
+    """How many of ``n_clients`` clients ``split_population`` holds out."""
+    return math.ceil(n_clients * validation_fraction)
+
+
 def split_population(
     population: ClientPopulation,
     validation_fraction: float = 0.3,
@@ -193,7 +198,7 @@ def split_population(
     if rng is None:
         raise ValueError("an rng must be provided")
     n = len(population)
-    n_val = math.ceil(n * validation_fraction)
+    n_val = validation_size(n, validation_fraction)
     if n_val == 0 or n_val == n:
         raise ValueError(f"fraction {validation_fraction} leaves an empty side for {n} clients")
     order = rng.permutation(n)

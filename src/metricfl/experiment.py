@@ -35,6 +35,7 @@ from .data import (
     generate_synthetic,
     ingest_csv,
     split_population,
+    validation_size,
 )
 from .federation import (
     FederationConfig,
@@ -248,6 +249,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if model.input_dim != 3:
             raise ConfigError("model.input_dim: tabular data has 3 features per row")
     data_sec.finish()
+    if isinstance(data, SyntheticDataConfig):
+        _check_training_clients(fed.record["U"], data.n_clients, validation_fraction)
 
     sweep = root.child("sweep")
     sweep_nu = sweep.take_list("nu", float)
@@ -302,23 +305,37 @@ def effective_dict(
     return document
 
 
-def build_population(
-    config: ExperimentConfig, seed: int
-) -> tuple[Mapping[Hashable, Batch], Mapping[Hashable, Batch]]:
-    """Materialize and split the population for one run.
+def _check_training_clients(U: int, n_clients: int, validation_fraction: float) -> None:
+    n_train = n_clients - validation_size(n_clients, validation_fraction)
+    if U > n_train:
+        raise ConfigError(
+            f"federation.U: {U} exceeds the {n_train} training clients left of "
+            f"{n_clients} after holding out validation_fraction={validation_fraction:g}"
+        )
 
-    The population depends only on the seed (not on nu or k), so sweep cells
-    sharing a seed train on identical data.
-    """
+
+def load_population(config: ExperimentConfig, seed: int) -> ClientPopulation:
+    """The population before the split: generated from ``seed`` for synthetic
+    data; for tabular data the ingested table, the same for every seed."""
     if isinstance(config.data, SyntheticDataConfig):
-        population = generate_synthetic(
+        return generate_synthetic(
             n_clients=config.data.n_clients,
             samples_per_client=config.data.samples_per_client,
             thetas=config.data.thetas,
             rng=substream(seed, "data"),
         )
-    else:
-        population = ingest_csv(config.data.path, config.data.scales)
+    return ingest_csv(config.data.path, config.data.scales)
+
+
+def build_population(
+    config: ExperimentConfig, seed: int, population: ClientPopulation
+) -> tuple[Mapping[Hashable, Batch], Mapping[Hashable, Batch]]:
+    """Split ``load_population(config, seed)`` into the training and
+    validation views of one run.
+
+    Population and split depend only on the seed (not on nu or k), so sweep
+    cells sharing a seed train on identical data.
+    """
     train, val = split_population(
         population, config.data.validation_fraction, substream(seed, "split")
     )
@@ -343,10 +360,18 @@ def format_value(value: float) -> str:
     return f"{value:g}"
 
 
-def run_cell(config: ExperimentConfig, nu: float, k: int, seed: int, run_dir: Path) -> CellRun:
-    """Execute one sweep cell and write its artifacts."""
+def run_cell(
+    config: ExperimentConfig,
+    nu: float,
+    k: int,
+    seed: int,
+    run_dir: Path,
+    population: ClientPopulation,
+) -> CellRun:
+    """Execute one sweep cell on ``load_population(config, seed)`` and write
+    its artifacts."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    train, val = build_population(config, seed)
+    train, val = build_population(config, seed, population)
     fed_config = config.federation_config(nu=nu, k=k, seed=seed)
     result = run_experiment(train, val, config.model, fed_config)
 
@@ -373,18 +398,32 @@ def run_cell(config: ExperimentConfig, nu: float, k: int, seed: int, run_dir: Pa
 
 
 def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
-    """Run every (nu, k, seed) combination and write the aggregate tables."""
+    """Run every (nu, k, seed) combination and write the aggregate tables.
+
+    Cells run seed by seed, so one population is held at a time: a table is
+    ingested once per sweep, and checked against ``federation.U`` before
+    anything is written; synthetic data is generated once per seed.
+    """
+    table = None
+    if not isinstance(config.data, SyntheticDataConfig):
+        table = load_population(config, config.seeds[0])
+        U = config.document["federation"]["U"]
+        _check_training_clients(U, len(table), config.data.validation_fraction)
+
     exp_dir = Path(out_root) / config.name
     exp_dir.mkdir(parents=True, exist_ok=True)
     (exp_dir / "config.yaml").write_text(yaml.safe_dump(effective_dict(config), sort_keys=True))
 
     cells: list[CellRun] = []
-    for nu in config.sweep_nu:
-        for k in config.sweep_k:
-            for seed in config.seeds:
+    for seed in config.seeds:
+        population = table
+        for nu in config.sweep_nu:
+            for k in config.sweep_k:
                 run_dir = exp_dir / f"{format_value(nu)}_{k}_{seed}"
                 try:
-                    cells.append(run_cell(config, nu, k, seed, run_dir))
+                    if population is None:
+                        population = load_population(config, seed)
+                    cells.append(run_cell(config, nu, k, seed, run_dir, population))
                 except Exception as exc:
                     raise RuntimeError(f"run {run_dir.name}: {exc}") from exc
 

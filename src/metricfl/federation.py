@@ -9,10 +9,10 @@ server groups the received vectors with k-means seeded at the hypotheses and
 averages within groups.
 
 The sampled clients' steps run as one stacked computation (selection, local
-SGD, training loss), in ascending client-id order; sanitization runs per
-client on the client's own stream.  No operation mixes two clients' rows,
-so each client's release is bit-identical to the one it makes when stepped
-alone: the outcome does not depend on which clients share a round.
+SGD, training loss, release), in ascending client-id order; every random
+draw comes from the client's own stream.  No operation mixes two clients'
+rows, so each client's release is bit-identical to the one it makes when
+stepped alone: the outcome does not depend on which clients share a round.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from .accounting import _REL_TOL, RADIUS_FLOOR, PrivacyLedger, _fmt, heuristic_epsilon
+from .accounting import _REL_TOL, RADIUS_FLOOR, PrivacyLedger, _fmt, heuristic_epsilons
 from .clustering import kmeans_from_hypotheses
-from .mechanism import NoiseScale, sanitize
+from .mechanism import sanitize_rows
 from .models import (
     Batch,
     ModelSpec,
@@ -37,7 +37,7 @@ from .models import (
     loss_matrix,
     n_params,
 )
-from .rng import substream
+from .rng import RoundStreams, substream
 
 __all__ = [
     "FederationConfig",
@@ -145,6 +145,18 @@ class ClientStepResult:
     train_loss: float
 
 
+@dataclass(frozen=True)
+class _ClientSteps:
+    """``ClientStepResult`` of several clients as columns, row i for client i."""
+
+    chosen: np.ndarray
+    sanitized: np.ndarray
+    epsilon: np.ndarray
+    radius: np.ndarray
+    leakage: float
+    train_loss: np.ndarray
+
+
 @dataclass
 class RoundMetrics:
     round: int
@@ -178,7 +190,15 @@ def client_step(
     With nu = 0 the updated vector is released as-is and the leakage is
     recorded as infinite.  This is the one-client case of ``_client_steps``.
     """
-    return _client_steps(spec, [dataset], hypotheses, config, [rng])[0]
+    steps = _client_steps(spec, [dataset], hypotheses, config, [rng])
+    return ClientStepResult(
+        chosen=int(steps.chosen[0]),
+        sanitized=steps.sanitized[0],
+        epsilon=float(steps.epsilon[0]),
+        radius=float(steps.radius[0]),
+        leakage=steps.leakage,
+        train_loss=float(steps.train_loss[0]),
+    )
 
 
 def _client_steps(
@@ -187,44 +207,28 @@ def _client_steps(
     hypotheses: HypothesisSet,
     config: FederationConfig,
     rngs: list[np.random.Generator],
-) -> list[ClientStepResult]:
-    """``client_step`` for several clients at once, one result per client.
+) -> _ClientSteps:
+    """``client_step`` for several clients at once, one row per client.
 
-    Selection, local SGD and the training loss each run once for the whole
-    stack; the update norm, epsilon and the noise draw run per client, the
-    noise from the client's own stream after its SGD permutations.
+    Selection, local SGD, the training loss and the release each run once
+    for the whole stack.  Each client draws its noise from its own stream
+    after its SGD permutations.
     """
     chosen = np.argmin(loss_matrix(spec, hypotheses.vectors, datasets), axis=1)
     received = hypotheses.vectors[chosen]
     updated = local_updates(spec, received, datasets, config.s, config.E, config.B_s, rngs)
     train_losses = client_losses(spec, updated, datasets)
+    # sqrt(d.dot(d)) per row is what np.linalg.norm(d) computes, to the bit.
+    update_norms = np.sqrt([d.dot(d) for d in updated - received])
+    if config.nu == 0:
+        infinite = np.full(len(rngs), math.inf)
+        return _ClientSteps(chosen, updated, infinite, update_norms, math.inf, train_losses)
+    radii = np.where(update_norms > 0, update_norms, RADIUS_FLOOR)
     dim = n_params(spec)
-
-    results = []
-    for i, rng in enumerate(rngs):
-        update_norm = float(np.linalg.norm(updated[i] - received[i]))
-        if config.nu == 0:
-            sanitized = updated[i]
-            epsilon = math.inf
-            radius = update_norm
-            leakage = math.inf
-        else:
-            radius = update_norm if update_norm > 0 else RADIUS_FLOOR
-            epsilon = heuristic_epsilon(radius, dim, config.nu)
-            sanitized = sanitize(updated[i], NoiseScale(epsilon, dim), rng)
-            # One division, not epsilon*radius: keeps the recorded cost exact.
-            leakage = dim / config.nu
-        results.append(
-            ClientStepResult(
-                chosen=int(chosen[i]),
-                sanitized=sanitized,
-                epsilon=epsilon,
-                radius=radius,
-                leakage=leakage,
-                train_loss=float(train_losses[i]),
-            )
-        )
-    return results
+    epsilons = heuristic_epsilons(radii, dim, config.nu)
+    sanitized = sanitize_rows(updated, epsilons, rngs)
+    # One division, not epsilon*radius: keeps the recorded cost exact.
+    return _ClientSteps(chosen, sanitized, epsilons, radii, dim / config.nu, train_losses)
 
 
 def _eligible_ids(
@@ -251,6 +255,7 @@ def server_round(
     ledger: PrivacyLedger,
     round_index: int,
     client_indices: Mapping[Hashable, int],
+    streams: RoundStreams | None = None,
 ) -> tuple[HypothesisSet, float]:
     """One full round: sample, collect sanitized vectors, cluster, average.
 
@@ -258,29 +263,25 @@ def server_round(
     Who was sampled and which cluster each release was aggregated into is
     recorded in ``ledger`` as the round's events; the cluster a client chose
     for itself is never kept.  Raises RuntimeError when fewer than U clients
-    are eligible under the budget cap.
+    are eligible under the budget cap.  ``streams`` is the run's stream
+    table; without one, the round hashes its own.
     """
     pool = _eligible_ids(clients, spec, config, ledger)
     if len(pool) < config.U:
         raise RuntimeError(
             f"round {round_index}: only {len(pool)} eligible clients, need U={config.U}"
         )
-    rng_sampling = substream(config.master_seed, "sampling", round_index=round_index)
-    picked = rng_sampling.choice(len(pool), size=config.U, replace=False)
+    if streams is None:
+        n_positions = max(client_indices.values(), default=0) + 1
+        streams = RoundStreams(config.master_seed, n_positions, round_index + 1)
+    picked = streams.sampling(round_index).choice(len(pool), size=config.U, replace=False)
     sampled = sorted(pool[i] for i in picked)
 
-    rngs = [
-        substream(
-            config.master_seed, "client", client_index=client_indices[cid], round_index=round_index
-        )
-        for cid in sampled
-    ]
-    datasets = [clients[cid] for cid in sampled]
-    steps = _client_steps(spec, datasets, hypotheses, config, rngs)
+    rngs = streams.clients(round_index, [client_indices[cid] for cid in sampled])
+    steps = _client_steps(spec, [clients[cid] for cid in sampled], hypotheses, config, rngs)
 
-    released = np.stack([res.sanitized for res in steps])
-    grouping = kmeans_from_hypotheses(list(zip(sampled, released)), hypotheses.vectors)
-    labels = np.array([grouping.assignment[cid] for cid in sampled])
+    released = steps.sanitized
+    labels = kmeans_from_hypotheses(list(zip(sampled, released)), hypotheses.vectors).labels
 
     new_vectors = hypotheses.vectors.copy()
     for j in range(config.k):
@@ -288,18 +289,18 @@ def server_round(
         if members.any():
             new_vectors[j] = released[members].mean(axis=0)
 
-    for cid, res, label in zip(sampled, steps, labels):
+    rows = zip(sampled, steps.epsilon.tolist(), steps.radius.tolist(), labels.tolist())
+    for cid, epsilon, radius, label in rows:
         ledger.record_participation(
             client_id=cid,
             round=round_index,
-            epsilon=res.epsilon,
-            radius=res.radius,
-            cluster_id=int(label),
-            leakage=res.leakage,
+            epsilon=epsilon,
+            radius=radius,
+            cluster_id=label,
+            leakage=steps.leakage,
         )
 
-    mean_train_loss = float(np.mean([res.train_loss for res in steps]))
-    return HypothesisSet(new_vectors, round_index + 1), mean_train_loss
+    return HypothesisSet(new_vectors, round_index + 1), float(np.mean(steps.train_loss))
 
 
 def _validation_loss(
@@ -332,6 +333,7 @@ def run_experiment(
     if config.U > len(train):
         raise ValueError(f"U={config.U} exceeds the {len(train)} training clients")
     client_indices = {cid: i for i, cid in enumerate(sorted(train))}
+    streams = RoundStreams(config.master_seed, len(train), config.T)
 
     rng_hyp = substream(config.master_seed, "hypotheses")
     vectors = np.stack([init_params(spec, rng_hyp) for _ in range(config.k)])
@@ -354,7 +356,7 @@ def run_experiment(
         if len(_eligible_ids(train, spec, config, ledger)) < config.U:
             break
         hypotheses, mean_train_loss = server_round(
-            train, hypotheses, spec, config, ledger, t, client_indices
+            train, hypotheses, spec, config, ledger, t, client_indices, streams
         )
 
         val_loss: float | None = None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +33,11 @@ __all__ = [
     "sample_noise",
     "sample_noise_batch",
     "sanitize",
+    "sanitize_rows",
     "moment_report",
 ]
 
-# Squared norms below this trigger a direction resample (measure-zero event).
+# Norms below this trigger a direction resample (measure-zero event).
 _MIN_DIRECTION_NORM = 1e-300
 
 
@@ -117,10 +119,23 @@ def sample_radius(
     The dimension is always an integer here, so the draw is the sum of n
     independent exponentials — exact and identical across platforms.
     """
-    n = scale.dimension
     if size is None:
-        return float(rng.standard_exponential(n).sum() / scale.epsilon)
-    return rng.standard_exponential((size, n)).sum(axis=1) / scale.epsilon
+        return float(sample_radius(scale, rng, size=1)[0])
+    return rng.standard_exponential((size, scale.dimension)).sum(axis=1) / scale.epsilon
+
+
+def _unit_rows(v: np.ndarray, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Unit vectors along the rows of ``v``, a stack of normal draws.
+
+    A row whose norm is below the floor (a measure-zero event) is redrawn
+    from its stream ``rngs[i]``, in row order, until none is.
+    """
+    norms = np.linalg.norm(v, axis=1)
+    while np.any(norms < _MIN_DIRECTION_NORM):
+        for i in np.flatnonzero(norms < _MIN_DIRECTION_NORM):
+            v[i] = rngs[i].standard_normal(v.shape[1])
+        norms = np.linalg.norm(v, axis=1)
+    return v / norms[:, None]
 
 
 def sample_direction(
@@ -131,20 +146,26 @@ def sample_direction(
         raise ValueError("dimension must be >= 1")
     if size is None:
         return sample_direction(dimension, rng, size=1)[0]
-    v = rng.standard_normal((size, dimension))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < _MIN_DIRECTION_NORM):
-        bad = norms < _MIN_DIRECTION_NORM
-        v[bad] = rng.standard_normal((int(bad.sum()), dimension))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+    return _unit_rows(rng.standard_normal((size, dimension)), [rng] * size)
+
+
+def _noise_rows(
+    dimension: int, epsilons: np.ndarray, rngs: Sequence[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and unit direction of one perturbation per stream.
+
+    Stream i draws its n exponentials (the radius at ``epsilons[i]``), then
+    its n normals (the direction); the arithmetic then runs once for all rows.
+    """
+    exponentials = np.stack([rng.standard_exponential(dimension) for rng in rngs])
+    normals = np.stack([rng.standard_normal(dimension) for rng in rngs])
+    return exponentials.sum(axis=1) / epsilons, _unit_rows(normals, rngs)
 
 
 def sample_noise(scale: NoiseScale, rng: np.random.Generator) -> NoiseVector:
     """One perturbation: radius first, then direction, from the same stream."""
-    radius = sample_radius(scale, rng)
-    direction = sample_direction(scale.dimension, rng)
-    return NoiseVector(components=radius * direction, radius=radius)
+    radii, directions = _noise_rows(scale.dimension, np.array([scale.epsilon]), [rng])
+    return NoiseVector(components=radii[0] * directions[0], radius=float(radii[0]))
 
 
 def sample_noise_batch(scale: NoiseScale, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -154,12 +175,28 @@ def sample_noise_batch(scale: NoiseScale, rng: np.random.Generator, size: int) -
     return radii[:, None] * directions
 
 
+def sanitize_rows(
+    vectors: np.ndarray, epsilons: np.ndarray, rngs: Sequence[np.random.Generator]
+) -> np.ndarray:
+    """Row i of the (U, n) ``vectors`` plus one noise draw at ``epsilons[i]``
+    from ``rngs[i]``; row i equals ``sanitize`` of that row alone."""
+    vectors = np.asarray(vectors, dtype=float)
+    epsilons = np.asarray(epsilons, dtype=float)
+    if vectors.ndim != 2 or not len(vectors) == len(epsilons) == len(rngs):
+        raise ValueError("need a (U, n) stack with one epsilon and one stream per row")
+    bad = ~(np.isfinite(epsilons) & (epsilons > 0))
+    if bad.any():
+        raise ValueError(f"epsilon must be positive and finite, got {float(epsilons[bad][0])!r}")
+    radii, directions = _noise_rows(vectors.shape[1], epsilons, rngs)
+    return vectors + radii[:, None] * directions
+
+
 def sanitize(vector: np.ndarray, scale: NoiseScale, rng: np.random.Generator) -> np.ndarray:
-    """Return ``vector`` plus one noise draw."""
+    """Return ``vector`` plus one noise draw; the one-row case of ``sanitize_rows``."""
     vector = _check_dimension(vector, scale, "vector")
     if vector.ndim != 1:
         raise ValueError("sanitize expects a single flat vector")
-    return vector + sample_noise(scale, rng).components
+    return sanitize_rows(vector[None], np.array([scale.epsilon]), [rng])[0]
 
 
 def moment_report(

@@ -115,6 +115,24 @@ class TestLedger:
                 ledger.record_participation(**call, cluster_id=0)
             assert state() == before
 
+    def test_rows_recorded_after_a_read_show_up_in_the_next(self):
+        ledger = PrivacyLedger()
+        self.record_constant(ledger, "a", [0, 1], cluster=0)
+        self.record_constant(ledger, "b", [1], cluster=1)
+        first = [(cid, event.round, composed) for cid, event, composed in ledger.iter_rows()]
+        assert first == [("a", 0, 0.4), ("a", 1, 0.4 + 0.4), ("b", 1, 0.4)]
+        assert list(ledger.iter_rows()) == list(ledger.iter_rows())
+        self.record_constant(ledger, "a", [2], cluster=1)
+        self.record_constant(ledger, "b", [0], cluster=1)
+        rows = [(cid, event.round, composed) for cid, event, composed in ledger.iter_rows()]
+        assert rows == [
+            ("a", 0, 0.4),
+            ("b", 0, 0.4),
+            ("a", 1, 0.4 + 0.4),
+            ("b", 1, 0.4 + 0.4),
+            ("a", 2, 0.4 + 0.4 + 0.4),
+        ]
+
     def test_composed_is_monotone_in_rounds(self):
         ledger = PrivacyLedger()
         previous = 0.0

@@ -110,6 +110,15 @@ class TestProperties:
         assert sorted(result.assignment) == list(range(len(points)))
         assert all(0 <= c < len(init) for c in result.assignment.values())
 
+    def test_labels_follow_the_point_order(self):
+        gen = np.random.default_rng(12)
+        points, init = self.random_instance(gen)
+        ids = [f"c{i}" for i in gen.permutation(len(points))]
+        result = kmeans_from_hypotheses(list(zip(ids, points)), init)
+        assert result.labels.tolist() == [result.assignment[cid] for cid in ids]
+        empty = kmeans_from_hypotheses([], init)
+        assert empty.labels.shape == (0,)
+
     def test_separated_groups_recovered_in_one_assignment(self):
         # Hypotheses at least distance d apart, every point within d/3 of its
         # own hypothesis: the initial assignment is already the true

@@ -1,6 +1,7 @@
 """Config parsing, the sweep runner's artifact layout, and the CLI surface."""
 
 import csv
+import hashlib
 import math
 from pathlib import Path
 
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 import yaml
 
+import metricfl.experiment as experiment
 from metricfl.accounting import PrivacyLedger, ledger_summary
 from metricfl.cli import main
+from metricfl.data import write_fixture
 from metricfl.experiment import (
     ConfigError,
     effective_dict,
@@ -17,6 +20,7 @@ from metricfl.experiment import (
     load_config,
     run_sweep,
 )
+from metricfl.rng import substream
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,6 +42,23 @@ def small_synthetic_config(tmp_path, **overrides):
         else:
             doc[section] = value
     path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def small_tabular_config(tmp_path, providers=5, **federation):
+    """A tabular sweep of 2 nu x 2 seeds on a fresh fixture; 5 providers
+    leave 3 training clients at validation_fraction 0.3."""
+    write_fixture(tmp_path / "table.csv", providers, 4, 2, substream(0, "fixture"))
+    doc = {
+        "experiment": "tabular",
+        "name": "tab",
+        "federation": {"T": 3, "U": 2, "E": 1, "s": 0.05, "B_s": 4, **federation},
+        "model": {"kind": "mlp", "input_dim": 3, "hidden": [2]},
+        "data": {"path": "table.csv"},
+        "sweep": {"nu": [0.0, 3.0], "k": [2], "seeds": [0, 1]},
+    }
+    path = tmp_path / "tab.yaml"
     path.write_text(yaml.safe_dump(doc))
     return path
 
@@ -291,6 +312,73 @@ class TestRunSweep:
             assert max(float(row["composed_leakage"]) for row in ledger_rows) <= 1.0
 
 
+class TestPopulations:
+    def test_a_table_is_ingested_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        real = experiment.ingest_csv
+        monkeypatch.setattr(experiment, "ingest_csv", lambda *a: calls.append(a) or real(*a))
+        exp_dir = run_sweep(load_config(small_tabular_config(tmp_path)), tmp_path / "out")
+        assert len(calls) == 1
+        assert len([p for p in exp_dir.iterdir() if p.is_dir()]) == 4
+
+    def test_synthetic_data_is_generated_once_per_seed(self, tmp_path, monkeypatch):
+        seeds = []
+        real = experiment.generate_synthetic
+        monkeypatch.setattr(
+            experiment, "generate_synthetic", lambda **kw: seeds.append(kw) or real(**kw)
+        )
+        path = small_synthetic_config(tmp_path, sweep={"nu": [0.0, 5.0], "k": [1, 2],
+                                                       "seeds": [0, 1, 2]})
+        run_sweep(load_config(path), tmp_path / "out")
+        assert len(seeds) == 3
+
+    def test_cells_match_their_solo_runs(self, tmp_path):
+        path = small_tabular_config(tmp_path)
+        exp_dir = run_sweep(load_config(path), tmp_path / "out")
+        echo = load_config(exp_dir / "3_2_1" / "config.yaml")
+        redo_dir = run_sweep(echo, tmp_path / "redo")
+        for name in ("metrics.csv", "ledger.csv", "hypotheses_final.txt"):
+            solo = (redo_dir / "3_2_1" / name).read_bytes()
+            assert solo == (exp_dir / "3_2_1" / name).read_bytes()
+
+
+# SHA-256 of a small sweep's artifacts as the per-round SeedSequence and
+# per-client sanitization code wrote them; the stream table and the stacked
+# release must reproduce them bit for bit.  Any change to a stream or to the
+# float operations of a round shows up here.
+GOLDEN = {
+    "0_2_3/ledger.csv": "eb4435b8b43a6d0470b7b653442f466636481512d7b099d8c40208e91db56cbd",
+    "0_2_4294967303/ledger.csv": "477fb5642478f749d25733441e3a4d70c48b4237c836cb6ffef37aab3ca17278",
+    "5_2_3/ledger.csv": "d228acb23a2e3270738625e44da16fbb452a86c3ef84050248dadbffffa64f93",
+    "5_2_4294967303/ledger.csv": "7af79797930aa4b56237c573f1deeeb33a01e824074448b09e94b27390237551",
+    "0_2_3/hypotheses_final.txt": "3f57d70b3f8d4460a5643467fff06d7dff2ac5c74d655d17d455da22e29e4488",
+    "0_2_4294967303/hypotheses_final.txt": (
+        "b178322827d445e1d1209ce447557e2549d2a7640e966ae16bfa49144bc352af"
+    ),
+    "5_2_3/hypotheses_final.txt": "cd0a84b6732fe2b3dfdf42c9fdc1b87d6728204a5e3637d83c522f38fa62331b",
+    "5_2_4294967303/hypotheses_final.txt": (
+        "602f0cc5cec29f260cd7a01f8ba1f4d79b60d04eaf8d80a4e37b1129b4bc8d36"
+    ),
+}
+
+
+def test_golden_digests(tmp_path):
+    # Seed 2**32 + 7 takes two words, so its keys run SeedSequence's extra mixing.
+    path = small_synthetic_config(
+        tmp_path,
+        name="golden",
+        federation={"T": 12, "U": 5, "E": 2, "s": 0.1, "B_s": 4,
+                    "validation_every": 1, "validation_patience": 12},
+        data={"n_clients": 24, "samples_per_client": 10, "validation_fraction": 0.3},
+        sweep={"nu": [0.0, 5.0], "k": [2], "seeds": [3, 2**32 + 7]},
+    )
+    exp_dir = run_sweep(load_config(path), tmp_path / "out")
+    digests = {
+        name: hashlib.sha256((exp_dir / name).read_bytes()).hexdigest() for name in GOLDEN
+    }
+    assert digests == GOLDEN
+
+
 class TestCli:
     def test_run_exit_codes(self, tmp_path, capsys):
         good = small_synthetic_config(tmp_path)
@@ -301,9 +389,25 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out2")]) == 1
         assert "config error" in capsys.readouterr().err
 
-        # parseable config that fails at runtime: U larger than the population
-        runtime = small_synthetic_config(tmp_path, **{"federation.U": 9})
-        assert main(["run", "--config", str(runtime), "--out", str(tmp_path / "out3")]) == 2
+        # U larger than the 8 training clients: caught at load, nothing written
+        too_many = small_synthetic_config(tmp_path, **{"federation.U": 9})
+        assert main(["run", "--config", str(too_many), "--out", str(tmp_path / "out3")]) == 1
+        assert "federation.U" in capsys.readouterr().err
+        assert not (tmp_path / "out3").exists()
+
+        # parseable config that fails at runtime: a table with a non-numeric row
+        runtime = small_tabular_config(tmp_path)
+        with open(tmp_path / "table.csv", "a") as fh:
+            fh.write("p9,1,not-a-number,30.0,2.5\n")
+        assert main(["run", "--config", str(runtime), "--out", str(tmp_path / "out4")]) == 2
+        assert "non-numeric" in capsys.readouterr().err
+
+    def test_tabular_U_above_training_clients_leaves_no_tree(self, tmp_path, capsys):
+        path = small_tabular_config(tmp_path, U=4)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert "federation.U: 4 exceeds the 3 training clients" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "override",

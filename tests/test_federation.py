@@ -20,7 +20,7 @@ from metricfl.federation import (
 from metricfl.accounting import LeakageEvent, PrivacyLedger
 from metricfl.mechanism import NoiseScale, sample_noise
 from metricfl.models import Batch, ModelSpec, gradient, local_update, loss, n_params
-from metricfl.rng import substream
+from metricfl.rng import RoundStreams, substream
 
 LINEAR = ModelSpec("linear", input_dim=2)
 
@@ -198,6 +198,53 @@ class TestServerRound:
             noise = sample_noise(NoiseScale(events[cid].epsilon, n_params(spec)), rng)
             releases.append(updated + noise.components)
         assert np.array_equal(new_hyps.vectors[0], np.mean(releases, axis=0))
+
+    @pytest.mark.parametrize("nu", [0.0, 5.0])
+    def test_stacked_steps_are_bit_identical_to_solo_steps(self, nu):
+        spec = ModelSpec("mlp", input_dim=2, hidden=(3,))
+        datasets = [make_dataset(seed=40 + i, m=m) for i, m in enumerate([1, 13, 4, 7, 2, 9])]
+        config = make_config(k=3, U=6, E=2, B_s=4, nu=nu)
+        hyps = HypothesisSet(np.random.default_rng(4).standard_normal((3, n_params(spec))))
+        rngs = [substream(0, "client", i, 2) for i in range(6)]
+        stacked = federation._client_steps(spec, datasets, hyps, config, rngs)
+        for i, dataset in enumerate(datasets):
+            solo = client_step(spec, dataset, hyps, config, substream(0, "client", i, 2))
+            assert solo.chosen == stacked.chosen[i]
+            assert np.array_equal(solo.sanitized, stacked.sanitized[i])
+            assert solo.epsilon == stacked.epsilon[i]
+            assert solo.radius == stacked.radius[i]
+            assert solo.leakage == stacked.leakage
+            # The stacked training loss sums zero-padded rows: last-ulp only.
+            assert solo.train_loss == pytest.approx(stacked.train_loss[i], rel=1e-12)
+            update = local_update(
+                spec, hyps.vectors[solo.chosen], dataset, 0.1, 2, 4, "rmse",
+                substream(0, "client", i, 2),
+            )
+            assert solo.radius == float(np.linalg.norm(update - hyps.vectors[solo.chosen]))
+
+    def test_a_round_builds_no_seed_sequence(self, monkeypatch):
+        train, _ = split_views(n_clients=30)
+        indices = {cid: i for i, cid in enumerate(sorted(train))}
+        config = make_config(U=7, nu=5.0)
+        streams = RoundStreams(config.master_seed, len(train), config.T)
+        hyps = HypothesisSet(np.zeros((2, 2)))
+        built = []
+
+        def counting(real):
+            def construct(*args, **kwargs):
+                built.append(real.__name__)
+                return real(*args, **kwargs)
+            return construct
+
+        for name in ("SeedSequence", "PCG64", "default_rng"):
+            monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
+        ledger = PrivacyLedger()
+        for t in range(4):
+            hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices, streams)
+        assert len(ledger) == 4 * 7
+        # Only the first round builds PCG64s, into which later rounds load states.
+        assert "SeedSequence" not in built and "default_rng" not in built
+        assert built.count("PCG64") == 7
 
     def test_too_few_clients_rejected(self):
         clients = {0: make_dataset()}

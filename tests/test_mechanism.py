@@ -20,6 +20,7 @@ from metricfl.mechanism import (
     sample_noise_batch,
     sample_radius,
     sanitize,
+    sanitize_rows,
 )
 from metricfl.rng import substream
 
@@ -248,6 +249,76 @@ class TestDeterminism:
             substream(7, "client", client_index=2, round_index=3).random()
             == 0.38733141924730263
         )
+
+
+def reference_sanitize(vector, epsilon, gen):
+    """Per-client release spelled out: radius from n exponentials, then a
+    normalized normal draw, redrawn while its norm is below 1e-300."""
+    n = len(vector)
+    radius = float(gen.standard_exponential(n).sum() / epsilon)
+    v = gen.standard_normal((1, n))
+    norms = np.linalg.norm(v, axis=1)
+    while np.any(norms < 1e-300):
+        v[norms < 1e-300] = gen.standard_normal((1, n))
+        norms = np.linalg.norm(v, axis=1)
+    return vector + radius * (v / norms[:, None])[0]
+
+
+class ZeroFirstNormal:
+    """A stream whose first normal draw is all zeros, then the wrapped one's."""
+
+    def __init__(self, seed):
+        self.gen = rng(seed)
+        self.zeroed = False
+
+    def standard_exponential(self, size):
+        return self.gen.standard_exponential(size)
+
+    def standard_normal(self, size):
+        if not self.zeroed:
+            self.zeroed = True
+            return np.zeros(size)
+        return self.gen.standard_normal(size)
+
+
+class TestStackedRelease:
+    @pytest.mark.parametrize("n", [1, 2, 11, 40, 300])
+    def test_rows_are_bit_identical_to_per_client_releases(self, n):
+        gen = rng(n)
+        vectors = gen.standard_normal((6, n)) * 3.0
+        epsilons = gen.uniform(0.05, 20.0, 6)
+        stacked = sanitize_rows(vectors, epsilons, [substream(n, "client", i, 0) for i in range(6)])
+        for i in range(6):
+            expected = reference_sanitize(vectors[i], epsilons[i], substream(n, "client", i, 0))
+            assert np.array_equal(stacked[i], expected)
+            alone = sanitize(vectors[i], NoiseScale(epsilons[i], n), substream(n, "client", i, 0))
+            assert np.array_equal(stacked[i], alone)
+
+    def test_zero_direction_is_redrawn_from_the_rows_own_stream(self):
+        vectors = np.arange(12.0).reshape(3, 4)
+        epsilons = np.array([0.5, 1.0, 2.0])
+        streams = [rng(1), ZeroFirstNormal(2), rng(3)]
+        stacked = sanitize_rows(vectors, epsilons, streams)
+        assert streams[1].zeroed
+        expected = [
+            reference_sanitize(vectors[0], 0.5, rng(1)),
+            reference_sanitize(vectors[1], 1.0, ZeroFirstNormal(2)),
+            reference_sanitize(vectors[2], 2.0, rng(3)),
+        ]
+        assert np.array_equal(stacked, np.stack(expected))
+        assert np.all(np.isfinite(stacked))
+        assert np.array_equal(
+            sanitize(vectors[1], NoiseScale(1.0, 4), ZeroFirstNormal(2)), stacked[1]
+        )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_degenerate_epsilon(self, bad):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            sanitize_rows(np.zeros((2, 3)), np.array([1.0, bad]), [rng(0), rng(1)])
+
+    def test_rejects_mismatched_stack(self):
+        with pytest.raises(ValueError, match="one epsilon and one stream per row"):
+            sanitize_rows(np.zeros((2, 3)), np.array([1.0]), [rng(0), rng(1)])
 
 
 @settings(max_examples=30, deadline=None)
