@@ -26,22 +26,16 @@ from .data import (
 from .federation import (
     FederationConfig,
     HypothesisSet,
-    client_step,
     run_experiment,
     server_round,
 )
 from .mechanism import (
     NoiseScale,
-    NoiseVector,
-    density,
     log_density,
-    normalization_constant,
     sample_direction,
-    sample_noise,
     sample_radius,
-    sanitize,
 )
-from .models import Batch, ModelSpec, gradient, local_update, loss, predict
+from .models import Batch, ModelSpec, gradient, loss, predict
 from .rng import substream
 
 __version__ = "0.1.0"

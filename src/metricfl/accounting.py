@@ -175,15 +175,13 @@ class ClusterBudget:
 
 @dataclass
 class LedgerSummary:
-    """Median/max composed leakage, overall and per cluster, plus the
-    per-cluster leakage series used for plotting.
+    """Median/max composed leakage over all clients, plus the per-cluster
+    leakage series used for plotting.
 
-    ``per_cluster`` groups each client under the cluster of its latest
-    release; ``max_trajectory`` is ``max_leakage_series`` of the ledger.
+    ``max_trajectory`` is ``max_leakage_series`` of the ledger.
     """
 
     overall: ClusterBudget | None
-    per_cluster: dict[int | None, ClusterBudget] = field(default_factory=dict)
     max_trajectory: dict[int | None, list[float]] = field(default_factory=dict)
 
 
@@ -218,19 +216,7 @@ def ledger_summary(ledger: PrivacyLedger) -> LedgerSummary:
     overall = ClusterBudget(
         median=statistics.median(composed.values()), maximum=max(composed.values())
     )
-
-    # iter_rows runs in round order, so each client keeps its latest cluster.
-    latest = {cid: event.cluster_id for cid, event, _ in ledger.iter_rows()}
-    by_cluster: dict[int | None, list[float]] = {}
-    for cid in clients:
-        by_cluster.setdefault(latest[cid], []).append(composed[cid])
-    per_cluster = {
-        cluster: ClusterBudget(median=statistics.median(values), maximum=max(values))
-        for cluster, values in by_cluster.items()
-    }
-    return LedgerSummary(
-        overall=overall, per_cluster=per_cluster, max_trajectory=max_leakage_series(ledger)
-    )
+    return LedgerSummary(overall=overall, max_trajectory=max_leakage_series(ledger))
 
 
 def _fmt(value: Any) -> str:

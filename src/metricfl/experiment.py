@@ -264,6 +264,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("sweep.k: hypothesis counts must be >= 1")
     if any(seed < 0 for seed in seeds):
         raise ConfigError("sweep.seeds: seeds must be >= 0")
+    # Each value names its cells' run directories, so no two may share a token.
+    for key, values, token in (("nu", sweep_nu, format_value), ("k", sweep_k, str),
+                               ("seeds", seeds, str)):
+        tokens = [token(value) for value in values]
+        for i, shared in enumerate(tokens):
+            if shared in tokens[:i]:
+                first = values[tokens.index(shared)]
+                raise ConfigError(f"sweep.{key}: {first!r} and {values[i]!r} share the "
+                                  f"run-directory token {shared!r}")
 
     config = ExperimentConfig(
         experiment=experiment,

@@ -13,6 +13,8 @@ SGD, training loss, release), in ascending client-id order; every random
 draw comes from the client's own stream.  No operation mixes two clients'
 rows, so each client's release is bit-identical to the one it makes when
 stepped alone: the outcome does not depend on which clients share a round.
+Only the reported training loss (``models.client_losses``) is exempt: it may
+move in the last ulp with the client's round-mates.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ __all__ = [
     "FederationConfig",
     "HypothesisSet",
     "RoundMetrics",
-    "ClientStepResult",
     "ExperimentResult",
-    "client_step",
     "server_round",
     "run_experiment",
     "write_metrics_csv",
@@ -136,18 +136,8 @@ class HypothesisSet:
 
 
 @dataclass(frozen=True)
-class ClientStepResult:
-    chosen: int
-    sanitized: np.ndarray
-    epsilon: float
-    radius: float
-    leakage: float
-    train_loss: float
-
-
-@dataclass(frozen=True)
 class _ClientSteps:
-    """``ClientStepResult`` of several clients as columns, row i for client i."""
+    """The outcome of several clients' steps as columns, row i for client i."""
 
     chosen: np.ndarray
     sanitized: np.ndarray
@@ -175,32 +165,6 @@ class ExperimentResult:
     ledger: PrivacyLedger
 
 
-def client_step(
-    spec: ModelSpec,
-    dataset: Batch,
-    hypotheses: HypothesisSet,
-    config: FederationConfig,
-    rng: np.random.Generator,
-) -> ClientStepResult:
-    """Select, train and release: the client-side half of one round.
-
-    The client picks the hypothesis with the lowest loss on its full local
-    dataset (ties to the lowest index), trains it locally, and releases the
-    full updated vector perturbed by noise calibrated to the update norm.
-    With nu = 0 the updated vector is released as-is and the leakage is
-    recorded as infinite.  This is the one-client case of ``_client_steps``.
-    """
-    steps = _client_steps(spec, [dataset], hypotheses, config, [rng])
-    return ClientStepResult(
-        chosen=int(steps.chosen[0]),
-        sanitized=steps.sanitized[0],
-        epsilon=float(steps.epsilon[0]),
-        radius=float(steps.radius[0]),
-        leakage=steps.leakage,
-        train_loss=float(steps.train_loss[0]),
-    )
-
-
 def _client_steps(
     spec: ModelSpec,
     datasets: list[Batch],
@@ -208,11 +172,14 @@ def _client_steps(
     config: FederationConfig,
     rngs: list[np.random.Generator],
 ) -> _ClientSteps:
-    """``client_step`` for several clients at once, one row per client.
+    """Select, train and release for several clients at once, one row per client.
 
-    Selection, local SGD, the training loss and the release each run once
-    for the whole stack.  Each client draws its noise from its own stream
-    after its SGD permutations.
+    Each client picks the hypothesis with the lowest loss on its full local
+    dataset (ties to the lowest index), trains it, and releases the updated
+    vector with noise calibrated to the update norm (as-is, at infinite
+    leakage, when nu = 0).  Selection, local SGD, the training loss and the
+    release each run once for the whole stack.  Each client draws its noise
+    from its own stream after its SGD permutations.
     """
     chosen = np.argmin(loss_matrix(spec, hypotheses.vectors, datasets), axis=1)
     received = hypotheses.vectors[chosen]
@@ -255,7 +222,7 @@ def server_round(
     ledger: PrivacyLedger,
     round_index: int,
     client_indices: Mapping[Hashable, int],
-    streams: RoundStreams | None = None,
+    streams: RoundStreams,
 ) -> tuple[HypothesisSet, float]:
     """One full round: sample, collect sanitized vectors, cluster, average.
 
@@ -264,16 +231,13 @@ def server_round(
     recorded in ``ledger`` as the round's events; the cluster a client chose
     for itself is never kept.  Raises RuntimeError when fewer than U clients
     are eligible under the budget cap.  ``streams`` is the run's stream
-    table; without one, the round hashes its own.
+    table.
     """
     pool = _eligible_ids(clients, spec, config, ledger)
     if len(pool) < config.U:
         raise RuntimeError(
             f"round {round_index}: only {len(pool)} eligible clients, need U={config.U}"
         )
-    if streams is None:
-        n_positions = max(client_indices.values(), default=0) + 1
-        streams = RoundStreams(config.master_seed, n_positions, round_index + 1)
     picked = streams.sampling(round_index).choice(len(pool), size=config.U, replace=False)
     sampled = sorted(pool[i] for i in picked)
 

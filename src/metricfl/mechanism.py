@@ -23,16 +23,11 @@ import numpy as np
 
 __all__ = [
     "NoiseScale",
-    "NoiseVector",
     "log_normalization_constant",
-    "normalization_constant",
     "log_density",
-    "density",
     "sample_radius",
     "sample_direction",
-    "sample_noise",
     "sample_noise_batch",
-    "sanitize",
     "sanitize_rows",
     "moment_report",
 ]
@@ -59,14 +54,6 @@ class NoiseScale:
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
 
 
-@dataclass(frozen=True)
-class NoiseVector:
-    """A drawn perturbation together with its Euclidean norm."""
-
-    components: np.ndarray
-    radius: float
-
-
 def log_normalization_constant(scale: NoiseScale) -> float:
     """log K for the density K * exp(-epsilon * r) to integrate to one."""
     n = scale.dimension
@@ -78,11 +65,6 @@ def log_normalization_constant(scale: NoiseScale) -> float:
         - (n / 2.0) * math.log(math.pi)
         - math.lgamma(n)
     )
-
-
-def normalization_constant(scale: NoiseScale) -> float:
-    """K in linear space; underflows to 0.0 for very large n (use the log form)."""
-    return math.exp(log_normalization_constant(scale))
 
 
 def _check_dimension(arr: np.ndarray, scale: NoiseScale, name: str) -> np.ndarray:
@@ -105,10 +87,6 @@ def log_density(point: np.ndarray, center: np.ndarray, scale: NoiseScale) -> np.
     dist = np.linalg.norm(point - center, axis=-1)
     out = log_normalization_constant(scale) - scale.epsilon * dist
     return float(out) if np.ndim(out) == 0 else out
-
-
-def density(point: np.ndarray, center: np.ndarray, scale: NoiseScale) -> np.ndarray | float:
-    return np.exp(log_density(point, center, scale))
 
 
 def sample_radius(
@@ -162,12 +140,6 @@ def _noise_rows(
     return exponentials.sum(axis=1) / epsilons, _unit_rows(normals, rngs)
 
 
-def sample_noise(scale: NoiseScale, rng: np.random.Generator) -> NoiseVector:
-    """One perturbation: radius first, then direction, from the same stream."""
-    radii, directions = _noise_rows(scale.dimension, np.array([scale.epsilon]), [rng])
-    return NoiseVector(components=radii[0] * directions[0], radius=float(radii[0]))
-
-
 def sample_noise_batch(scale: NoiseScale, rng: np.random.Generator, size: int) -> np.ndarray:
     """(size, n) array of independent perturbations; used by diagnostics."""
     radii = sample_radius(scale, rng, size=size)
@@ -179,7 +151,7 @@ def sanitize_rows(
     vectors: np.ndarray, epsilons: np.ndarray, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
     """Row i of the (U, n) ``vectors`` plus one noise draw at ``epsilons[i]``
-    from ``rngs[i]``; row i equals ``sanitize`` of that row alone."""
+    from ``rngs[i]``; row i equals the release of that row stacked alone."""
     vectors = np.asarray(vectors, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
     if vectors.ndim != 2 or not len(vectors) == len(epsilons) == len(rngs):
@@ -189,14 +161,6 @@ def sanitize_rows(
         raise ValueError(f"epsilon must be positive and finite, got {float(epsilons[bad][0])!r}")
     radii, directions = _noise_rows(vectors.shape[1], epsilons, rngs)
     return vectors + radii[:, None] * directions
-
-
-def sanitize(vector: np.ndarray, scale: NoiseScale, rng: np.random.Generator) -> np.ndarray:
-    """Return ``vector`` plus one noise draw; the one-row case of ``sanitize_rows``."""
-    vector = _check_dimension(vector, scale, "vector")
-    if vector.ndim != 1:
-        raise ValueError("sanitize expects a single flat vector")
-    return sanitize_rows(vector[None], np.array([scale.epsilon]), [rng])[0]
 
 
 def moment_report(

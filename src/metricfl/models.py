@@ -30,7 +30,6 @@ __all__ = [
     "loss_matrix",
     "client_losses",
     "gradient",
-    "local_update",
     "local_updates",
 ]
 
@@ -297,7 +296,9 @@ def loss_matrix(spec: ModelSpec, hypotheses: np.ndarray, batches: Sequence[Batch
 def client_losses(spec: ModelSpec, params: np.ndarray, batches: Sequence[Batch]) -> np.ndarray:
     """Loss of ``params[i]`` on ``batches[i]`` for each i, from one forward
     pass: the batches are stacked, padded to the largest one, each under its
-    own vector."""
+    own vector.  A padded sum may round differently from the batch's own,
+    so on ragged batches an entry can move in the last ulp with the others.
+    """
     stack = _check_stack(spec, params, "params")
     if len(batches) != len(stack):
         raise ValueError("need one batch per parameter vector")
@@ -355,9 +356,9 @@ def local_updates(
     copies of the client's first row.  A padded row, and a step past a
     client's last block, leave that client's vector exactly as it was.
     Blocks are ``batch_size`` rows wide whatever the stack, and no operation
-    mixes clients, so row i is bit-identical to ``local_update`` on client i
-    alone; the price is that a ``batch_size`` above the largest dataset
-    computes padding rows.
+    mixes clients, so row i is bit-identical to a stack of client i alone;
+    the price is that a ``batch_size`` above the largest dataset computes
+    padding rows.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -386,25 +387,3 @@ def local_updates(
             stepped = stack - step_size * _backward(spec, stack, inputs, d_out)
             stack = np.where(moving[:, None], stepped, stack)
     return stack
-
-
-def local_update(
-    spec: ModelSpec,
-    params: np.ndarray,
-    dataset: Batch,
-    step_size: float,
-    epochs: int,
-    batch_size: int,
-    objective: str,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Mini-batch SGD on the RMSE over the local dataset; the input vector is
-    untouched.  ``objective`` must be "rmse".
-
-    Each epoch reshuffles with the caller's stream and walks batches of
-    ``batch_size`` rows (the last one may be smaller).  This is the
-    one-client case of ``local_updates``.
-    """
-    _require_rmse(objective)
-    params = _check_params(spec, params)
-    return local_updates(spec, params[None], [dataset], step_size, epochs, batch_size, [rng])[0]

@@ -192,13 +192,12 @@ class TestSummary:
             "b", round=0, epsilon=4.0, radius=0.1, cluster_id=1, leakage=0.4
         )
         summary = ledger_summary(ledger)
-        assert summary.per_cluster[0].maximum == pytest.approx(1.2, abs=1e-12)
-        assert summary.per_cluster[1].maximum == pytest.approx(0.4, abs=1e-12)
+        assert summary.max_trajectory[0] == pytest.approx([0.4, 0.8, 1.2], abs=1e-12)
+        assert summary.max_trajectory[1] == pytest.approx([0.4, 0.4, 0.4], abs=1e-12)
 
     def test_empty_summary(self):
         summary = ledger_summary(PrivacyLedger())
         assert summary.overall is None
-        assert summary.per_cluster == {}
         assert summary.max_trajectory == {}
 
     def test_trajectory_is_nondecreasing_with_plateaus(self):
@@ -235,8 +234,6 @@ class TestSummary:
         assert summary.max_trajectory[1] == pytest.approx([0.0, 0.0, 1.2, 1.6])
         # no client ends in cluster 2, yet its releases are still plotted
         assert summary.max_trajectory[2] == pytest.approx([0.4, 0.4, 0.4, 0.4])
-        assert set(summary.per_cluster) == {1}
-        assert summary.per_cluster[1].maximum == pytest.approx(1.6)
 
 
 class TestCsvExport:

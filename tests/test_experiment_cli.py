@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +26,7 @@ from metricfl.experiment import (
 from metricfl.rng import substream
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_synthetic_config(tmp_path, **overrides):
@@ -111,6 +115,10 @@ class TestLoadConfig:
             ({"federation.validation_patience": 0}, "federation.validation_patience"),
             ({"federation.budget_cap": -1.0}, "federation.budget_cap"),
             ({"federation.budget_cap": 1.0, "sweep.nu": [0.0, 5.0]}, "federation.budget_cap"),
+            # values that would share a run directory
+            ({"sweep.nu": [1.0, 1.0000001]}, "sweep.nu: 1.0 and 1.0000001"),
+            ({"sweep.k": [2, 1, 2]}, "sweep.k: 2 and 2"),
+            ({"sweep.seeds": [0, 0]}, "sweep.seeds: 0 and 0"),
         ],
     )
     def test_errors_carry_field_paths(self, tmp_path, override, needle):
@@ -379,6 +387,63 @@ def test_golden_digests(tmp_path):
     assert digests == GOLDEN
 
 
+# The same pin for the MLP path: the shipped 3-2-1 network on the shipped
+# provider table (four rows per client) with k = 5, 8 rounds without early stop.
+GOLDEN_MLP = {
+    "0_5_0/metrics.csv": "d2e7f123a205ee56da0b76ac45e283cef902cf6fba34e8fe42367a6c7a3d2f3f",
+    "0_5_0/ledger.csv": "530c0f37687d6ac285702427d8b3b741d5baa6bd58a811688bb71605dbd52bc9",
+    "0_5_0/hypotheses_final.txt": (
+        "5ac2a8e34740653231b03e4d20f78aa512a0a56383148c222340b0b4d7cc76d3"
+    ),
+    "3_5_0/metrics.csv": "d5c1ca90052601df91fa1e768a2349325d13ffe7863050fce3fcda41c66714bc",
+    "3_5_0/ledger.csv": "1463764f39eadfc7cc341860bb9163737d0c0c86d1f7f04b9fb07f99dc8994c7",
+    "3_5_0/hypotheses_final.txt": (
+        "1fa78a440b6eca59e2fa91ef43a7cd7cce2f2bf17c87078b92adcc4309435b1e"
+    ),
+}
+
+
+def test_golden_digests_mlp(tmp_path):
+    doc = {
+        "experiment": "tabular",
+        "name": "golden_mlp",
+        "federation": {"T": 8, "U": 15, "E": 2, "s": 0.05, "B_s": 4,
+                       "validation_every": 1, "validation_patience": 8},
+        "model": {"kind": "mlp", "input_dim": 3, "hidden": [2]},
+        "data": {"path": str(CONFIG_DIR / "fixture.csv"),
+                 "scales": {"service_id": 1.0, "longitude": 100.0, "latitude": 100.0,
+                            "payment": 40.0},
+                 "validation_fraction": 0.3},
+        "sweep": {"nu": [0.0, 3.0], "k": [5], "seeds": [0]},
+    }
+    path = tmp_path / "golden_mlp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    exp_dir = run_sweep(load_config(path), tmp_path / "out")
+    digests = {
+        name: hashlib.sha256((exp_dir / name).read_bytes()).hexdigest() for name in GOLDEN_MLP
+    }
+    assert digests == GOLDEN_MLP
+
+
+def test_import_and_config_load_leave_heavy_modules_unloaded():
+    # perfbench's setup_s times exactly this path; numpy.random, numpy.ma and
+    # scipy would add to it on every run, so nothing on it may import them.
+    code = "\n".join([
+        "import sys",
+        "import metricfl",
+        "from metricfl import cli",
+        "from metricfl.experiment import load_config",
+        f"load_config({str(CONFIG_DIR / 'tabular.yaml')!r})",
+        "print(sorted(m for m in ('numpy.random', 'numpy.ma', 'scipy') if m in sys.modules))",
+    ])
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.stdout.strip() == "[]"
+
+
 class TestCli:
     def test_run_exit_codes(self, tmp_path, capsys):
         good = small_synthetic_config(tmp_path)
@@ -401,6 +466,13 @@ class TestCli:
             fh.write("p9,1,not-a-number,30.0,2.5\n")
         assert main(["run", "--config", str(runtime), "--out", str(tmp_path / "out4")]) == 2
         assert "non-numeric" in capsys.readouterr().err
+
+    def test_colliding_sweep_values_leave_no_tree(self, tmp_path, capsys):
+        path = small_synthetic_config(tmp_path, **{"sweep.nu": [1.0, 1.0000001]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert "sweep.nu" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tabular_U_above_training_clients_leaves_no_tree(self, tmp_path, capsys):
         path = small_tabular_config(tmp_path, U=4)

@@ -10,17 +10,15 @@ import pytest
 import metricfl.federation as federation
 from metricfl.data import generate_synthetic, split_population
 from metricfl.federation import (
-    ClientStepResult,
     FederationConfig,
     HypothesisSet,
-    client_step,
     run_experiment,
     server_round,
 )
 from metricfl.accounting import LeakageEvent, PrivacyLedger
-from metricfl.mechanism import NoiseScale, sample_noise
-from metricfl.models import Batch, ModelSpec, gradient, local_update, loss, n_params
+from metricfl.models import Batch, ModelSpec, gradient, local_updates, loss, n_params
 from metricfl.rng import RoundStreams, substream
+from test_mechanism import reference_sanitize
 
 LINEAR = ModelSpec("linear", input_dim=2)
 
@@ -47,6 +45,11 @@ def split_views(seed=0, n_clients=30):
     return train.federation_view(), val.federation_view()
 
 
+def streams_for(config, indices):
+    """The run's stream table for clients at the positions in ``indices``."""
+    return RoundStreams(config.master_seed, max(indices.values()) + 1, config.T)
+
+
 def round_assignment(ledger, t):
     """Sampled client -> server-side cluster, read from the round-t ledger events."""
     return {cid: event.cluster_id for cid, event, _ in ledger.iter_rows() if event.round == t}
@@ -57,40 +60,49 @@ class TestClientStep:
         dataset = make_dataset()
         hyps = HypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
         config = make_config(nu=0.0)
-        result = client_step(LINEAR, dataset, hyps, config, substream(0, "client", 0, 0))
-        received = hyps.vectors[result.chosen]
+        rngs = [substream(0, "client", 0, 0)]
+        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        received = hyps.vectors[result.chosen[0]]
         expected = received - 0.1 * gradient(LINEAR, received, dataset, "rmse")
-        assert result.sanitized == pytest.approx(expected, rel=1e-12)
+        assert result.sanitized[0] == pytest.approx(expected, rel=1e-12)
         assert math.isinf(result.leakage)
-        assert math.isinf(result.epsilon)
+        assert math.isinf(result.epsilon[0])
 
     def test_leakage_is_dimension_over_multiplier(self):
         dataset = make_dataset()
         hyps = HypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        result = client_step(LINEAR, dataset, hyps, make_config(nu=5.0), substream(0, "client", 0, 0))
+        config = make_config(nu=5.0)
+        rngs = [substream(0, "client", 0, 0)]
+        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
         assert result.leakage == 2 / 5.0
-        assert result.epsilon * result.radius == pytest.approx(0.4, rel=1e-12)
+        assert result.epsilon[0] * result.radius[0] == pytest.approx(0.4, rel=1e-12)
 
     def test_argmin_hypothesis_selection(self):
         dataset = make_dataset(theta=(5.0, 6.0))
         good = np.array([5.0, 6.0])
         bad = np.array([-5.0, 0.0])
         hyps = HypothesisSet(np.stack([bad, good]))
-        result = client_step(LINEAR, dataset, hyps, make_config(nu=0.0), substream(0, "client", 0, 0))
-        assert result.chosen == 1
+        config = make_config(nu=0.0)
+        rngs = [substream(0, "client", 0, 0)]
+        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        assert result.chosen[0] == 1
 
     def test_selection_tie_breaks_to_lowest_index(self):
         dataset = make_dataset()
         same = np.array([1.0, 1.0])
         hyps = HypothesisSet(np.stack([same, same]))
-        result = client_step(LINEAR, dataset, hyps, make_config(nu=0.0), substream(0, "client", 0, 0))
-        assert result.chosen == 0
+        config = make_config(nu=0.0)
+        rngs = [substream(0, "client", 0, 0)]
+        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        assert result.chosen[0] == 0
 
     def test_empty_dataset_rejected(self):
         hyps = HypothesisSet(np.zeros((1, 2)))
         empty = Batch(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
-            client_step(LINEAR, empty, hyps, make_config(k=1), substream(0, "client", 0, 0))
+            config = make_config(k=1)
+            rngs = [substream(0, "client", 0, 0)]
+            federation._client_steps(LINEAR, [empty], hyps, config, rngs)
 
     def test_zero_norm_update_uses_radius_floor(self):
         # perfect fit: zero residual, zero gradient, zero update
@@ -99,8 +111,10 @@ class TestClientStep:
         x = gen.standard_normal((5, 2))
         dataset = Batch(x, x @ theta)
         hyps = HypothesisSet(theta[None, :].copy())
-        result = client_step(LINEAR, dataset, hyps, make_config(k=1, nu=5.0), substream(0, "client", 0, 0))
-        assert result.radius == 1e-9
+        config = make_config(k=1, nu=5.0)
+        rngs = [substream(0, "client", 0, 0)]
+        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        assert result.radius[0] == 1e-9
         assert result.leakage == 2 / 5.0
 
 
@@ -110,11 +124,12 @@ class TestServerRound:
         config = make_config(k=1, U=1, nu=5.0)
         hyps = HypothesisSet(np.array([[0.0, 0.0]]))
         ledger = PrivacyLedger()
-        new_hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, 0, {0: 0})
-        step = client_step(
-            LINEAR, clients[0], hyps, config, substream(0, "client", 0, 0)
+        new_hyps, _ = server_round(
+            clients, hyps, LINEAR, config, ledger, 0, {0: 0}, streams_for(config, {0: 0})
         )
-        assert new_hyps.vectors[0] == pytest.approx(step.sanitized, rel=1e-12)
+        rngs = [substream(0, "client", 0, 0)]
+        step = federation._client_steps(LINEAR, [clients[0]], hyps, config, rngs)
+        assert new_hyps.vectors[0] == pytest.approx(step.sanitized[0], rel=1e-12)
         assert round_assignment(ledger, 0) == {0: 0}
 
     def test_identical_vectors_average_to_themselves(self):
@@ -122,11 +137,13 @@ class TestServerRound:
         clients = {i: dataset for i in range(4)}
         config = make_config(k=1, U=4, nu=0.0)
         hyps = HypothesisSet(np.array([[1.0, -1.0]]))
+        indices = {i: i for i in range(4)}
         new_hyps, _ = server_round(
-            clients, hyps, LINEAR, config, PrivacyLedger(), 0, {i: i for i in range(4)}
+            clients, hyps, LINEAR, config, PrivacyLedger(), 0, indices, streams_for(config, indices)
         )
-        expected = client_step(LINEAR, dataset, hyps, config, substream(0, "client", 0, 0))
-        assert new_hyps.vectors[0] == pytest.approx(expected.sanitized, rel=1e-12)
+        rngs = [substream(0, "client", 0, 0)]
+        expected = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        assert new_hyps.vectors[0] == pytest.approx(expected.sanitized[0], rel=1e-12)
 
     def test_unsanitized_round_averages_per_cluster(self):
         # two well-separated groups; with nu=0 the new hypotheses must equal
@@ -139,12 +156,15 @@ class TestServerRound:
         config = make_config(k=2, U=6, nu=0.0)
         hyps = HypothesisSet(np.array([[5.0, 6.0], [4.0, -4.5]]))
         ledger = PrivacyLedger()
+        indices = {i: i for i in range(6)}
         new_hyps, _ = server_round(
-            clients, hyps, LINEAR, config, ledger, 0, {i: i for i in range(6)}
+            clients, hyps, LINEAR, config, ledger, 0, indices, streams_for(config, indices)
         )
         assignment = round_assignment(ledger, 0)
         outputs = {
-            cid: client_step(LINEAR, clients[cid], hyps, config, substream(0, "client", cid, 0)).sanitized
+            cid: federation._client_steps(
+                LINEAR, [clients[cid]], hyps, config, [substream(0, "client", cid, 0)]
+            ).sanitized[0]
             for cid in assignment
         }
         for j in range(2):
@@ -159,8 +179,9 @@ class TestServerRound:
         hyps = HypothesisSet(np.zeros((2, 2)))
         ledger = PrivacyLedger()
         indices = {cid: i for i, cid in enumerate(sorted(clients))}
+        streams = streams_for(config, indices)
         for t in range(3):
-            hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, t, indices)
+            hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, t, indices, streams)
             sampled = round_assignment(ledger, t)
             assert len(sampled) == 5
             for cid in sampled:
@@ -173,7 +194,8 @@ class TestServerRound:
         hyps = HypothesisSet(np.zeros((2, 2)))
         indices = {cid: i for i, cid in enumerate(sorted(clients))}
         ledger = PrivacyLedger()
-        server_round(clients, hyps, LINEAR, config, ledger, 0, indices)
+        streams = streams_for(config, indices)
+        server_round(clients, hyps, LINEAR, config, ledger, 0, indices, streams)
         assert len(round_assignment(ledger, 0)) == 7
         assert len(ledger) == 7
 
@@ -187,16 +209,17 @@ class TestServerRound:
         hyps = HypothesisSet(np.full((1, n_params(spec)), 0.3))
         ledger = PrivacyLedger()
         indices = {cid: cid for cid in clients}
-        new_hyps, _ = server_round(clients, hyps, spec, config, ledger, 0, indices)
+        new_hyps, _ = server_round(
+            clients, hyps, spec, config, ledger, 0, indices, streams_for(config, indices)
+        )
         events = {cid: event for cid, event, _ in ledger.iter_rows() if event.round == 0}
         assert len(events) == 3
         releases = []
         for cid in sorted(events):
             rng = substream(0, "client", indices[cid], 0)
-            updated = local_update(spec, hyps.vectors[0], clients[cid], 0.1, 2, 4, "rmse", rng)
+            updated = local_updates(spec, hyps.vectors, [clients[cid]], 0.1, 2, 4, [rng])[0]
             assert events[cid].radius == float(np.linalg.norm(updated - hyps.vectors[0]))
-            noise = sample_noise(NoiseScale(events[cid].epsilon, n_params(spec)), rng)
-            releases.append(updated + noise.components)
+            releases.append(reference_sanitize(updated, events[cid].epsilon, rng))
         assert np.array_equal(new_hyps.vectors[0], np.mean(releases, axis=0))
 
     @pytest.mark.parametrize("nu", [0.0, 5.0])
@@ -208,19 +231,21 @@ class TestServerRound:
         rngs = [substream(0, "client", i, 2) for i in range(6)]
         stacked = federation._client_steps(spec, datasets, hyps, config, rngs)
         for i, dataset in enumerate(datasets):
-            solo = client_step(spec, dataset, hyps, config, substream(0, "client", i, 2))
-            assert solo.chosen == stacked.chosen[i]
-            assert np.array_equal(solo.sanitized, stacked.sanitized[i])
-            assert solo.epsilon == stacked.epsilon[i]
-            assert solo.radius == stacked.radius[i]
+            solo = federation._client_steps(
+                spec, [dataset], hyps, config, [substream(0, "client", i, 2)]
+            )
+            assert solo.chosen[0] == stacked.chosen[i]
+            assert np.array_equal(solo.sanitized[0], stacked.sanitized[i])
+            assert solo.epsilon[0] == stacked.epsilon[i]
+            assert solo.radius[0] == stacked.radius[i]
             assert solo.leakage == stacked.leakage
             # The stacked training loss sums zero-padded rows: last-ulp only.
-            assert solo.train_loss == pytest.approx(stacked.train_loss[i], rel=1e-12)
-            update = local_update(
-                spec, hyps.vectors[solo.chosen], dataset, 0.1, 2, 4, "rmse",
-                substream(0, "client", i, 2),
-            )
-            assert solo.radius == float(np.linalg.norm(update - hyps.vectors[solo.chosen]))
+            assert solo.train_loss[0] == pytest.approx(stacked.train_loss[i], rel=1e-12)
+            received = hyps.vectors[solo.chosen]
+            update = local_updates(
+                spec, received, [dataset], 0.1, 2, 4, [substream(0, "client", i, 2)]
+            )[0]
+            assert solo.radius[0] == float(np.linalg.norm(update - received[0]))
 
     def test_a_round_builds_no_seed_sequence(self, monkeypatch):
         train, _ = split_views(n_clients=30)
@@ -250,8 +275,9 @@ class TestServerRound:
         clients = {0: make_dataset()}
         config = make_config(U=2)
         hyps = HypothesisSet(np.zeros((2, 2)))
+        streams = streams_for(config, {0: 0})
         with pytest.raises(RuntimeError):
-            server_round(clients, hyps, LINEAR, config, PrivacyLedger(), 0, {0: 0})
+            server_round(clients, hyps, LINEAR, config, PrivacyLedger(), 0, {0: 0}, streams)
 
 
 class TestInformationHygiene:
@@ -263,17 +289,22 @@ class TestInformationHygiene:
         hyps = HypothesisSet(np.zeros((2, 2)))
         indices = {cid: i for i, cid in enumerate(sorted(clients))}
         ledger = PrivacyLedger()
-        returned = server_round(clients, hyps, LINEAR, config, ledger, 0, indices)
+        returned = server_round(
+            clients, hyps, LINEAR, config, ledger, 0, indices, streams_for(config, indices)
+        )
         assert len(returned) == 2
         new_hyps, mean_train_loss = returned
         assert isinstance(new_hyps, HypothesisSet)
         assert new_hyps.round_index == 1
         assert type(mean_train_loss) is float
         steps = [
-            client_step(LINEAR, clients[cid], hyps, config, substream(0, "client", indices[cid], 0))
+            federation._client_steps(
+                LINEAR, [clients[cid]], hyps, config, [substream(0, "client", indices[cid], 0)]
+            )
             for cid in round_assignment(ledger, 0)
         ]
-        assert mean_train_loss == pytest.approx(np.mean([s.train_loss for s in steps]), rel=1e-12)
+        solo_mean = np.mean([s.train_loss[0] for s in steps])
+        assert mean_train_loss == pytest.approx(solo_mean, rel=1e-12)
         assert {f.name for f in dataclasses.fields(LeakageEvent)} == {
             "round",
             "epsilon",
@@ -283,7 +314,7 @@ class TestInformationHygiene:
         }
 
     def test_client_result_has_no_raw_update(self):
-        fields = {f.name for f in dataclasses.fields(ClientStepResult)}
+        fields = {f.name for f in dataclasses.fields(federation._ClientSteps)}
         assert "delta" not in fields
         assert fields == {"chosen", "sanitized", "epsilon", "radius", "leakage", "train_loss"}
 
@@ -370,13 +401,14 @@ class TestReproducibilityAndReduction:
         indices = {cid: i for i, cid in enumerate(sorted(train))}
         hyps = HypothesisSet(np.zeros((1, 2)))
         ledger = PrivacyLedger()
+        streams = streams_for(config, indices)
         for t in range(3):
-            new_hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices)
+            new_hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices, streams)
             manual = []
             for cid in round_assignment(ledger, t):
                 rng = substream(config.master_seed, "client", indices[cid], t)
                 manual.append(
-                    local_update(LINEAR, hyps.vectors[0], train[cid], 0.1, 1, 10, "rmse", rng)
+                    local_updates(LINEAR, hyps.vectors, [train[cid]], 0.1, 1, 10, [rng])[0]
                 )
             assert new_hyps.vectors[0] == pytest.approx(np.mean(manual, axis=0), rel=1e-12)
             hyps = new_hyps
@@ -390,15 +422,16 @@ class TestBudgetCap:
         indices = {cid: i for i, cid in enumerate(sorted(train))}
         hyps = HypothesisSet(np.zeros((2, 2)))
         ledger = PrivacyLedger()
+        streams = streams_for(config, indices)
         seen = set()
         for t in range(3):
-            hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices)
+            hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices, streams)
             sampled = set(round_assignment(ledger, t))
             assert not (sampled & seen), "an exhausted client was resampled"
             seen |= sampled
         # all 9 clients used up: a fourth round cannot field U=3
         with pytest.raises(RuntimeError):
-            server_round(train, hyps, LINEAR, config, ledger, 3, indices)
+            server_round(train, hyps, LINEAR, config, ledger, 3, indices, streams)
 
     def test_cap_admits_every_release_it_covers(self):
         # per-release cost 2/20 = 0.1; three releases sum to 0.30000000000000004
@@ -408,11 +441,12 @@ class TestBudgetCap:
         indices = {i: i for i in range(3)}
         hyps = HypothesisSet(np.zeros((1, 2)))
         ledger = PrivacyLedger()
+        streams = streams_for(config, indices)
         for t in range(3):
-            hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, t, indices)
+            hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, t, indices, streams)
         assert all(len(ledger.events(cid)) == 3 for cid in clients)
         with pytest.raises(RuntimeError):
-            server_round(clients, hyps, LINEAR, config, ledger, 3, indices)
+            server_round(clients, hyps, LINEAR, config, ledger, 3, indices, streams)
 
     def test_exhausted_budget_ends_training(self, monkeypatch):
         # 9 training clients, U=3, one release each: three rounds, then the

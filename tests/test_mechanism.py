@@ -10,16 +10,11 @@ from hypothesis import strategies as st
 
 from metricfl.mechanism import (
     NoiseScale,
-    NoiseVector,
-    density,
     log_density,
     log_normalization_constant,
-    normalization_constant,
     sample_direction,
-    sample_noise,
     sample_noise_batch,
     sample_radius,
-    sanitize,
     sanitize_rows,
 )
 from metricfl.rng import substream
@@ -32,15 +27,17 @@ def rng(seed=0):
 class TestNormalizationConstant:
     def test_one_dimensional_matches_classic_laplace(self):
         # K = eps/2 in one dimension
-        assert normalization_constant(NoiseScale(2.0, 1)) == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(log_normalization_constant(NoiseScale(2.0, 1))) == pytest.approx(
+            1.0, rel=1e-12
+        )
 
     def test_two_dimensional_matches_planar_case(self):
-        assert normalization_constant(NoiseScale(1.0, 2)) == pytest.approx(
+        assert math.exp(log_normalization_constant(NoiseScale(1.0, 2))) == pytest.approx(
             1.0 / (2.0 * math.pi), rel=1e-12
         )
 
     def test_three_dimensional(self):
-        assert normalization_constant(NoiseScale(1.0, 3)) == pytest.approx(
+        assert math.exp(log_normalization_constant(NoiseScale(1.0, 3))) == pytest.approx(
             1.0 / (8.0 * math.pi), rel=1e-12
         )
 
@@ -63,27 +60,29 @@ class TestDensity:
         for eps, n in [(0.5, 1), (1.0, 2), (3.0, 4)]:
             scale = NoiseScale(eps, n)
             center = np.zeros(n)
-            assert density(center, center, scale) == pytest.approx(
-                normalization_constant(scale), rel=1e-12
+            assert log_density(center, center, scale) == pytest.approx(
+                log_normalization_constant(scale), rel=1e-12
             )
 
     def test_one_dimensional_point_density(self):
         scale = NoiseScale(2.0, 1)
-        assert density(np.array([1.0]), np.array([0.0]), scale) == pytest.approx(
+        assert math.exp(log_density(np.array([1.0]), np.array([0.0]), scale)) == pytest.approx(
             math.exp(-2.0), rel=1e-12
         )
 
     def test_log_and_linear_forms_agree(self):
+        # exp(log_density) is the linear density K * exp(-eps * d(point, center)).
         scale = NoiseScale(0.7, 3)
         point = np.array([1.0, -2.0, 0.5])
         center = np.array([0.3, 0.0, -1.0])
-        assert density(point, center, scale) == pytest.approx(
-            math.exp(log_density(point, center, scale)), rel=1e-12
+        linear = math.exp(log_normalization_constant(scale)) * math.exp(
+            -0.7 * float(np.linalg.norm(point - center))
         )
+        assert linear == pytest.approx(math.exp(log_density(point, center, scale)), rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            density(np.zeros(3), np.zeros(3), NoiseScale(1.0, 2))
+            log_density(np.zeros(3), np.zeros(3), NoiseScale(1.0, 2))
 
     def test_batched_points(self):
         scale = NoiseScale(1.0, 2)
@@ -160,12 +159,12 @@ class TestSampling:
         assert np.all(np.abs(second - 1 / 3) < 0.05 / 3)
 
     def test_noise_vector_radius_matches_norm(self):
+        # A release of the origin is the noise itself; its norm is the radius
+        # drawn first from the same stream.
         for seed in range(20):
-            noise = sample_noise(NoiseScale(0.8, 4), rng(seed))
-            assert isinstance(noise, NoiseVector)
-            assert noise.radius == pytest.approx(
-                float(np.linalg.norm(noise.components)), rel=1e-12
-            )
+            noise = sanitize_rows(np.zeros((1, 4)), np.array([0.8]), [rng(seed)])[0]
+            radius = rng(seed).standard_exponential(4).sum() / 0.8
+            assert radius == pytest.approx(float(np.linalg.norm(noise)), rel=1e-12)
 
     @pytest.mark.parametrize(
         "eps,n,expected",
@@ -187,10 +186,9 @@ class TestSampling:
 
 class TestSanitize:
     def test_vanishing_noise_at_huge_epsilon(self):
-        scale = NoiseScale(1e9, 2)
         vec = np.array([1.0, -2.0])
         for seed in range(100):
-            out = sanitize(vec, scale, rng(seed))
+            out = sanitize_rows(vec[None], np.array([1e9]), [rng(seed)])[0]
             assert np.linalg.norm(out - vec) < 1e-6
 
     def test_sanitize_is_unbiased(self):
@@ -202,7 +200,7 @@ class TestSanitize:
         assert np.all(np.abs(noise.mean(axis=0) - vec) < 3 * se)
 
     def test_displacement_follows_radius_law(self):
-        # ||sanitize(0) - 0|| should carry the gamma law's first two moments.
+        # The displacement of a release should carry the gamma law's first two moments.
         n_samples = 100_000
         eps, n = 2.0, 3
         gen = rng(9)
@@ -215,23 +213,24 @@ class TestSanitize:
         assert abs(displacements.var(ddof=1) - n / eps**2) < 3 * se_var
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            sanitize(np.zeros(3), NoiseScale(1.0, 2), rng())
+        # A single vector is not a (U, n) stack; it must be passed as one row.
+        with pytest.raises(ValueError, match="need a \\(U, n\\) stack"):
+            sanitize_rows(np.zeros(3), np.array([1.0]), [rng()])
 
 
 class TestDeterminism:
     def test_identical_seeds_give_identical_sequences(self):
-        scale = NoiseScale(0.9, 6)
-        a = [sample_noise(scale, substream(3, "client", 5, t)).components for t in range(4)]
-        b = [sample_noise(scale, substream(3, "client", 5, t)).components for t in range(4)]
+        zero, eps = np.zeros((1, 6)), np.array([0.9])
+        a = [sanitize_rows(zero, eps, [substream(3, "client", 5, t)]) for t in range(4)]
+        b = [sanitize_rows(zero, eps, [substream(3, "client", 5, t)]) for t in range(4)]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_streams_differ_across_clients_and_rounds(self):
-        scale = NoiseScale(0.9, 6)
-        base = sample_noise(scale, substream(3, "client", 5, 0)).components
-        other_client = sample_noise(scale, substream(3, "client", 6, 0)).components
-        other_round = sample_noise(scale, substream(3, "client", 5, 1)).components
+        zero, eps = np.zeros((1, 6)), np.array([0.9])
+        base = sanitize_rows(zero, eps, [substream(3, "client", 5, 0)])
+        other_client = sanitize_rows(zero, eps, [substream(3, "client", 6, 0)])
+        other_round = sanitize_rows(zero, eps, [substream(3, "client", 5, 1)])
         assert not np.array_equal(base, other_client)
         assert not np.array_equal(base, other_round)
 
@@ -291,8 +290,9 @@ class TestStackedRelease:
         for i in range(6):
             expected = reference_sanitize(vectors[i], epsilons[i], substream(n, "client", i, 0))
             assert np.array_equal(stacked[i], expected)
-            alone = sanitize(vectors[i], NoiseScale(epsilons[i], n), substream(n, "client", i, 0))
-            assert np.array_equal(stacked[i], alone)
+            stream = substream(n, "client", i, 0)
+            alone = sanitize_rows(vectors[i, None], epsilons[i, None], [stream])
+            assert np.array_equal(stacked[i], alone[0])
 
     def test_zero_direction_is_redrawn_from_the_rows_own_stream(self):
         vectors = np.arange(12.0).reshape(3, 4)
@@ -307,9 +307,8 @@ class TestStackedRelease:
         ]
         assert np.array_equal(stacked, np.stack(expected))
         assert np.all(np.isfinite(stacked))
-        assert np.array_equal(
-            sanitize(vectors[1], NoiseScale(1.0, 4), ZeroFirstNormal(2)), stacked[1]
-        )
+        alone = sanitize_rows(vectors[1, None], epsilons[1, None], [ZeroFirstNormal(2)])
+        assert np.array_equal(alone[0], stacked[1])
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_degenerate_epsilon(self, bad):

@@ -16,7 +16,6 @@ from metricfl.models import (
     client_losses,
     gradient,
     init_params,
-    local_update,
     local_updates,
     loss,
     loss_matrix,
@@ -253,17 +252,14 @@ class TestGradient:
         with pytest.raises(ValueError):
             gradient(ModelSpec("linear", input_dim=3), np.zeros(3), wrong, "rmse")
         with pytest.raises(ValueError):
-            local_update(SMALL_MLP, np.zeros(11), wrong, 0.1, 1, 2, "rmse", np.random.default_rng(0))
+            local_updates(SMALL_MLP, np.zeros((1, 11)), [wrong], 0.1, 1, 2, streams([0]))
 
     def test_only_rmse_is_accepted(self):
         batch = Batch(np.ones((3, 2)), np.ones(3))
-        gen = np.random.default_rng(0)
         with pytest.raises(ValueError, match="objective"):
             loss(LINEAR_2D, np.zeros(2), batch, "cross_entropy")
         with pytest.raises(ValueError, match="objective"):
             gradient(LINEAR_2D, np.zeros(2), batch, "cross_entropy")
-        with pytest.raises(ValueError, match="objective"):
-            local_update(LINEAR_2D, np.zeros(2), batch, 0.1, 1, 2, "cross_entropy", gen)
 
     def test_zero_residual_gives_zero_gradient(self):
         theta = np.array([1.0, 2.0])
@@ -281,53 +277,47 @@ class TestLocalUpdate:
 
     def test_zero_step_size_is_identity(self):
         dataset = self.make_dataset()
-        params = np.array([1.0, -1.0])
-        out = local_update(LINEAR_2D, params, dataset, 0.0, 3, 4, "rmse", np.random.default_rng(0))
+        params = np.array([[1.0, -1.0]])
+        out = local_updates(LINEAR_2D, params, [dataset], 0.0, 3, 4, streams([0]))
         assert np.array_equal(out, params)
 
     def test_input_vector_untouched(self):
         dataset = self.make_dataset()
-        params = np.array([1.0, -1.0])
-        local_update(LINEAR_2D, params, dataset, 0.1, 1, 10, "rmse", np.random.default_rng(0))
-        assert np.array_equal(params, np.array([1.0, -1.0]))
+        params = np.array([[1.0, -1.0]])
+        local_updates(LINEAR_2D, params, [dataset], 0.1, 1, 10, streams([0]))
+        assert np.array_equal(params, np.array([[1.0, -1.0]]))
 
     def test_single_full_batch_step(self):
         dataset = self.make_dataset()
-        params = np.array([0.5, 0.5])
-        out = local_update(
-            LINEAR_2D, params, dataset, 0.1, 1, len(dataset), "rmse", np.random.default_rng(0)
-        )
-        expected = params - 0.1 * gradient(LINEAR_2D, params, dataset, "rmse")
-        assert out == pytest.approx(expected, rel=1e-12)
+        params = np.array([[0.5, 0.5]])
+        out = local_updates(LINEAR_2D, params, [dataset], 0.1, 1, len(dataset), streams([0]))
+        expected = params[0] - 0.1 * gradient(LINEAR_2D, params[0], dataset, "rmse")
+        assert out[0] == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_given_seed(self):
         dataset = self.make_dataset()
         runs = [
-            local_update(
-                LINEAR_2D, np.zeros(2), dataset, 0.1, 5, 3, "rmse", np.random.default_rng(77)
-            )
+            local_updates(LINEAR_2D, np.zeros((1, 2)), [dataset], 0.1, 5, 3, streams([77]))
             for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
 
     def test_batch_size_validated(self):
+        dataset = self.make_dataset()
         with pytest.raises(ValueError):
-            local_update(
-                LINEAR_2D, np.zeros(2), self.make_dataset(), 0.1, 1, 0, "rmse",
-                np.random.default_rng(0),
-            )
+            local_updates(LINEAR_2D, np.zeros((1, 2)), [dataset], 0.1, 1, 0, streams([0]))
 
     def test_converges_to_least_squares_solution(self):
         # Repeated full-batch steps must approach the closed-form minimizer
         # of this dataset, which itself sits close to the generating vector.
         dataset = self.make_dataset(seed=8, m=50)
         solution, *_ = np.linalg.lstsq(dataset.x, np.asarray(dataset.y, dtype=float), rcond=None)
-        params = np.zeros(2)
+        params = np.zeros((1, 2))
         gen = np.random.default_rng(0)
         for _ in range(300):
-            params = local_update(LINEAR_2D, params, dataset, 0.1, 1, len(dataset), "rmse", gen)
+            params = local_updates(LINEAR_2D, params, [dataset], 0.1, 1, len(dataset), [gen])
         assert np.linalg.norm(solution - np.array([5.0, 6.0])) < 0.45
-        assert np.linalg.norm(params - np.array([5.0, 6.0])) < 0.5
+        assert np.linalg.norm(params[0] - np.array([5.0, 6.0])) < 0.5
 
 
 class TestInitParams:
@@ -362,7 +352,7 @@ def streams(seeds):
 
 def solo_runs(spec, params, datasets, step, epochs, batch_size, seeds):
     return [
-        local_update(spec, p, d, step, epochs, batch_size, "rmse", np.random.default_rng(seed))
+        local_updates(spec, p[None], [d], step, epochs, batch_size, streams([seed]))[0]
         for p, d, seed in zip(params, datasets, seeds)
     ]
 
