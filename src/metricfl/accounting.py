@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "RADIUS_FLOOR",
-    "DegenerateUpdateError",
     "heuristic_epsilon",
     "heuristic_epsilons",
     "LeakageEvent",
@@ -32,7 +31,6 @@ __all__ = [
     "ledger_summary",
     "max_leakage_series",
     "write_ledger_csv",
-    "write_budget_table",
 ]
 
 # Substituted for a zero update norm: the guarantee is stated for the ball of
@@ -40,10 +38,6 @@ __all__ = [
 RADIUS_FLOOR = 1e-9
 
 _REL_TOL = 1e-12
-
-
-class DegenerateUpdateError(ValueError):
-    """The client update has zero norm; callers substitute RADIUS_FLOOR."""
 
 
 def heuristic_epsilons(
@@ -60,7 +54,7 @@ def heuristic_epsilons(
     if np.any(update_norms < 0):
         raise ValueError("update_norm must be nonnegative")
     if np.any(update_norms == 0):
-        raise DegenerateUpdateError("zero-norm update: epsilon would be infinite")
+        raise ValueError("zero-norm update: epsilon would be infinite")
     return dimension / (noise_multiplier * update_norms)
 
 
@@ -110,8 +104,6 @@ class PrivacyLedger:
         self._events: dict[Hashable, list[LeakageEvent]] = {}
         self._rounds: dict[Hashable, set[int]] = {}
         self._composed: dict[Hashable, float] = {}
-        # iter_rows' sorted rows, kept until the next record_participation.
-        self._rows: list[tuple[Hashable, LeakageEvent, float]] | None = None
 
     def record_participation(
         self,
@@ -139,7 +131,6 @@ class PrivacyLedger:
         self._events.setdefault(client_id, []).append(event)
         self._rounds.setdefault(client_id, set()).add(round)
         self._composed[client_id] = self._composed.get(client_id, 0.0) + event.leakage
-        self._rows = None
         return event
 
     def clients(self) -> list[Hashable]:
@@ -155,16 +146,16 @@ class PrivacyLedger:
         return sum(len(evs) for evs in self._events.values())
 
     def iter_rows(self) -> Iterator[tuple[Hashable, LeakageEvent, float]]:
-        """All events in (round, client_id) order with the running composed value."""
-        if self._rows is None:
-            flat = [(e.round, cid, e) for cid, evs in self._events.items() for e in evs]
-            flat.sort(key=lambda item: (item[0], item[1]))
-            running: dict[Hashable, float] = {}
-            self._rows = []
-            for _, cid, event in flat:
-                running[cid] = running.get(cid, 0.0) + event.leakage
-                self._rows.append((cid, event, running[cid]))
-        return iter(self._rows)
+        """All events in (round, client_id) order with the running composed value.
+
+        Each call sorts the events anew; nothing is cached between calls.
+        """
+        flat = [(e.round, cid, e) for cid, evs in self._events.items() for e in evs]
+        flat.sort(key=lambda item: (item[0], item[1]))
+        running: dict[Hashable, float] = {}
+        for _, cid, event in flat:
+            running[cid] = running.get(cid, 0.0) + event.leakage
+            yield cid, event, running[cid]
 
 
 @dataclass
@@ -247,13 +238,3 @@ def write_ledger_csv(ledger: PrivacyLedger, path: str | Path) -> None:
                 ]
             )
 
-
-def write_budget_table(
-    rows: list[tuple[float, int, float, float]], path: str | Path
-) -> None:
-    """Budget statistics per sweep cell: (noise_multiplier, hypotheses, median, max)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["noise_multiplier", "hypotheses", "median_budget", "max_budget"])
-        for nu, k, median_budget, max_budget in rows:
-            writer.writerow([_fmt(nu), k, _fmt(median_budget), _fmt(max_budget)])

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable
 
@@ -56,7 +56,6 @@ class Client:
 @dataclass
 class ClientPopulation:
     clients: list[Client]
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.clients)
@@ -80,7 +79,8 @@ def generate_synthetic(
     n_clients: int = 100,
     samples_per_client: int = 10,
     thetas: tuple = DEFAULT_THETAS,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> ClientPopulation:
     """Population of linear-regression clients split evenly over ``thetas``.
 
@@ -90,8 +90,6 @@ def generate_synthetic(
     """
     if n_clients < 1 or samples_per_client < 1:
         raise ValueError("n_clients and samples_per_client must be >= 1")
-    if rng is None:
-        raise ValueError("an rng must be provided")
     theta_matrix = np.asarray(thetas, dtype=float)
     if theta_matrix.ndim != 2:
         raise ValueError("thetas must be a sequence of equal-length vectors")
@@ -106,12 +104,7 @@ def generate_synthetic(
         u = rng.random(samples_per_client)
         y = x @ theta_matrix[labels[cid]] + u
         clients.append(Client(client_id=cid, data=Batch(x, y), true_cluster=int(labels[cid])))
-    metadata = {
-        "kind": "synthetic",
-        "thetas": theta_matrix.tolist(),
-        "samples_per_client": samples_per_client,
-    }
-    return ClientPopulation(clients=clients, metadata=metadata)
+    return ClientPopulation(clients=clients)
 
 
 @dataclass(frozen=True)
@@ -178,8 +171,7 @@ def ingest_csv(path: str | Path, scaling: FeatureScaling = FeatureScaling()) -> 
         )
         targets = records[:, 3] / scaling.payment
         clients.append(Client(client_id=provider, data=Batch(features, targets)))
-    metadata = {"kind": "tabular", "path": str(path), "n_rows": n_rows}
-    return ClientPopulation(clients=clients, metadata=metadata)
+    return ClientPopulation(clients=clients)
 
 
 def validation_size(n_clients: int, validation_fraction: float) -> int:
@@ -189,14 +181,12 @@ def validation_size(n_clients: int, validation_fraction: float) -> int:
 
 def split_population(
     population: ClientPopulation,
-    validation_fraction: float = 0.3,
-    rng: np.random.Generator | None = None,
+    validation_fraction: float,
+    rng: np.random.Generator,
 ) -> tuple[ClientPopulation, ClientPopulation]:
     """Disjoint, exhaustive shuffled split; sizes round toward validation."""
     if not 0 < validation_fraction < 1:
         raise ValueError("validation_fraction must be in (0, 1)")
-    if rng is None:
-        raise ValueError("an rng must be provided")
     n = len(population)
     n_val = validation_size(n, validation_fraction)
     if n_val == 0 or n_val == n:
@@ -204,10 +194,7 @@ def split_population(
     order = rng.permutation(n)
     val_clients = [population.clients[i] for i in sorted(order[:n_val])]
     train_clients = [population.clients[i] for i in sorted(order[n_val:])]
-    return (
-        ClientPopulation(train_clients, dict(population.metadata)),
-        ClientPopulation(val_clients, dict(population.metadata)),
-    )
+    return ClientPopulation(train_clients), ClientPopulation(val_clients)
 
 
 def write_fixture(

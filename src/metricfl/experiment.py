@@ -20,6 +20,7 @@ from __future__ import annotations
 import copy
 import csv
 import math
+import re
 import statistics
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -27,7 +28,7 @@ from typing import Any, Hashable, Mapping
 
 import yaml
 
-from .accounting import ledger_summary, write_budget_table, write_ledger_csv
+from .accounting import _fmt, ledger_summary, write_ledger_csv
 from .data import (
     DEFAULT_THETAS,
     ClientPopulation,
@@ -60,6 +61,9 @@ _FEDERATION_KINDS = {
     "validation_patience": int,
     "budget_cap": float,
 }
+
+# A float without a dot or a signed exponent ("5e-2", "1e3") is a string to PyYAML.
+_EXPONENT_FLOAT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 
 class ConfigError(ValueError):
@@ -98,10 +102,14 @@ class ExperimentConfig:
 
 
 def _coerce(value: Any, kind, where: str):
+    if kind is float and isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
+        value = float(value)
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite float, got {value!r}")
     return value
 
 
@@ -323,28 +331,20 @@ def _check_training_clients(U: int, n_clients: int, validation_fraction: float) 
         )
 
 
-def load_population(config: ExperimentConfig, seed: int) -> ClientPopulation:
-    """The population before the split: generated from ``seed`` for synthetic
-    data; for tabular data the ingested table, the same for every seed."""
+def build_population(
+    config: ExperimentConfig, seed: int, table: ClientPopulation | None
+) -> tuple[Mapping[Hashable, Batch], Mapping[Hashable, Batch]]:
+    """The training and validation views of ``seed``'s runs: ``table`` (the
+    ingested table; None for synthetic data, generated here from ``seed``),
+    split by ``seed``.  ``run_sweep`` calls this once per seed, not per cell."""
+    population = table
     if isinstance(config.data, SyntheticDataConfig):
-        return generate_synthetic(
+        population = generate_synthetic(
             n_clients=config.data.n_clients,
             samples_per_client=config.data.samples_per_client,
             thetas=config.data.thetas,
             rng=substream(seed, "data"),
         )
-    return ingest_csv(config.data.path, config.data.scales)
-
-
-def build_population(
-    config: ExperimentConfig, seed: int, population: ClientPopulation
-) -> tuple[Mapping[Hashable, Batch], Mapping[Hashable, Batch]]:
-    """Split ``load_population(config, seed)`` into the training and
-    validation views of one run.
-
-    Population and split depend only on the seed (not on nu or k), so sweep
-    cells sharing a seed train on identical data.
-    """
     train, val = split_population(
         population, config.data.validation_fraction, substream(seed, "split")
     )
@@ -375,12 +375,12 @@ def run_cell(
     k: int,
     seed: int,
     run_dir: Path,
-    population: ClientPopulation,
+    train: Mapping[Hashable, Batch],
+    val: Mapping[Hashable, Batch],
 ) -> CellRun:
-    """Execute one sweep cell on ``load_population(config, seed)`` and write
-    its artifacts."""
+    """Execute one sweep cell on ``build_population(config, seed, ...)``'s
+    views and write its artifacts."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    train, val = build_population(config, seed, population)
     fed_config = config.federation_config(nu=nu, k=k, seed=seed)
     result = run_experiment(train, val, config.model, fed_config)
 
@@ -411,11 +411,12 @@ def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
 
     Cells run seed by seed, so one population is held at a time: a table is
     ingested once per sweep, and checked against ``federation.U`` before
-    anything is written; synthetic data is generated once per seed.
+    anything is written; ``build_population`` generates (synthetic data) and
+    splits each seed's population once, before the seed's first cell.
     """
     table = None
     if not isinstance(config.data, SyntheticDataConfig):
-        table = load_population(config, config.seeds[0])
+        table = ingest_csv(config.data.path, config.data.scales)
         U = config.document["federation"]["U"]
         _check_training_clients(U, len(table), config.data.validation_fraction)
 
@@ -425,14 +426,14 @@ def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
 
     cells: list[CellRun] = []
     for seed in config.seeds:
-        population = table
+        views = None
         for nu in config.sweep_nu:
             for k in config.sweep_k:
                 run_dir = exp_dir / f"{format_value(nu)}_{k}_{seed}"
                 try:
-                    if population is None:
-                        population = load_population(config, seed)
-                    cells.append(run_cell(config, nu, k, seed, run_dir, population))
+                    if views is None:
+                        views = build_population(config, seed, table)
+                    cells.append(run_cell(config, nu, k, seed, run_dir, *views))
                 except Exception as exc:
                     raise RuntimeError(f"run {run_dir.name}: {exc}") from exc
 
@@ -459,12 +460,14 @@ def _write_summary(config: ExperimentConfig, cells: list[CellRun], path: Path) -
 
 
 def _write_budget_summary(config: ExperimentConfig, cells: list[CellRun], path: Path) -> None:
-    rows = []
-    for nu, k, group in _cell_groups(config, cells):
-        medians = [c.budget_median for c in group]
-        maxima = [c.budget_max for c in group]
-        rows.append((nu, k, _mean_or_inf(medians), _mean_or_inf(maxima)))
-    write_budget_table(rows, path)
+    # Unlike summary.csv, nu is written by _fmt (repr): 5.0, not 5.
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["noise_multiplier", "hypotheses", "median_budget", "max_budget"])
+        for nu, k, group in _cell_groups(config, cells):
+            medians = [c.budget_median for c in group]
+            maxima = [c.budget_max for c in group]
+            writer.writerow([_fmt(nu), k, _fmt(_mean_or_inf(medians)), _fmt(_mean_or_inf(maxima))])
 
 
 def _mean_or_inf(values: list[float]) -> float:

@@ -92,12 +92,12 @@ class FederationConfig:
             raise ValueError("U must be >= 1")
         if self.E < 1:
             raise ValueError("E must be >= 1")
-        if not self.s > 0:
-            raise ValueError("s must be positive")
+        if not 0 < self.s < math.inf:
+            raise ValueError("s must be positive and finite")
         if self.B_s < 1:
             raise ValueError("B_s must be >= 1")
-        if self.nu < 0:
-            raise ValueError("nu must be >= 0")
+        if not 0 <= self.nu < math.inf:
+            raise ValueError("nu must be >= 0 and finite")
         if self.validation_every < 1:
             raise ValueError("validation_every must be >= 1")
         if self.validation_patience < 1:
@@ -116,30 +116,20 @@ class HypothesisSet:
     """The k candidate parameter vectors at a given round."""
 
     vectors: np.ndarray  # (k, n)
-    round_index: int = 0
 
     def __post_init__(self) -> None:
         self.vectors = np.asarray(self.vectors, dtype=float)
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be a (k, n) array")
 
-    @property
-    def k(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def dimension(self) -> int:
-        return self.vectors.shape[1]
-
     def copy(self) -> "HypothesisSet":
-        return HypothesisSet(self.vectors.copy(), self.round_index)
+        return HypothesisSet(self.vectors.copy())
 
 
 @dataclass(frozen=True)
 class _ClientSteps:
     """The outcome of several clients' steps as columns, row i for client i."""
 
-    chosen: np.ndarray
     sanitized: np.ndarray
     epsilon: np.ndarray
     radius: np.ndarray
@@ -189,13 +179,13 @@ def _client_steps(
     update_norms = np.sqrt([d.dot(d) for d in updated - received])
     if config.nu == 0:
         infinite = np.full(len(rngs), math.inf)
-        return _ClientSteps(chosen, updated, infinite, update_norms, math.inf, train_losses)
+        return _ClientSteps(updated, infinite, update_norms, math.inf, train_losses)
     radii = np.where(update_norms > 0, update_norms, RADIUS_FLOOR)
     dim = n_params(spec)
     epsilons = heuristic_epsilons(radii, dim, config.nu)
     sanitized = sanitize_rows(updated, epsilons, rngs)
     # One division, not epsilon*radius: keeps the recorded cost exact.
-    return _ClientSteps(chosen, sanitized, epsilons, radii, dim / config.nu, train_losses)
+    return _ClientSteps(sanitized, epsilons, radii, dim / config.nu, train_losses)
 
 
 def _eligible_ids(
@@ -247,6 +237,7 @@ def server_round(
     released = steps.sanitized
     labels = kmeans_from_hypotheses(list(zip(sampled, released)), hypotheses.vectors).labels
 
+    # Labels, not k-means' centroids: a cluster Lloyd empties keeps a mean of releases it lost.
     new_vectors = hypotheses.vectors.copy()
     for j in range(config.k):
         members = labels == j
@@ -264,7 +255,7 @@ def server_round(
             leakage=steps.leakage,
         )
 
-    return HypothesisSet(new_vectors, round_index + 1), float(np.mean(steps.train_loss))
+    return HypothesisSet(new_vectors), float(np.mean(steps.train_loss))
 
 
 def _validation_loss(
@@ -301,7 +292,7 @@ def run_experiment(
 
     rng_hyp = substream(config.master_seed, "hypotheses")
     vectors = np.stack([init_params(spec, rng_hyp) for _ in range(config.k)])
-    hypotheses = HypothesisSet(vectors, 0)
+    hypotheses = HypothesisSet(vectors)
 
     ledger = PrivacyLedger()
     history: list[RoundMetrics] = []
@@ -389,6 +380,7 @@ def write_metrics_csv(
 def write_hypotheses(hypotheses: HypothesisSet, path: str | Path) -> None:
     """Flat text export: a `k=<k> n=<n>` header, then one vector per line."""
     with open(path, "w") as fh:
-        fh.write(f"k={hypotheses.k} n={hypotheses.dimension}\n")
+        k, n = hypotheses.vectors.shape
+        fh.write(f"k={k} n={n}\n")
         for vec in hypotheses.vectors:
             fh.write(" ".join(repr(float(v)) for v in vec) + "\n")

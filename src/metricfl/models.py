@@ -193,11 +193,8 @@ def _rows(spec: ModelSpec, batches: Sequence[Batch]) -> tuple[np.ndarray, np.nda
         raise ValueError("no batches")
     if min(sizes) == 0:
         raise ValueError("empty batch")
-    if len(batches) == 1:
-        x, y = batches[0].x, batches[0].y
-    else:
-        x = np.concatenate([batch.x for batch in batches])
-        y = np.concatenate([batch.y for batch in batches])
+    x = np.concatenate([batch.x for batch in batches])
+    y = np.concatenate([batch.y for batch in batches])
     _check_features(spec, x)
     return x, y, sizes
 

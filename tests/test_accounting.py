@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from metricfl.accounting import (
     RADIUS_FLOOR,
-    DegenerateUpdateError,
     LeakageEvent,
     PrivacyLedger,
     heuristic_epsilon,
@@ -41,7 +40,7 @@ class TestHeuristicEpsilon:
         assert eps * radius == pytest.approx(n / nu, rel=1e-9)
 
     def test_zero_norm_is_degenerate(self):
-        with pytest.raises(DegenerateUpdateError):
+        with pytest.raises(ValueError, match="zero-norm"):
             heuristic_epsilon(0.0, 2, 5.0)
         # The documented substitute keeps the nominal cost.
         eps = heuristic_epsilon(RADIUS_FLOOR, 2, 5.0)

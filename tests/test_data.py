@@ -5,6 +5,7 @@ import pytest
 
 from metricfl.data import (
     CSV_COLUMNS,
+    DEFAULT_THETAS,
     Client,
     FeatureScaling,
     generate_synthetic,
@@ -30,7 +31,7 @@ class TestGenerateSynthetic:
 
     def test_targets_carry_unit_uniform_noise(self):
         pop = generate_synthetic(rng=substream(2, "data"))
-        thetas = np.asarray(pop.metadata["thetas"])
+        thetas = np.asarray(DEFAULT_THETAS)
         for client in pop.clients:
             residual = client.data.y - client.data.x @ thetas[client.true_cluster]
             assert np.all(residual >= 0.0)
@@ -46,7 +47,7 @@ class TestGenerateSynthetic:
 
     def test_pooled_least_squares_recovers_generators(self):
         pop = generate_synthetic(rng=substream(4, "data"))
-        thetas = np.asarray(pop.metadata["thetas"])
+        thetas = np.asarray(DEFAULT_THETAS)
         for j in range(2):
             xs = np.vstack([c.data.x for c in pop.clients if c.true_cluster == j])
             ys = np.concatenate([c.data.y for c in pop.clients if c.true_cluster == j])

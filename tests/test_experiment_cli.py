@@ -119,6 +119,9 @@ class TestLoadConfig:
             ({"sweep.nu": [1.0, 1.0000001]}, "sweep.nu: 1.0 and 1.0000001"),
             ({"sweep.k": [2, 1, 2]}, "sweep.k: 2 and 2"),
             ({"sweep.seeds": [0, 0]}, "sweep.seeds: 0 and 0"),
+            # strings that are not an exponent float stay strings
+            ({"federation.s": "5e-"}, "federation.s: expected float"),
+            ({"federation.s": "inf"}, "federation.s: expected float"),
         ],
     )
     def test_errors_carry_field_paths(self, tmp_path, override, needle):
@@ -135,6 +138,25 @@ class TestLoadConfig:
         path = small_synthetic_config(tmp_path, model=model, objective=objective)
         with pytest.raises(ConfigError, match=r"objective.*model\.output_dim"):
             load_config(path)
+
+    def test_exponent_floats_are_accepted(self, tmp_path):
+        # PyYAML reads these plain scalars as strings: no dot, or an unsigned exponent.
+        assert yaml.safe_load("[5e-2, 1e3, 1.5e3]") == ["5e-2", "1e3", "1.5e3"]
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            "experiment: synthetic\n"
+            "federation: {T: 4, U: 3, E: 1, s: 5e-2, B_s: 10, budget_cap: 1e3}\n"
+            "model: {kind: linear, input_dim: 2}\n"
+            "data: {n_clients: 12, validation_fraction: 3E-1,\n"
+            "       thetas: [[5e0, 6.0], [4.0, -4.5e0]]}\n"
+            "sweep: {nu: [1e0, 5e-1, 1.5e3], k: [2], seeds: [0]}\n"
+        )
+        config = load_config(path)
+        federation = config.document["federation"]
+        assert (federation["s"], federation["budget_cap"]) == (0.05, 1000.0)
+        assert config.data.validation_fraction == 0.3
+        assert config.data.thetas == ((5.0, 6.0), (4.0, -4.5))
+        assert config.sweep_nu == (1.0, 0.5, 1500.0)
 
     def test_model_dimension_must_match_generators(self, tmp_path):
         path = small_synthetic_config(tmp_path, **{"model.input_dim": 3})
@@ -321,6 +343,27 @@ class TestRunSweep:
 
 
 class TestPopulations:
+    def test_shipped_tabular_sweep_splits_once_per_seed(self, tmp_path, monkeypatch):
+        splits, cells = [], []
+        real = experiment.split_population
+        monkeypatch.setattr(
+            experiment, "split_population", lambda *a: splits.append(a) or real(*a)
+        )
+
+        def run_cell(config, nu, k, seed, run_dir, train, val):
+            cells.append((seed, id(train), id(val)))
+            return experiment.CellRun(nu, k, seed, run_dir, 1.0, 0.0, 0.0)
+
+        monkeypatch.setattr(experiment, "run_cell", run_cell)
+        config = load_config(CONFIG_DIR / "tabular.yaml")
+        run_sweep(config, tmp_path / "out")
+        assert len(config.seeds) == len(splits) == 5
+        assert len(cells) == 20
+        # Every cell of a seed gets that seed's views, not a split of its own.
+        for seed in config.seeds:
+            views = [cell[1:] for cell in cells if cell[0] == seed]
+            assert len(views) == 4 and len(set(views)) == 1
+
     def test_a_table_is_ingested_once_per_sweep(self, tmp_path, monkeypatch):
         calls = []
         real = experiment.ingest_csv
@@ -473,6 +516,40 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert "sweep.nu" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "override,needle",
+        [
+            ({"sweep.nu": [0.0, math.inf]}, "sweep.nu[1]: expected a finite float, got inf"),
+            ({"sweep.nu": [math.nan]}, "sweep.nu[0]: expected a finite float, got nan"),
+            ({"federation.s": math.inf}, "federation.s: expected a finite float, got inf"),
+            ({"federation.budget_cap": math.inf}, "federation.budget_cap: expected a finite"),
+            ({"data.validation_fraction": math.nan}, "data.validation_fraction: expected a"),
+            ({"data.thetas": [[5.0, math.inf], [4.0, -4.5]]}, "data.thetas[0]: expected a finite"),
+        ],
+    )
+    def test_non_finite_floats_leave_no_tree(self, tmp_path, capsys, override, needle):
+        path = small_synthetic_config(tmp_path, **override)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exponent_step_runs_like_its_decimal(self, tmp_path):
+        trees = []
+        for label, spelled in (("decimal", "0.05"), ("exponent", "5e-2")):
+            (tmp_path / label).mkdir()
+            path = small_synthetic_config(tmp_path / label, **{"federation.s": 0.05})
+            text = path.read_text()
+            assert text.count("  s: 0.05\n") == 1
+            path.write_text(text.replace("  s: 0.05\n", f"  s: {spelled}\n"))
+            out = tmp_path / label / "out"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            exp_dir = out / "mini"
+            trees.append({p.relative_to(exp_dir): p.read_bytes()
+                          for p in sorted(exp_dir.rglob("*")) if p.is_file()})
+        assert len(trees[0]) == 8
+        assert trees[0] == trees[1]
 
     def test_tabular_U_above_training_clients_leaves_no_tree(self, tmp_path, capsys):
         path = small_tabular_config(tmp_path, U=4)

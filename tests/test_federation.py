@@ -16,6 +16,7 @@ from metricfl.federation import (
     server_round,
 )
 from metricfl.accounting import LeakageEvent, PrivacyLedger
+from metricfl.clustering import kmeans_from_hypotheses
 from metricfl.models import Batch, ModelSpec, gradient, local_updates, loss, n_params
 from metricfl.rng import RoundStreams, substream
 from test_mechanism import reference_sanitize
@@ -55,6 +56,20 @@ def round_assignment(ledger, t):
     return {cid: event.cluster_id for cid, event, _ in ledger.iter_rows() if event.round == t}
 
 
+def lowest_loss(spec, hyps, dataset):
+    """The hypothesis a client holding ``dataset`` selects, recomputed with ``loss``."""
+    return hyps.vectors[np.argmin([loss(spec, v, dataset, "rmse") for v in hyps.vectors])]
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "override", [{"nu": math.inf}, {"nu": math.nan}, {"s": math.inf}, {"s": math.nan}]
+    )
+    def test_non_finite_step_or_multiplier_rejected(self, override):
+        with pytest.raises(ValueError, match=f"{next(iter(override))} must be"):
+            make_config(**override)
+
+
 class TestClientStep:
     def test_unsanitized_step_is_exact_sgd(self):
         dataset = make_dataset()
@@ -62,7 +77,7 @@ class TestClientStep:
         config = make_config(nu=0.0)
         rngs = [substream(0, "client", 0, 0)]
         result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
-        received = hyps.vectors[result.chosen[0]]
+        received = lowest_loss(LINEAR, hyps, dataset)
         expected = received - 0.1 * gradient(LINEAR, received, dataset, "rmse")
         assert result.sanitized[0] == pytest.approx(expected, rel=1e-12)
         assert math.isinf(result.leakage)
@@ -78,6 +93,7 @@ class TestClientStep:
         assert result.epsilon[0] * result.radius[0] == pytest.approx(0.4, rel=1e-12)
 
     def test_argmin_hypothesis_selection(self):
+        # At nu = 0 the release is the SGD update of the chosen hypothesis.
         dataset = make_dataset(theta=(5.0, 6.0))
         good = np.array([5.0, 6.0])
         bad = np.array([-5.0, 0.0])
@@ -85,16 +101,25 @@ class TestClientStep:
         config = make_config(nu=0.0)
         rngs = [substream(0, "client", 0, 0)]
         result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
-        assert result.chosen[0] == 1
+        fresh = [substream(0, "client", 0, 0) for _ in range(2)]
+        trained = local_updates(LINEAR, hyps.vectors, [dataset] * 2, 0.1, 1, 10, fresh)
+        assert np.array_equal(result.sanitized[0], trained[1])
+        assert not np.array_equal(result.sanitized[0], trained[0])
 
     def test_selection_tie_breaks_to_lowest_index(self):
-        dataset = make_dataset()
-        same = np.array([1.0, 1.0])
-        hyps = HypothesisSet(np.stack([same, same]))
+        # theta and -theta fit zero targets equally well; the release is the
+        # update of hypothesis 0.
+        dataset = Batch(np.random.default_rng(0).standard_normal((10, 2)), np.zeros(10))
+        theta = np.array([1.0, 2.0])
+        hyps = HypothesisSet(np.stack([theta, -theta]))
+        assert loss(LINEAR, theta, dataset, "rmse") == loss(LINEAR, -theta, dataset, "rmse")
         config = make_config(nu=0.0)
         rngs = [substream(0, "client", 0, 0)]
         result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
-        assert result.chosen[0] == 0
+        fresh = [substream(0, "client", 0, 0) for _ in range(2)]
+        trained = local_updates(LINEAR, hyps.vectors, [dataset] * 2, 0.1, 1, 10, fresh)
+        assert np.array_equal(result.sanitized[0], trained[0])
+        assert not np.array_equal(result.sanitized[0], trained[1])
 
     def test_empty_dataset_rejected(self):
         hyps = HypothesisSet(np.zeros((1, 2)))
@@ -234,18 +259,19 @@ class TestServerRound:
             solo = federation._client_steps(
                 spec, [dataset], hyps, config, [substream(0, "client", i, 2)]
             )
-            assert solo.chosen[0] == stacked.chosen[i]
             assert np.array_equal(solo.sanitized[0], stacked.sanitized[i])
             assert solo.epsilon[0] == stacked.epsilon[i]
             assert solo.radius[0] == stacked.radius[i]
             assert solo.leakage == stacked.leakage
             # The stacked training loss sums zero-padded rows: last-ulp only.
             assert solo.train_loss[0] == pytest.approx(stacked.train_loss[i], rel=1e-12)
-            received = hyps.vectors[solo.chosen]
+            received = lowest_loss(spec, hyps, dataset)[None]
             update = local_updates(
                 spec, received, [dataset], 0.1, 2, 4, [substream(0, "client", i, 2)]
             )[0]
             assert solo.radius[0] == float(np.linalg.norm(update - received[0]))
+            if nu == 0:
+                assert np.array_equal(solo.sanitized[0], update)
 
     def test_a_round_builds_no_seed_sequence(self, monkeypatch):
         train, _ = split_views(n_clients=30)
@@ -271,6 +297,34 @@ class TestServerRound:
         assert "SeedSequence" not in built and "default_rng" not in built
         assert built.count("PCG64") == 7
 
+    def test_a_cluster_emptied_by_lloyd_keeps_its_hypothesis(self, monkeypatch):
+        # Hypotheses 0, 5 and 10, releases 3.0, 7.4, 1.0 and 9.0: Lloyd's first
+        # step puts 3.0 and 7.4 into cluster 1, the second moves them to
+        # clusters 0 and 2.  k-means leaves centroid 1 at their mean 5.2, but no
+        # release is recorded for cluster 1, so its hypothesis stays 5.0.
+        released = np.array([[3.0], [7.4], [1.0], [9.0]])
+        ones = np.ones(4)
+        monkeypatch.setattr(
+            federation, "_client_steps",
+            lambda *args: federation._ClientSteps(released, ones, 0.2 * ones, 0.2, 0 * ones),
+        )
+        spec = ModelSpec("linear", input_dim=1)
+        clients = {i: Batch(np.ones((2, 1)), np.ones(2)) for i in range(4)}
+        config = make_config(k=3, U=4, nu=5.0)
+        hyps = HypothesisSet(np.array([[0.0], [5.0], [10.0]]))
+        ledger = PrivacyLedger()
+        indices = {i: i for i in range(4)}
+        new_hyps, _ = server_round(
+            clients, hyps, spec, config, ledger, 0, indices, streams_for(config, indices)
+        )
+        kmeans = kmeans_from_hypotheses(list(enumerate(released)), hyps.vectors)
+        assert kmeans.labels.tolist() == [0, 2, 0, 2]
+        assert kmeans.centroids[1, 0] == pytest.approx(5.2, rel=1e-12)
+        assert new_hyps.vectors[1, 0] == 5.0
+        assert new_hyps.vectors[:, 0] == pytest.approx([2.0, 5.0, 8.2], rel=1e-12)
+        assert round_assignment(ledger, 0) == {0: 0, 1: 2, 2: 0, 3: 2}
+        assert all(event.cluster_id != 1 for _, event, _ in ledger.iter_rows())
+
     def test_too_few_clients_rejected(self):
         clients = {0: make_dataset()}
         config = make_config(U=2)
@@ -295,7 +349,7 @@ class TestInformationHygiene:
         assert len(returned) == 2
         new_hyps, mean_train_loss = returned
         assert isinstance(new_hyps, HypothesisSet)
-        assert new_hyps.round_index == 1
+        assert {f.name for f in dataclasses.fields(HypothesisSet)} == {"vectors"}
         assert type(mean_train_loss) is float
         steps = [
             federation._client_steps(
@@ -314,9 +368,10 @@ class TestInformationHygiene:
         }
 
     def test_client_result_has_no_raw_update(self):
+        # Neither the raw update nor the cluster a client chose leaves the client phase.
         fields = {f.name for f in dataclasses.fields(federation._ClientSteps)}
-        assert "delta" not in fields
-        assert fields == {"chosen", "sanitized", "epsilon", "radius", "leakage", "train_loss"}
+        assert "delta" not in fields and "chosen" not in fields
+        assert fields == {"sanitized", "epsilon", "radius", "leakage", "train_loss"}
 
 
 class TestEarlyStopping:
@@ -459,8 +514,11 @@ class TestBudgetCap:
         assert [m.round for m in result.history] == [0, 1, 2]
         assert result.best_round == 1
         assert result.best_validation_loss == 1.0
-        assert result.best_hypotheses.round_index == 2
-        assert result.final_hypotheses.round_index == 3
+        # The best set is the one after round 1, the final set the one after round 2.
+        norms = [[float(np.linalg.norm(v)) for v in hyps.vectors]
+                 for hyps in (result.best_hypotheses, result.final_hypotheses)]
+        assert norms == [result.history[1].hypothesis_norms, result.history[2].hypothesis_norms]
+        assert norms[0] != norms[1]
         assert max(result.ledger.composed_leakage(cid) for cid in train) <= 0.5
 
     def test_cap_requires_sanitization(self):
@@ -470,7 +528,7 @@ class TestBudgetCap:
 
 class TestHypothesisExport:
     def test_flat_text_format(self, tmp_path):
-        hyps = HypothesisSet(np.array([[1.5, -2.5], [0.0, 3.25]]), round_index=4)
+        hyps = HypothesisSet(np.array([[1.5, -2.5], [0.0, 3.25]]))
         path = tmp_path / "hypotheses.txt"
         federation.write_hypotheses(hyps, path)
         lines = path.read_text().splitlines()

@@ -176,6 +176,16 @@ class TestSampling:
         var = np.var(noise, axis=0, ddof=1).mean()
         assert var == pytest.approx(expected, rel=0.05)
 
+    @pytest.mark.parametrize("n,eps", [(1, 1.0), (2, 1.0), (2, 5.0), (11, 1.0), (40, 0.3)])
+    def test_release_sampler_draws_what_the_moment_checks_cover(self, n, eps):
+        # c01 checks the moments of sample_noise_batch, while rounds release
+        # through sanitize_rows; with one stream for every row they agree bit for bit.
+        m = 10_000
+        batch = sample_noise_batch(NoiseScale(eps, n), substream(n, "verify"), m)
+        stream = substream(n, "verify")
+        released = sanitize_rows(np.zeros((m, n)), np.full(m, eps), [stream] * m)
+        assert np.array_equal(batch, released)
+
     def test_mean_vector_is_zero(self):
         n_samples = 100_000
         scale = NoiseScale(1.5, 3)
