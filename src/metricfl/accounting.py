@@ -12,12 +12,10 @@ account of its exposure.
 from __future__ import annotations
 
 import csv
-import math
 import statistics
 from dataclasses import dataclass, field
-from itertools import accumulate
 from pathlib import Path
-from typing import Any, Hashable, Iterator
+from typing import Any, Hashable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +36,7 @@ __all__ = [
 RADIUS_FLOOR = 1e-9
 
 _REL_TOL = 1e-12
+_LARGEST = np.finfo(float).max
 
 
 def heuristic_epsilons(
@@ -51,6 +50,8 @@ def heuristic_epsilons(
     if noise_multiplier <= 0:
         raise ValueError("noise_multiplier must be positive")
     update_norms = np.asarray(update_norms, dtype=float)
+    if not np.all(np.isfinite(update_norms)):
+        raise ValueError("update_norm must be finite: a diverged update has no radius")
     if np.any(update_norms < 0):
         raise ValueError("update_norm must be nonnegative")
     if np.any(update_norms == 0):
@@ -61,6 +62,34 @@ def heuristic_epsilons(
 def heuristic_epsilon(update_norm: float, dimension: int, noise_multiplier: float) -> float:
     """The one-update case of ``heuristic_epsilons``."""
     return float(heuristic_epsilons(np.array([update_norm]), dimension, noise_multiplier)[0])
+
+
+def _check_events(
+    round: int, epsilon: np.ndarray, radius: np.ndarray, leakage: np.ndarray
+) -> None:
+    """Reject a round's rows (float columns) if any holds values no release
+    can have.  At a finite epsilon, which must be positive, the leakage must
+    equal epsilon * radius to ``math.isclose`` at ``_REL_TOL``: there both
+    are >= 0 or NaN, so that is the comparison below.  At an infinite
+    epsilon the leakage must be infinite too."""
+    if round < 0 or (radius < 0).any():
+        raise ValueError("round and radius must be nonnegative")
+    finite = np.isfinite(epsilon)
+    if (finite & (epsilon <= 0)).any():
+        raise ValueError("epsilon must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = epsilon * radius
+        # Capped, so that an infinite expected cost is close only to itself.
+        scale = np.minimum(np.maximum(leakage, expected), _LARGEST)
+        tolerance = np.maximum(_REL_TOL * scale, 1e-300)
+        close = (abs(leakage - expected) <= tolerance) | (leakage == expected)
+    if not (close | ~finite).all():
+        i = np.flatnonzero(finite & ~close)[0]
+        raise ValueError(
+            f"leakage {float(leakage[i])} inconsistent with epsilon*radius {float(expected[i])}"
+        )
+    if not (finite | np.isinf(leakage)).all():
+        raise ValueError("infinite epsilon requires infinite leakage")
 
 
 @dataclass(frozen=True)
@@ -78,32 +107,48 @@ class LeakageEvent:
     cluster_id: int | None = None
 
     def __post_init__(self) -> None:
-        if self.round < 0:
-            raise ValueError("round must be nonnegative")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if math.isfinite(self.epsilon):
-            if self.epsilon <= 0:
-                raise ValueError("epsilon must be positive")
-            expected = self.epsilon * self.radius
-            if not math.isclose(self.leakage, expected, rel_tol=_REL_TOL, abs_tol=1e-300):
-                raise ValueError(
-                    f"leakage {self.leakage} inconsistent with epsilon*radius {expected}"
-                )
-        elif not math.isinf(self.leakage):
-            raise ValueError("infinite epsilon requires infinite leakage")
+        values = (np.array([v], dtype=float) for v in (self.epsilon, self.radius, self.leakage))
+        _check_events(self.round, *values)
+
+
+# The cluster column's stand-in for a release recorded without a cluster.
+_NO_CLUSTER = np.iinfo(np.int64).min
+
+
+class _Columns(NamedTuple):
+    """Ledger rows as columns; ``composed`` is the client's total after its row."""
+
+    round: np.ndarray
+    position: np.ndarray
+    cluster: np.ndarray
+    epsilon: np.ndarray
+    radius: np.ndarray
+    leakage: np.ndarray
+    composed: np.ndarray
 
 
 class PrivacyLedger:
-    """Ordered per-client record of leakage events and their running sum.
+    """Per-client record of leakage events and their running sums, as columns.
 
-    Single writer; the federation loop serializes writes at round end.
+    Clients are held by position: ``client_ids`` (a run passes its sorted
+    training ids) take the first ones, and ``record_participation`` appends
+    an id it has not seen; ids appear again only where rows are read.  Each
+    round is one chunk of columns.  Composed leakage is one vector by
+    position, grown by one ``+=`` per round, so each client's sum keeps its
+    order.  Rows recorded in (round, client id) order, as a run records
+    them, are read back without a sort.  Single writer.
     """
 
-    def __init__(self) -> None:
-        self._events: dict[Hashable, list[LeakageEvent]] = {}
-        self._rounds: dict[Hashable, set[int]] = {}
-        self._composed: dict[Hashable, float] = {}
+    def __init__(self, client_ids: Sequence[Hashable] = ()) -> None:
+        self._ids = list(client_ids)
+        self._position = {cid: i for i, cid in enumerate(self._ids)}
+        if len(self._position) != len(self._ids):
+            raise ValueError("duplicate client ids")
+        self._composed = np.zeros(len(self._ids))
+        self._chunks: list[_Columns] = []
+        # Position order is id order, and rows came in (round, position) order.
+        self._in_order = self._ids == sorted(self._ids)
+        self._last_key = (-1, -1)
 
     def record_participation(
         self,
@@ -114,48 +159,103 @@ class PrivacyLedger:
         cluster_id: int | None = None,
         leakage: float | None = None,
     ) -> LeakageEvent:
-        """Append one event; the composed total grows by its leakage.
+        """Append one event: the one-row case of ``record_round``.
 
         ``leakage`` defaults to epsilon * radius.  Callers using the
         heuristic pass the algebraically cancelled n / noise_multiplier so
         the recorded cost is exact.  A rejected call leaves the ledger as
         it was.
         """
-        if round in self._rounds.get(client_id, ()):
-            raise ValueError(f"client {client_id!r} already has an event for round {round}")
         if leakage is None:
             leakage = epsilon * radius
-        event = LeakageEvent(
-            round=round, epsilon=epsilon, radius=radius, leakage=leakage, cluster_id=cluster_id
-        )
-        self._events.setdefault(client_id, []).append(event)
-        self._rounds.setdefault(client_id, set()).add(round)
-        self._composed[client_id] = self._composed.get(client_id, 0.0) + event.leakage
+        event = LeakageEvent(round, epsilon, radius, leakage, cluster_id)
+        if client_id not in self._position:
+            self._in_order = self._in_order and (not self._ids or self._ids[-1] < client_id)
+            self._position[client_id] = len(self._ids)
+            self._ids.append(client_id)
+            self._composed = np.append(self._composed, 0.0)
+        position = [self._position[client_id]]
+        cluster = [_NO_CLUSTER if cluster_id is None else cluster_id]
+        self.record_round(round, position, [epsilon], [radius], cluster, leakage)
         return event
 
+    def record_round(
+        self,
+        round: int,
+        positions: Sequence[int],
+        epsilon: Sequence[float],
+        radius: Sequence[float],
+        clusters: Sequence[int],
+        leakage: float | Sequence[float],
+    ) -> None:
+        """Append one round's releases, row i for the client at ``positions[i]``.
+
+        ``positions`` must ascend; a scalar ``leakage`` is every row's.  The
+        values are checked as ``LeakageEvent`` checks them, and a repeated
+        round is looked for among these positions only.  A rejected call
+        leaves the ledger as it was.
+        """
+        positions = np.array(positions, dtype=np.intp)
+        epsilon, radius = np.array(epsilon, dtype=float), np.array(radius, dtype=float)
+        leakage = np.full(positions.shape, leakage, dtype=float)
+        rounds, clusters = np.full(len(positions), round), np.array(clusters, dtype=np.int64)
+        _check_events(round, epsilon, radius, leakage)
+        if not len(positions) or (positions[1:] <= positions[:-1]).any():
+            raise ValueError("a round's client positions must be nonempty and ascend")
+        in_order = self._in_order and (round, int(positions[0])) > self._last_key
+        # Rows that keep (round, position) order cannot repeat an earlier row.
+        for chunk in () if in_order else self._chunks:
+            again = positions[np.isin(positions, chunk.position)] if chunk.round[0] == round else []
+            if len(again):
+                cid = self._ids[again[0]]
+                raise ValueError(f"client {cid!r} already has an event for round {round}")
+        self._in_order, self._last_key = in_order, (round, int(positions[-1]))
+        self._composed[positions] += leakage
+        row = (rounds, positions, clusters, epsilon, radius, leakage, self._composed[positions])
+        self._chunks.append(_Columns(*row))
+
+    @property
+    def composed(self) -> np.ndarray:
+        """Composed leakage per client position; callers must not write to it."""
+        return self._composed
+
     def clients(self) -> list[Hashable]:
-        return sorted(self._events)
+        """Ids of the clients with at least one event, sorted."""
+        return sorted({self._ids[p] for chunk in self._chunks for p in chunk.position.tolist()})
 
     def events(self, client_id: Hashable) -> list[LeakageEvent]:
-        return list(self._events.get(client_id, []))
+        """The client's events in round order."""
+        return [event for cid, event, _ in self.iter_rows() if cid == client_id]
 
     def composed_leakage(self, client_id: Hashable) -> float:
-        return self._composed.get(client_id, 0.0)
+        position = self._position.get(client_id)
+        return 0.0 if position is None else float(self._composed[position])
 
     def __len__(self) -> int:
-        return sum(len(evs) for evs in self._events.values())
+        return sum(len(chunk.position) for chunk in self._chunks)
+
+    def _columns(self) -> _Columns:
+        """All rows in (round, client id) order, ``composed`` being the
+        running total in that order.  Only rows recorded out of order are sorted."""
+        if not self._chunks:
+            return _Columns(*np.zeros((7, 0), dtype=np.int64))
+        rows = _Columns(*(np.concatenate(column) for column in zip(*self._chunks)))
+        if self._in_order:
+            return rows
+        keys = [(t, self._ids[p]) for t, p in zip(rows.round.tolist(), rows.position.tolist())]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rows = _Columns(*(column[order] for column in rows))
+        running = np.zeros(len(self._ids))
+        for i, (p, amount) in enumerate(zip(rows.position.tolist(), rows.leakage.tolist())):
+            running[p] += amount
+            rows.composed[i] = running[p]
+        return rows
 
     def iter_rows(self) -> Iterator[tuple[Hashable, LeakageEvent, float]]:
-        """All events in (round, client_id) order with the running composed value.
-
-        Each call sorts the events anew; nothing is cached between calls.
-        """
-        flat = [(e.round, cid, e) for cid, evs in self._events.items() for e in evs]
-        flat.sort(key=lambda item: (item[0], item[1]))
-        running: dict[Hashable, float] = {}
-        for _, cid, event in flat:
-            running[cid] = running.get(cid, 0.0) + event.leakage
-            yield cid, event, running[cid]
+        """All events in (round, client_id) order with the running composed value."""
+        for t, p, cluster, *values, composed in zip(*(c.tolist() for c in self._columns())):
+            cluster_id = None if cluster == _NO_CLUSTER else cluster
+            yield self._ids[p], LeakageEvent(t, *values, cluster_id), composed
 
 
 @dataclass
@@ -185,28 +285,25 @@ def max_leakage_series(ledger: PrivacyLedger) -> dict[int | None, list[float]]:
     when clients move between clusters.  Clusters without any release are
     absent.
     """
-    peaks: dict[int | None, dict[int, float]] = {}
-    n_rounds = 0
-    for _, event, composed in ledger.iter_rows():
-        n_rounds = event.round + 1
-        peak = peaks.setdefault(event.cluster_id, {})
-        peak[event.round] = max(peak.get(event.round, 0.0), composed)
+    rows = ledger._columns()
+    if not len(rows.round):
+        return {}
+    clusters, index = np.unique(rows.cluster, return_inverse=True)
+    peaks = np.zeros((len(clusters), rows.round[-1] + 1))
+    np.maximum.at(peaks, (index, rows.round), rows.composed)
+    series = np.maximum.accumulate(peaks, axis=1).tolist()
     return {
-        cluster: list(accumulate((peak.get(t, 0.0) for t in range(n_rounds)), max))
-        for cluster, peak in peaks.items()
+        None if cluster == _NO_CLUSTER else cluster: values
+        for cluster, values in zip(clusters.tolist(), series)
     }
 
 
 def ledger_summary(ledger: PrivacyLedger) -> LedgerSummary:
     """Summarize a ledger; empty ledgers give an empty summary."""
-    clients = ledger.clients()
-    if not clients:
+    composed = [ledger.composed_leakage(cid) for cid in ledger.clients()]
+    if not composed:
         return LedgerSummary(overall=None)
-
-    composed = {cid: ledger.composed_leakage(cid) for cid in clients}
-    overall = ClusterBudget(
-        median=statistics.median(composed.values()), maximum=max(composed.values())
-    )
+    overall = ClusterBudget(median=statistics.median(composed), maximum=max(composed))
     return LedgerSummary(overall=overall, max_trajectory=max_leakage_series(ledger))
 
 
@@ -220,21 +317,17 @@ def _fmt(value: Any) -> str:
 
 def write_ledger_csv(ledger: PrivacyLedger, path: str | Path) -> None:
     """One row per event, chronological, with the running composed total."""
+    rows = ledger._columns()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["client_id", "cluster_id", "round", "epsilon", "radius", "leakage", "composed_leakage"]
         )
-        for cid, event, composed in ledger.iter_rows():
-            writer.writerow(
-                [
-                    cid,
-                    _fmt(event.cluster_id),
-                    event.round,
-                    _fmt(event.epsilon),
-                    _fmt(event.radius),
-                    _fmt(event.leakage),
-                    _fmt(composed),
-                ]
+        writer.writerows(
+            zip(
+                [ledger._ids[p] for p in rows.position.tolist()],
+                ["" if c == _NO_CLUSTER else c for c in rows.cluster.tolist()],
+                rows.round.tolist(),
+                *(map(repr, column.tolist()) for column in rows[3:]),
             )
-
+        )

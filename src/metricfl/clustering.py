@@ -13,7 +13,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-__all__ = ["ClusterAssignment", "kmeans_from_hypotheses"]
+__all__ = ["ClusterAssignment", "cluster_means", "kmeans_from_hypotheses"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,27 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin returns the first minimum, i.e. ties break to the lowest index.
     d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return d2.argmin(axis=1)
+
+
+def cluster_means(points: np.ndarray, labels: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Row j: the mean of the points labelled j, bit for bit what
+    ``points[labels == j].mean(axis=0)`` gives; ``fallback[j]`` where no
+    point is labelled j.
+
+    numpy sums an (m, n >= 2) block row by row onto +0.0, as the
+    scatter-add below does (so a column of -0.0 means 0.0).  A one-column
+    block is summed pairwise from 8 rows on instead, so it takes numpy's
+    own mean.
+    """
+    k, n = fallback.shape
+    counts = np.bincount(labels, minlength=k)
+    if n == 1:
+        return np.array(
+            [points[labels == j].mean(axis=0) if counts[j] else fallback[j] for j in range(k)]
+        )
+    sums = np.zeros((k, n))
+    np.add.at(sums, labels, points)
+    return np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], fallback)
 
 
 def kmeans_from_hypotheses(
@@ -68,11 +89,7 @@ def kmeans_from_hypotheses(
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        new_centroids = centroids.copy()
-        for j in range(len(centroids)):
-            mask = labels == j
-            if mask.any():
-                new_centroids[j] = matrix[mask].mean(axis=0)
+        new_centroids = cluster_means(matrix, labels, centroids)
         movement = float(np.linalg.norm(new_centroids - centroids, axis=1).max())
         centroids = new_centroids
         new_labels = _nearest(matrix, centroids)

@@ -8,6 +8,16 @@ local dataset size and the client's own idea of its cluster never do.  The
 server groups the received vectors with k-means seeded at the hypotheses and
 averages within groups.
 
+A run maps client ids to positions once (the sorted order) and builds one
+``models.ClientTable`` of the training clients and one of the validation
+clients: their concatenated rows and targets, and each client's row offset
+and size.  Only the client phase (``_client_steps``, which gathers the
+sampled clients' rows once per round) and validation read a table; the
+server half of ``server_round`` handles positions, sanitized vectors and
+ledger rows, never a dataset size.  The ledger records each round as one
+chunk of columns by position; ids appear only where it is read back and in
+the CSV files.
+
 The sampled clients' steps run as one stacked computation (selection, local
 SGD, training loss, release), in ascending client-id order; every random
 draw comes from the client's own stream.  No operation mixes two clients'
@@ -28,10 +38,11 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from .accounting import _REL_TOL, RADIUS_FLOOR, PrivacyLedger, _fmt, heuristic_epsilons
-from .clustering import kmeans_from_hypotheses
+from .clustering import cluster_means, kmeans_from_hypotheses
 from .mechanism import sanitize_rows
 from .models import (
     Batch,
+    ClientTable,
     ModelSpec,
     client_losses,
     init_params,
@@ -157,30 +168,38 @@ class ExperimentResult:
 
 def _client_steps(
     spec: ModelSpec,
-    datasets: list[Batch],
+    table: ClientTable,
+    positions: np.ndarray,
     hypotheses: HypothesisSet,
     config: FederationConfig,
     rngs: list[np.random.Generator],
+    round_index: int,
 ) -> _ClientSteps:
-    """Select, train and release for several clients at once, one row per client.
+    """Select, train and release for the clients at ``positions`` of
+    ``table``, one row per client.
 
     Each client picks the hypothesis with the lowest loss on its full local
     dataset (ties to the lowest index), trains it, and releases the updated
     vector with noise calibrated to the update norm (as-is, at infinite
-    leakage, when nu = 0).  Selection, local SGD, the training loss and the
-    release each run once for the whole stack.  Each client draws its noise
-    from its own stream after its SGD permutations.
+    leakage, when nu = 0).  The clients' rows are gathered once; selection,
+    local SGD, the training loss and the release each run once for the whole
+    stack.  Each client draws its noise from its own stream after its SGD
+    permutations.  A zero update norm is floored to ``RADIUS_FLOOR``; a
+    non-finite one means local SGD diverged, and raises.
     """
-    chosen = np.argmin(loss_matrix(spec, hypotheses.vectors, datasets), axis=1)
+    local = table.take(positions)
+    chosen = np.argmin(loss_matrix(spec, hypotheses.vectors, local), axis=1)
     received = hypotheses.vectors[chosen]
-    updated = local_updates(spec, received, datasets, config.s, config.E, config.B_s, rngs)
-    train_losses = client_losses(spec, updated, datasets)
+    updated = local_updates(spec, received, local, config.s, config.E, config.B_s, rngs)
+    train_losses = client_losses(spec, updated, local)
     # sqrt(d.dot(d)) per row is what np.linalg.norm(d) computes, to the bit.
     update_norms = np.sqrt([d.dot(d) for d in updated - received])
+    if not np.isfinite(update_norms).all():
+        raise FloatingPointError(f"round {round_index}: a local update diverged (non-finite norm)")
     if config.nu == 0:
         infinite = np.full(len(rngs), math.inf)
         return _ClientSteps(updated, infinite, update_norms, math.inf, train_losses)
-    radii = np.where(update_norms > 0, update_norms, RADIUS_FLOOR)
+    radii = np.where(update_norms == 0, RADIUS_FLOOR, update_norms)
     dim = n_params(spec)
     epsilons = heuristic_epsilons(radii, dim, config.nu)
     sanitized = sanitize_rows(updated, epsilons, rngs)
@@ -188,85 +207,61 @@ def _client_steps(
     return _ClientSteps(sanitized, epsilons, radii, dim / config.nu, train_losses)
 
 
-def _eligible_ids(
-    clients: Mapping[Hashable, Batch],
-    spec: ModelSpec,
-    config: FederationConfig,
-    ledger: PrivacyLedger,
-) -> list[Hashable]:
-    """Clients that can afford one more release under the budget cap."""
-    ids = sorted(clients)
+def _eligible(ledger: PrivacyLedger, spec: ModelSpec, config: FederationConfig) -> np.ndarray:
+    """Positions of the clients that can afford one more release under the
+    budget cap, ascending: one comparison over the ledger's composed vector."""
+    composed = ledger.composed
     if config.budget_cap is None:
-        return ids
+        return np.arange(len(composed))
     cost = n_params(spec) / config.nu  # a cap requires nu > 0
     # The tolerance lets a cap of m releases admit all m despite float drift.
     cap = config.budget_cap * (1 + _REL_TOL)
-    return [cid for cid in ids if ledger.composed_leakage(cid) + cost <= cap]
+    return np.flatnonzero(composed + cost <= cap)
 
 
 def server_round(
-    clients: Mapping[Hashable, Batch],
+    table: ClientTable,
+    pool: np.ndarray,
     hypotheses: HypothesisSet,
     spec: ModelSpec,
     config: FederationConfig,
     ledger: PrivacyLedger,
     round_index: int,
-    client_indices: Mapping[Hashable, int],
     streams: RoundStreams,
 ) -> tuple[HypothesisSet, float]:
     """One full round: sample, collect sanitized vectors, cluster, average.
 
-    Returns the new hypotheses and the sampled clients' mean training loss.
-    Who was sampled and which cluster each release was aggregated into is
-    recorded in ``ledger`` as the round's events; the cluster a client chose
-    for itself is never kept.  Raises RuntimeError when fewer than U clients
-    are eligible under the budget cap.  ``streams`` is the run's stream
-    table.
+    ``table`` holds the run's training clients by position, ``pool`` the
+    ascending positions eligible this round, and ``streams`` is the run's
+    stream table.  Returns the new hypotheses and the sampled clients' mean
+    training loss.  Who was sampled and which cluster each release was
+    aggregated into is recorded in ``ledger`` as one round of rows; the
+    cluster a client chose for itself is never kept.  Raises RuntimeError
+    when the pool holds fewer than U clients.
     """
-    pool = _eligible_ids(clients, spec, config, ledger)
     if len(pool) < config.U:
         raise RuntimeError(
             f"round {round_index}: only {len(pool)} eligible clients, need U={config.U}"
         )
     picked = streams.sampling(round_index).choice(len(pool), size=config.U, replace=False)
-    sampled = sorted(pool[i] for i in picked)
+    sampled = np.sort(pool[picked])
 
-    rngs = streams.clients(round_index, [client_indices[cid] for cid in sampled])
-    steps = _client_steps(spec, [clients[cid] for cid in sampled], hypotheses, config, rngs)
+    rngs = streams.clients(round_index, sampled.tolist())
+    steps = _client_steps(spec, table, sampled, hypotheses, config, rngs, round_index)
 
     released = steps.sanitized
-    labels = kmeans_from_hypotheses(list(zip(sampled, released)), hypotheses.vectors).labels
-
+    points = list(zip(sampled.tolist(), released))
+    labels = kmeans_from_hypotheses(points, hypotheses.vectors).labels
     # Labels, not k-means' centroids: a cluster Lloyd empties keeps a mean of releases it lost.
-    new_vectors = hypotheses.vectors.copy()
-    for j in range(config.k):
-        members = labels == j
-        if members.any():
-            new_vectors[j] = released[members].mean(axis=0)
-
-    rows = zip(sampled, steps.epsilon.tolist(), steps.radius.tolist(), labels.tolist())
-    for cid, epsilon, radius, label in rows:
-        ledger.record_participation(
-            client_id=cid,
-            round=round_index,
-            epsilon=epsilon,
-            radius=radius,
-            cluster_id=label,
-            leakage=steps.leakage,
-        )
-
+    new_vectors = cluster_means(released, labels, hypotheses.vectors)
+    ledger.record_round(round_index, sampled, steps.epsilon, steps.radius, labels, steps.leakage)
     return HypothesisSet(new_vectors), float(np.mean(steps.train_loss))
 
 
-def _validation_loss(
-    validation: Mapping[Hashable, Batch],
-    hypotheses: HypothesisSet,
-    spec: ModelSpec,
-) -> float:
+def _validation_loss(table: ClientTable, hypotheses: HypothesisSet, spec: ModelSpec) -> float:
     """Mean over validation clients of the loss at their best-fitting
     hypothesis; with personalization there is no single global model."""
-    batches = [validation[cid] for cid in sorted(validation)]
-    per_client = loss_matrix(spec, hypotheses.vectors, batches).min(axis=1)
+    per_client = loss_matrix(spec, hypotheses.vectors, table).min(axis=1)
     return float(np.mean(per_client))
 
 
@@ -287,14 +282,19 @@ def run_experiment(
     """
     if config.U > len(train):
         raise ValueError(f"U={config.U} exceeds the {len(train)} training clients")
-    client_indices = {cid: i for i, cid in enumerate(sorted(train))}
-    streams = RoundStreams(config.master_seed, len(train), config.T)
+    # Ids become positions here; the ledger maps them back when it is read.
+    ids = sorted(train)
+    table = ClientTable.from_batches(spec, [train[cid] for cid in ids])
+    val_table = None
+    if validation:
+        val_table = ClientTable.from_batches(spec, [validation[cid] for cid in sorted(validation)])
+    streams = RoundStreams(config.master_seed, len(ids), config.T)
 
     rng_hyp = substream(config.master_seed, "hypotheses")
     vectors = np.stack([init_params(spec, rng_hyp) for _ in range(config.k)])
     hypotheses = HypothesisSet(vectors)
 
-    ledger = PrivacyLedger()
+    ledger = PrivacyLedger(ids)
     history: list[RoundMetrics] = []
     best = ExperimentResult(
         best_hypotheses=hypotheses.copy(),
@@ -308,15 +308,16 @@ def run_experiment(
     stale_evaluations = 0
     previous_val = math.inf
     for t in range(config.T):
-        if len(_eligible_ids(train, spec, config, ledger)) < config.U:
+        pool = _eligible(ledger, spec, config)
+        if len(pool) < config.U:
             break
         hypotheses, mean_train_loss = server_round(
-            train, hypotheses, spec, config, ledger, t, client_indices, streams
+            table, pool, hypotheses, spec, config, ledger, t, streams
         )
 
         val_loss: float | None = None
-        if validation and (t + 1) % config.validation_every == 0:
-            val_loss = _validation_loss(validation, hypotheses, spec)
+        if val_table is not None and (t + 1) % config.validation_every == 0:
+            val_loss = _validation_loss(val_table, hypotheses, spec)
             if val_loss < best.best_validation_loss:
                 best.best_validation_loss = val_loss
                 best.best_hypotheses = hypotheses.copy()
@@ -334,7 +335,8 @@ def run_experiment(
                 round=t,
                 mean_train_loss=mean_train_loss,
                 validation_loss=val_loss,
-                hypothesis_norms=[float(np.linalg.norm(v)) for v in hypotheses.vectors],
+                # sqrt(v.dot(v)) is np.linalg.norm(v) to the bit, without its overhead.
+                hypothesis_norms=np.sqrt([v.dot(v) for v in hypotheses.vectors]).tolist(),
             )
         )
         if stale_evaluations >= config.validation_patience:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 __all__ = [
     "ModelSpec",
     "Batch",
+    "ClientTable",
     "n_params",
     "pack",
     "unpack",
@@ -119,6 +119,44 @@ class Batch:
         return len(self.x)
 
 
+@dataclass(frozen=True, eq=False)
+class ClientTable:
+    """Several clients' rows in one array: client i holds rows
+    ``offsets[i]:offsets[i] + sizes[i]`` of ``x`` and ``y``.
+
+    Built once per run from batches (``from_batches``), which checks what a
+    pass over the rows needs: at least one client, no empty one, the feature
+    width.  The kernels below take a table, so no pass concatenates batches.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    sizes: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def from_batches(cls, spec: ModelSpec, batches: Sequence[Batch]) -> "ClientTable":
+        sizes = np.array([len(batch) for batch in batches], dtype=np.intp)
+        if not len(sizes):
+            raise ValueError("no batches")
+        if sizes.min() == 0:
+            raise ValueError("empty batch")
+        x = np.concatenate([batch.x for batch in batches])
+        _check_features(spec, x)
+        y = np.concatenate([batch.y for batch in batches])
+        return cls(x, y, sizes, np.cumsum(sizes) - sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def take(self, positions: np.ndarray) -> "ClientTable":
+        """The table of the clients at ``positions``, in that order: one gather."""
+        sizes = self.sizes[positions]
+        offsets = np.cumsum(sizes) - sizes
+        rows = np.repeat(self.offsets[positions] - offsets, sizes) + np.arange(sizes.sum())
+        return ClientTable(self.x[rows], self.y[rows], sizes, offsets)
+
+
 def n_params(spec: ModelSpec) -> int:
     return spec.n_params
 
@@ -180,23 +218,6 @@ def _check_features(spec: ModelSpec, x: np.ndarray) -> None:
 def _require_rmse(objective: str) -> None:
     if objective != "rmse":
         raise ValueError(f"objective must be 'rmse', the only one, got {objective!r}")
-
-
-def _rows(spec: ModelSpec, batches: Sequence[Batch]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Concatenated rows and targets of the batches, and their sizes.
-
-    Everything a pass over these rows needs checked is checked here, once:
-    non-empty batches and the feature width.
-    """
-    sizes = [len(batch) for batch in batches]
-    if not sizes:
-        raise ValueError("no batches")
-    if min(sizes) == 0:
-        raise ValueError("empty batch")
-    x = np.concatenate([batch.x for batch in batches])
-    y = np.concatenate([batch.y for batch in batches])
-    _check_features(spec, x)
-    return x, y, sizes
 
 
 def _forward(spec: ModelSpec, stack: np.ndarray, x: np.ndarray):
@@ -269,43 +290,41 @@ def loss(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) -> f
     """RMSE (residual norm over sqrt(batch size)): the single-vector,
     single-batch entry of ``loss_matrix``.  ``objective`` must be "rmse"."""
     _require_rmse(objective)
-    return float(loss_matrix(spec, _check_params(spec, params)[None], [batch])[0, 0])
+    table = ClientTable.from_batches(spec, [batch])
+    return float(loss_matrix(spec, _check_params(spec, params)[None], table)[0, 0])
 
 
-def loss_matrix(spec: ModelSpec, hypotheses: np.ndarray, batches: Sequence[Batch]) -> np.ndarray:
-    """Loss of every hypothesis on every batch, from one forward pass.
+def loss_matrix(spec: ModelSpec, hypotheses: np.ndarray, table: ClientTable) -> np.ndarray:
+    """Loss of every hypothesis on every client of ``table``, from one forward pass.
 
-    ``hypotheses`` is a (k, n_params(spec)) array with k >= 1 and ``batches``
-    a non-empty sequence of non-empty batches.  Returns a float array of
-    shape (len(batches), k) whose entry [i, j] is the loss of
-    ``hypotheses[j]`` on ``batches[i]``.  All k hypotheses run over the
-    concatenated rows as (k, rows, width) matmuls; per-row losses are then
-    summed per batch.
+    ``hypotheses`` is a (k, n_params(spec)) array with k >= 1.  Returns a
+    float array of shape (len(table), k) whose entry [i, j] is the loss of
+    ``hypotheses[j]`` on client i.  All k hypotheses run over the table's
+    rows as (k, rows, width) matmuls; per-row losses are then summed per
+    client.
     """
     h = _check_stack(spec, hypotheses, "hypotheses")
-    x, y, sizes = _rows(spec, batches)
-    out, _ = _forward(spec, h, x[None])
-    starts = list(accumulate(sizes[:-1], initial=0))
-    totals = np.add.reduceat(_squared_residuals(out, y), starts, axis=1)
-    return (np.sqrt(totals) / np.sqrt(np.array(sizes))).T
+    out, _ = _forward(spec, h, table.x[None])
+    totals = np.add.reduceat(_squared_residuals(out, table.y), table.offsets, axis=1)
+    return (np.sqrt(totals) / np.sqrt(table.sizes)).T
 
 
-def client_losses(spec: ModelSpec, params: np.ndarray, batches: Sequence[Batch]) -> np.ndarray:
-    """Loss of ``params[i]`` on ``batches[i]`` for each i, from one forward
-    pass: the batches are stacked, padded to the largest one, each under its
-    own vector.  A padded sum may round differently from the batch's own,
-    so on ragged batches an entry can move in the last ulp with the others.
+def client_losses(spec: ModelSpec, params: np.ndarray, table: ClientTable) -> np.ndarray:
+    """Loss of ``params[i]`` on client i of ``table`` for each i, from one
+    forward pass: the clients are stacked, padded to the largest one, each
+    under its own vector.  A padded sum may round differently from the
+    client's own, so on ragged clients an entry can move in the last ulp
+    with the others.
     """
     stack = _check_stack(spec, params, "params")
-    if len(batches) != len(stack):
-        raise ValueError("need one batch per parameter vector")
-    x, y, sizes = _rows(spec, batches)
-    sizes = np.array(sizes)
+    if len(table) != len(stack):
+        raise ValueError("need one client per parameter vector")
+    sizes = table.sizes
     slot = np.arange(sizes.max())
     mask = slot < sizes[:, None]
-    rows = (np.cumsum(sizes) - sizes)[:, None] + np.where(mask, slot, 0)
-    out, _ = _forward(spec, stack, x[rows])
-    totals = np.sum(np.where(mask, _squared_residuals(out, y[rows]), 0.0), axis=1)
+    rows = table.offsets[:, None] + np.where(mask, slot, 0)
+    out, _ = _forward(spec, stack, table.x[rows])
+    totals = np.sum(np.where(mask, _squared_residuals(out, table.y[rows]), 0.0), axis=1)
     return np.sqrt(totals) / np.sqrt(sizes)
 
 
@@ -325,9 +344,10 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) 
     """
     _require_rmse(objective)
     params = _check_params(spec, params)
-    x, y, (m,) = _rows(spec, [batch])
-    out, inputs = _forward(spec, params[None], x[None])
-    d_out, moving = _output_gradient(out, y[None], np.ones((1, m), bool), np.array([m]))
+    table = ClientTable.from_batches(spec, [batch])
+    out, inputs = _forward(spec, params[None], table.x[None])
+    mask = np.ones((1, len(batch)), bool)
+    d_out, moving = _output_gradient(out, table.y[None], mask, table.sizes)
     if not moving[0]:
         return np.zeros_like(params)
     return _backward(spec, params[None], inputs, d_out)[0]
@@ -336,7 +356,7 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) 
 def local_updates(
     spec: ModelSpec,
     params: np.ndarray,
-    datasets: Sequence[Batch],
+    table: ClientTable,
     step_size: float,
     epochs: int,
     batch_size: int,
@@ -344,9 +364,9 @@ def local_updates(
 ) -> np.ndarray:
     """Mini-batch SGD for U clients at once; row i of the result is client i's.
 
-    ``params`` is a (U, n_params(spec)) array of starting vectors and
-    ``datasets`` and ``rngs`` hold the U local datasets and streams; the
-    input array is untouched.  Each epoch every client reshuffles with its
+    ``params`` is a (U, n_params(spec)) array of starting vectors, ``table``
+    holds the U local datasets and ``rngs`` their streams; the input array
+    is untouched.  Each epoch every client reshuffles with its
     own stream, in stack order, and walks blocks of ``batch_size`` rows (its
     last one may be smaller).  All clients step together: step j of an
     epoch takes block j of every client, padded to ``batch_size`` rows with
@@ -362,16 +382,14 @@ def local_updates(
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     stack = _check_stack(spec, params, "params").copy()
-    if not len(datasets) == len(rngs) == len(stack):
+    if not len(table) == len(rngs) == len(stack):
         raise ValueError("need one dataset and one stream per parameter vector")
-    x, y, sizes = _rows(spec, datasets)
-    sizes = np.array(sizes)
+    x, y, sizes, starts = table.x, table.y, table.sizes, table.offsets
     n_clients = len(sizes)
     steps = -(-sizes.max() // batch_size)
     slots = steps * batch_size
     mask = (np.arange(slots) < sizes[:, None]).reshape(n_clients, steps, batch_size)
     counts = mask.sum(axis=2)
-    starts = np.cumsum(sizes) - sizes
     for _ in range(epochs):
         rows = np.repeat(starts[:, None], slots, axis=1)
         for i, rng in enumerate(rngs):

@@ -2,9 +2,11 @@
 the per-cluster summaries."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metricfl.accounting import (
@@ -12,7 +14,9 @@ from metricfl.accounting import (
     LeakageEvent,
     PrivacyLedger,
     heuristic_epsilon,
+    heuristic_epsilons,
     ledger_summary,
+    max_leakage_series,
     write_ledger_csv,
 )
 
@@ -60,6 +64,54 @@ class TestLeakageEvent:
         LeakageEvent(round=0, epsilon=math.inf, radius=0.3, leakage=math.inf)
         with pytest.raises(ValueError):
             LeakageEvent(round=0, epsilon=math.inf, radius=0.3, leakage=1.0)
+
+
+class TestNonFiniteNorms:
+    @pytest.mark.parametrize("norm", [math.nan, math.inf])
+    def test_diverged_norm_has_no_epsilon(self, norm):
+        with pytest.raises(ValueError, match="finite"):
+            heuristic_epsilons(np.array([1.0, norm]), 2, 5.0)
+
+
+EDGES = [0.0, -0.0, 5e-301, 1e-300, 0.4, 1.0, -1.0, 1e155, 1e308, math.inf, -math.inf, math.nan]
+ANY_FLOAT = st.one_of(st.sampled_from(EDGES), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def isclose_rule(round, epsilon, radius, leakage):
+    """Whether a release may record these values, one row at a time with
+    ``math.isclose``: the reference for the column check."""
+    if round < 0 or radius < 0:
+        return False
+    if math.isfinite(epsilon):
+        expected = epsilon * radius
+        return epsilon > 0 and math.isclose(leakage, expected, rel_tol=1e-12, abs_tol=1e-300)
+    return math.isinf(leakage)
+
+
+class TestColumnCheck:
+    @given(
+        round=st.integers(-1, 3),
+        epsilon=ANY_FLOAT,
+        radius=ANY_FLOAT,
+        leakage=ANY_FLOAT,
+        drift=st.sampled_from([None, 0.0, 1e-13, -1e-13, 2e-12, -2e-12, 1e-9]),
+    )
+    @settings(max_examples=300, deadline=None)
+    # An overflowing epsilon * radius, an infinite epsilon at radius 0, a NaN radius.
+    @example(round=0, epsilon=1e300, radius=1e10, leakage=1.0, drift=None)
+    @example(round=0, epsilon=math.inf, radius=0.0, leakage=math.inf, drift=None)
+    @example(round=0, epsilon=math.inf, radius=math.nan, leakage=math.inf, drift=None)
+    def test_accepts_exactly_what_the_isclose_rule_accepts(self, round, epsilon, radius, leakage,
+                                                           drift):
+        if drift is not None:  # a cost at or near epsilon * radius
+            with np.errstate(all="ignore"):
+                leakage = float(np.float64(epsilon) * radius * (1 + drift))
+        try:
+            LeakageEvent(round, epsilon, radius, leakage)
+        except ValueError:
+            assert not isclose_rule(round, epsilon, radius, leakage)
+        else:
+            assert isclose_rule(round, epsilon, radius, leakage)
 
 
 class TestLedger:
@@ -259,3 +311,96 @@ class TestCsvExport:
             "leakage",
             "composed_leakage",
         }
+
+
+def round_columns(t, n_clients=8, U=3, seed=0):
+    """One round's releases as columns: U ascending positions, radii, the
+    heuristic epsilons at n = 2, nu = 5, and cluster labels."""
+    gen = np.random.default_rng([seed, t])
+    positions = np.sort(gen.choice(n_clients, size=U, replace=False))
+    radius = gen.uniform(0.01, 2.0, U)
+    return positions, heuristic_epsilons(radius, 2, 5.0), radius, gen.integers(0, 3, U)
+
+
+def ledger_state(ledger, tmp_path):
+    path = tmp_path / "ledger.csv"
+    write_ledger_csv(ledger, path)
+    composed = [ledger.composed_leakage(cid) for cid in ledger.clients()]
+    return list(ledger.iter_rows()), composed, max_leakage_series(ledger), path.read_bytes()
+
+
+class TestColumnarLedger:
+    IDS = [f"c{i}" for i in range(8)]
+
+    def test_round_and_one_row_recording_agree(self, tmp_path):
+        columnar = PrivacyLedger(self.IDS)
+        one_row = PrivacyLedger()
+        shuffled = PrivacyLedger()
+        events = []
+        for t in range(12):
+            positions, epsilon, radius, clusters = round_columns(t)
+            columnar.record_round(t, positions, epsilon, radius, clusters, 0.4)
+            for p, e, r, c in zip(positions.tolist(), epsilon.tolist(), radius.tolist(),
+                                  clusters.tolist()):
+                events.append(dict(client_id=self.IDS[p], round=t, epsilon=e, radius=r,
+                                   cluster_id=c, leakage=0.4))
+        for event in events:
+            one_row.record_participation(**event)
+        # The same events out of (round, client) order take the sorting path.
+        for i in np.random.default_rng(1).permutation(len(events)).tolist():
+            shuffled.record_participation(**events[i])
+        expected = ledger_state(columnar, tmp_path)
+        assert len(expected[0]) == 36
+        assert ledger_state(one_row, tmp_path) == expected
+        assert ledger_state(shuffled, tmp_path) == expected
+
+    def test_recording_cost_does_not_grow_with_the_ledger(self):
+        # Every Python-level and builtin call made while recording one round,
+        # on a ledger of 10 rounds and on one of 10,000.
+        history = [round_columns(t) for t in range(7)]
+
+        def calls_to_record(prior_rounds):
+            ledger = PrivacyLedger(self.IDS)
+            for t in range(prior_rounds):
+                ledger.record_round(t, *history[t % 7], 0.4)
+            names = []
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    names.append(frame.f_code.co_name)
+                elif event == "c_call":
+                    names.append(getattr(arg, "__name__", "?"))
+
+            columns = round_columns(prior_rounds)
+            sys.setprofile(profile)
+            try:
+                ledger.record_round(prior_rounds, *columns, 0.4)
+            finally:
+                sys.setprofile(None)
+            return names
+
+        short, long = calls_to_record(10), calls_to_record(10_000)
+        assert short == long
+        # No sort and no per-release LeakageEvent (its check runs in __post_init__).
+        assert not {"sorted", "sort", "argsort", "lexsort", "__post_init__"} & set(long)
+
+    def test_rejected_round_leaves_the_ledger_unchanged(self, tmp_path):
+        ledger = PrivacyLedger(self.IDS)
+        for t in range(3):
+            ledger.record_round(t, *round_columns(t), 0.4)
+        before = ledger_state(ledger, tmp_path)
+        positions, epsilon, radius, clusters = round_columns(3)
+        wrong_cost = epsilon.copy()
+        wrong_cost[-1] *= 2
+        repeated = round_columns(2)
+        rejected = [
+            (3, positions, wrong_cost, radius, clusters),  # one row's cost is not 0.4
+            (3, positions[::-1], epsilon, radius, clusters),  # positions descend
+            (2, *repeated),  # round 2 again
+            (-1, positions, epsilon, radius, clusters),
+        ]
+        for t, *columns in rejected:
+            with pytest.raises(ValueError):
+                ledger.record_round(t, *columns, 0.4)
+            assert ledger_state(ledger, tmp_path) == before
+            assert len(ledger) == 9

@@ -4,7 +4,7 @@ properties."""
 import numpy as np
 import pytest
 
-from metricfl.clustering import kmeans_from_hypotheses
+from metricfl.clustering import cluster_means, kmeans_from_hypotheses
 from oracle_kmeans import lloyd_reference
 
 
@@ -137,3 +137,51 @@ class TestProperties:
         result = kmeans_from_hypotheses(make_points(vectors), hypotheses)
         assert [result.assignment[i] for i in range(12)] == truth
         assert result.n_iterations <= 2
+
+
+def masked_means(points, labels, fallback):
+    """The per-cluster loop ``cluster_means`` replaces."""
+    out = fallback.copy()
+    for j in range(len(fallback)):
+        if (labels == j).any():
+            out[j] = points[labels == j].mean(axis=0)
+    return out
+
+
+def same_bits(a, b):
+    """Bitwise equality: tells -0.0 from 0.0 and compares NaNs by payload."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestClusterMeans:
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    def test_bitwise_equal_to_masked_means(self, n):
+        # Rows of widely different magnitude make the summation order show in
+        # the last bits; cluster 0 always has at least 9 members, past the
+        # 8-row block from which numpy sums one column pairwise.
+        gen = np.random.default_rng(n)
+        for _ in range(300):
+            m = int(gen.integers(9, 120))
+            k = int(gen.integers(1, 5))
+            points = gen.standard_normal((m, n)) * 10.0 ** gen.integers(-5, 6, size=(m, 1))
+            labels = gen.integers(0, k, m)
+            labels[:9] = 0
+            fallback = gen.standard_normal((k, n))
+            assert same_bits(
+                cluster_means(points, labels, fallback), masked_means(points, labels, fallback)
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    def test_negative_zero_coordinates(self, n):
+        points = np.random.default_rng(3).standard_normal((10, n))
+        points[:, 0] = -0.0
+        labels = np.array([0, 1] * 5)
+        fallback = np.zeros((2, n))
+        expected = masked_means(points, labels, fallback)
+        assert same_bits(cluster_means(points, labels, fallback), expected)
+
+    def test_empty_cluster_keeps_its_fallback_row(self):
+        points = np.array([[1.0, 2.0], [3.0, 4.0]])
+        fallback = np.array([[9.0, 9.0], [-7.0, 0.5], [8.0, 8.0]])
+        means = cluster_means(points, np.array([0, 2]), fallback)
+        assert same_bits(means, np.array([[1.0, 2.0], [-7.0, 0.5], [3.0, 4.0]]))

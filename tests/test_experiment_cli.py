@@ -468,6 +468,44 @@ def test_golden_digests_mlp(tmp_path):
     assert digests == GOLDEN_MLP
 
 
+# The same pin for the budget-cap path: cost n/nu = 0.4 and a cap of 1.6 allow
+# four releases per client, so the pool of 10 training clients shrinks from
+# round 9 on and training ends on the cap after 13 of T = 40 rounds.
+GOLDEN_CAPPED = {
+    "5_2_0/ledger.csv": "2fac6d192706ca26b9706eb839e382bda3f17b099d487f4d45815ae03732e697",
+    "5_2_0/metrics.csv": "857e9a7a49195b0cafca496ea89e06f19ef4288424ac952a280e7e719ea94aa9",
+    "5_2_0/hypotheses_final.txt": (
+        "6ee11d8c54510261be8b3b4056af757db152b58e4d2177d5ced309abdc17b6f0"
+    ),
+    "5_2_1/ledger.csv": "181af4b48ed1de3c91c2e05a1fce766d097fccffdd31938b50f5f929fd400114",
+    "5_2_1/metrics.csv": "a938f0494e2b014a4dc95d714c86f8c2d70d7626c43edfa4195ea9b21c054d4d",
+    "5_2_1/hypotheses_final.txt": (
+        "9ce936295c419936487b1feed1b303d22596fd890301da6d35d3151c8c395eb8"
+    ),
+}
+
+
+def test_golden_digests_budget_cap(tmp_path):
+    path = small_synthetic_config(
+        tmp_path,
+        federation={"T": 40, "U": 3, "E": 2, "s": 0.1, "B_s": 4, "validation_every": 1,
+                    "validation_patience": 40, "budget_cap": 1.6},
+        data={"n_clients": 15, "samples_per_client": 10, "validation_fraction": 0.3},
+        sweep={"nu": [5.0], "k": [2], "seeds": [0, 1]},
+    )
+    exp_dir = run_sweep(load_config(path), tmp_path / "out")
+    for cell in ("5_2_0", "5_2_1"):
+        with open(exp_dir / cell / "ledger.csv", newline="") as fh:
+            releases = [row["client_id"] for row in csv.DictReader(fh)]
+        per_client = sorted(releases.count(cid) for cid in set(releases))
+        assert len(releases) == 13 * 3
+        assert per_client == [3] + [4] * 9
+    digests = {
+        name: hashlib.sha256((exp_dir / name).read_bytes()).hexdigest() for name in GOLDEN_CAPPED
+    }
+    assert digests == GOLDEN_CAPPED
+
+
 def test_import_and_config_load_leave_heavy_modules_unloaded():
     # perfbench's setup_s times exactly this path; numpy.random, numpy.ma and
     # scipy would add to it on every run, so nothing on it may import them.
@@ -488,6 +526,26 @@ def test_import_and_config_load_leave_heavy_modules_unloaded():
 
 
 class TestCli:
+    def test_diverging_sgd_exits_2_and_says_so(self, tmp_path):
+        # The shipped tabular sweep at s = 1e300: local SGD overflows in round 0.
+        # Before, nu = 0 released the non-finite vectors and nu = 1 failed on
+        # "epsilon must be positive and finite, got 0.0".  A separate process
+        # runs it as a user would, with numpy's overflow warnings as warnings.
+        doc = yaml.safe_load((CONFIG_DIR / "tabular.yaml").read_text())
+        doc["data"]["path"] = str(CONFIG_DIR / "fixture.csv")
+        doc["federation"]["s"] = 1e300
+        doc["sweep"]["seeds"] = [0]
+        path = tmp_path / "diverging.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        env_path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "metricfl", "run", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": env_path},
+        )
+        assert done.returncode == 2
+        assert "run 0_5_0: round 0: " in done.stderr and "diverged" in done.stderr
+
     def test_run_exit_codes(self, tmp_path, capsys):
         good = small_synthetic_config(tmp_path)
         assert main(["run", "--config", str(good), "--out", str(tmp_path / "out")]) == 0

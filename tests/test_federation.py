@@ -17,9 +17,18 @@ from metricfl.federation import (
 )
 from metricfl.accounting import LeakageEvent, PrivacyLedger
 from metricfl.clustering import kmeans_from_hypotheses
-from metricfl.models import Batch, ModelSpec, gradient, local_updates, loss, n_params
+from metricfl.models import (
+    Batch,
+    ClientTable,
+    ModelSpec,
+    gradient,
+    local_updates,
+    loss,
+    n_params,
+)
 from metricfl.rng import RoundStreams, substream
 from test_mechanism import reference_sanitize
+from test_models import table
 
 LINEAR = ModelSpec("linear", input_dim=2)
 
@@ -46,9 +55,32 @@ def split_views(seed=0, n_clients=30):
     return train.federation_view(), val.federation_view()
 
 
-def streams_for(config, indices):
-    """The run's stream table for clients at the positions in ``indices``."""
-    return RoundStreams(config.master_seed, max(indices.values()) + 1, config.T)
+class Run:
+    """What ``run_experiment`` builds once per run, for driving ``server_round``
+    by hand: the clients' table in sorted id order (so a client's position is
+    its index in ``ids``), a ledger over those ids and the stream table."""
+
+    def __init__(self, clients, config, spec=LINEAR):
+        self.ids = sorted(clients)
+        self.table = table(spec, [clients[cid] for cid in self.ids])
+        self.ledger = PrivacyLedger(self.ids)
+        self.streams = RoundStreams(config.master_seed, len(self.ids), config.T)
+        self.spec = spec
+        self.config = config
+
+    def round(self, hyps, t):
+        pool = federation._eligible(self.ledger, self.spec, self.config)
+        return server_round(
+            self.table, pool, hyps, self.spec, self.config, self.ledger, t, self.streams
+        )
+
+
+def client_steps(spec, datasets, hyps, config, rngs, round_index=0):
+    """``_client_steps`` for a table of ``datasets``, every client sampled."""
+    positions = np.arange(len(datasets))
+    return federation._client_steps(
+        spec, table(spec, datasets), positions, hyps, config, rngs, round_index
+    )
 
 
 def round_assignment(ledger, t):
@@ -76,7 +108,7 @@ class TestClientStep:
         hyps = HypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
         config = make_config(nu=0.0)
         rngs = [substream(0, "client", 0, 0)]
-        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        result = client_steps(LINEAR, [dataset], hyps, config, rngs)
         received = lowest_loss(LINEAR, hyps, dataset)
         expected = received - 0.1 * gradient(LINEAR, received, dataset, "rmse")
         assert result.sanitized[0] == pytest.approx(expected, rel=1e-12)
@@ -88,7 +120,7 @@ class TestClientStep:
         hyps = HypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
         config = make_config(nu=5.0)
         rngs = [substream(0, "client", 0, 0)]
-        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        result = client_steps(LINEAR, [dataset], hyps, config, rngs)
         assert result.leakage == 2 / 5.0
         assert result.epsilon[0] * result.radius[0] == pytest.approx(0.4, rel=1e-12)
 
@@ -100,9 +132,10 @@ class TestClientStep:
         hyps = HypothesisSet(np.stack([bad, good]))
         config = make_config(nu=0.0)
         rngs = [substream(0, "client", 0, 0)]
-        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        result = client_steps(LINEAR, [dataset], hyps, config, rngs)
         fresh = [substream(0, "client", 0, 0) for _ in range(2)]
-        trained = local_updates(LINEAR, hyps.vectors, [dataset] * 2, 0.1, 1, 10, fresh)
+        twice = table(LINEAR, [dataset] * 2)
+        trained = local_updates(LINEAR, hyps.vectors, twice, 0.1, 1, 10, fresh)
         assert np.array_equal(result.sanitized[0], trained[1])
         assert not np.array_equal(result.sanitized[0], trained[0])
 
@@ -115,9 +148,10 @@ class TestClientStep:
         assert loss(LINEAR, theta, dataset, "rmse") == loss(LINEAR, -theta, dataset, "rmse")
         config = make_config(nu=0.0)
         rngs = [substream(0, "client", 0, 0)]
-        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        result = client_steps(LINEAR, [dataset], hyps, config, rngs)
         fresh = [substream(0, "client", 0, 0) for _ in range(2)]
-        trained = local_updates(LINEAR, hyps.vectors, [dataset] * 2, 0.1, 1, 10, fresh)
+        twice = table(LINEAR, [dataset] * 2)
+        trained = local_updates(LINEAR, hyps.vectors, twice, 0.1, 1, 10, fresh)
         assert np.array_equal(result.sanitized[0], trained[0])
         assert not np.array_equal(result.sanitized[0], trained[1])
 
@@ -127,7 +161,7 @@ class TestClientStep:
         with pytest.raises(ValueError):
             config = make_config(k=1)
             rngs = [substream(0, "client", 0, 0)]
-            federation._client_steps(LINEAR, [empty], hyps, config, rngs)
+            client_steps(LINEAR, [empty], hyps, config, rngs)
 
     def test_zero_norm_update_uses_radius_floor(self):
         # perfect fit: zero residual, zero gradient, zero update
@@ -138,7 +172,7 @@ class TestClientStep:
         hyps = HypothesisSet(theta[None, :].copy())
         config = make_config(k=1, nu=5.0)
         rngs = [substream(0, "client", 0, 0)]
-        result = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        result = client_steps(LINEAR, [dataset], hyps, config, rngs)
         assert result.radius[0] == 1e-9
         assert result.leakage == 2 / 5.0
 
@@ -148,26 +182,21 @@ class TestServerRound:
         clients = {0: make_dataset()}
         config = make_config(k=1, U=1, nu=5.0)
         hyps = HypothesisSet(np.array([[0.0, 0.0]]))
-        ledger = PrivacyLedger()
-        new_hyps, _ = server_round(
-            clients, hyps, LINEAR, config, ledger, 0, {0: 0}, streams_for(config, {0: 0})
-        )
+        run = Run(clients, config)
+        new_hyps, _ = run.round(hyps, 0)
         rngs = [substream(0, "client", 0, 0)]
-        step = federation._client_steps(LINEAR, [clients[0]], hyps, config, rngs)
+        step = client_steps(LINEAR, [clients[0]], hyps, config, rngs)
         assert new_hyps.vectors[0] == pytest.approx(step.sanitized[0], rel=1e-12)
-        assert round_assignment(ledger, 0) == {0: 0}
+        assert round_assignment(run.ledger, 0) == {0: 0}
 
     def test_identical_vectors_average_to_themselves(self):
         dataset = make_dataset()
         clients = {i: dataset for i in range(4)}
         config = make_config(k=1, U=4, nu=0.0)
         hyps = HypothesisSet(np.array([[1.0, -1.0]]))
-        indices = {i: i for i in range(4)}
-        new_hyps, _ = server_round(
-            clients, hyps, LINEAR, config, PrivacyLedger(), 0, indices, streams_for(config, indices)
-        )
+        new_hyps, _ = Run(clients, config).round(hyps, 0)
         rngs = [substream(0, "client", 0, 0)]
-        expected = federation._client_steps(LINEAR, [dataset], hyps, config, rngs)
+        expected = client_steps(LINEAR, [dataset], hyps, config, rngs)
         assert new_hyps.vectors[0] == pytest.approx(expected.sanitized[0], rel=1e-12)
 
     def test_unsanitized_round_averages_per_cluster(self):
@@ -180,14 +209,11 @@ class TestServerRound:
             clients[i] = make_dataset(seed=10 + i, theta=theta)
         config = make_config(k=2, U=6, nu=0.0)
         hyps = HypothesisSet(np.array([[5.0, 6.0], [4.0, -4.5]]))
-        ledger = PrivacyLedger()
-        indices = {i: i for i in range(6)}
-        new_hyps, _ = server_round(
-            clients, hyps, LINEAR, config, ledger, 0, indices, streams_for(config, indices)
-        )
-        assignment = round_assignment(ledger, 0)
+        run = Run(clients, config)
+        new_hyps, _ = run.round(hyps, 0)
+        assignment = round_assignment(run.ledger, 0)
         outputs = {
-            cid: federation._client_steps(
+            cid: client_steps(
                 LINEAR, [clients[cid]], hyps, config, [substream(0, "client", cid, 0)]
             ).sanitized[0]
             for cid in assignment
@@ -202,27 +228,23 @@ class TestServerRound:
         clients, _ = split_views()
         config = make_config(U=5)
         hyps = HypothesisSet(np.zeros((2, 2)))
-        ledger = PrivacyLedger()
-        indices = {cid: i for i, cid in enumerate(sorted(clients))}
-        streams = streams_for(config, indices)
+        run = Run(clients, config)
         for t in range(3):
-            hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, t, indices, streams)
-            sampled = round_assignment(ledger, t)
+            hyps, _ = run.round(hyps, t)
+            sampled = round_assignment(run.ledger, t)
             assert len(sampled) == 5
             for cid in sampled:
-                events = [e for e in ledger.events(cid) if e.round == t]
+                events = [e for e in run.ledger.events(cid) if e.round == t]
                 assert len(events) == 1
 
     def test_sampling_without_replacement(self):
         clients, _ = split_views()
         config = make_config(U=7)
         hyps = HypothesisSet(np.zeros((2, 2)))
-        indices = {cid: i for i, cid in enumerate(sorted(clients))}
-        ledger = PrivacyLedger()
-        streams = streams_for(config, indices)
-        server_round(clients, hyps, LINEAR, config, ledger, 0, indices, streams)
-        assert len(round_assignment(ledger, 0)) == 7
-        assert len(ledger) == 7
+        run = Run(clients, config)
+        run.round(hyps, 0)
+        assert len(round_assignment(run.ledger, 0)) == 7
+        assert len(run.ledger) == 7
 
     def test_released_noise_follows_each_clients_permutations(self):
         # Clients of 1 to 13 rows, one cluster: the new hypothesis is the mean
@@ -232,17 +254,15 @@ class TestServerRound:
         clients = {i: make_dataset(seed=20 + i, m=m) for i, m in enumerate([1, 13, 4, 7, 2])}
         config = make_config(k=1, U=3, E=2, B_s=4, nu=5.0)
         hyps = HypothesisSet(np.full((1, n_params(spec)), 0.3))
-        ledger = PrivacyLedger()
-        indices = {cid: cid for cid in clients}
-        new_hyps, _ = server_round(
-            clients, hyps, spec, config, ledger, 0, indices, streams_for(config, indices)
-        )
-        events = {cid: event for cid, event, _ in ledger.iter_rows() if event.round == 0}
+        run = Run(clients, config, spec)
+        new_hyps, _ = run.round(hyps, 0)
+        events = {cid: event for cid, event, _ in run.ledger.iter_rows() if event.round == 0}
         assert len(events) == 3
         releases = []
         for cid in sorted(events):
-            rng = substream(0, "client", indices[cid], 0)
-            updated = local_updates(spec, hyps.vectors, [clients[cid]], 0.1, 2, 4, [rng])[0]
+            rng = substream(0, "client", cid, 0)
+            data = table(spec, [clients[cid]])
+            updated = local_updates(spec, hyps.vectors, data, 0.1, 2, 4, [rng])[0]
             assert events[cid].radius == float(np.linalg.norm(updated - hyps.vectors[0]))
             releases.append(reference_sanitize(updated, events[cid].epsilon, rng))
         assert np.array_equal(new_hyps.vectors[0], np.mean(releases, axis=0))
@@ -254,11 +274,9 @@ class TestServerRound:
         config = make_config(k=3, U=6, E=2, B_s=4, nu=nu)
         hyps = HypothesisSet(np.random.default_rng(4).standard_normal((3, n_params(spec))))
         rngs = [substream(0, "client", i, 2) for i in range(6)]
-        stacked = federation._client_steps(spec, datasets, hyps, config, rngs)
+        stacked = client_steps(spec, datasets, hyps, config, rngs)
         for i, dataset in enumerate(datasets):
-            solo = federation._client_steps(
-                spec, [dataset], hyps, config, [substream(0, "client", i, 2)]
-            )
+            solo = client_steps(spec, [dataset], hyps, config, [substream(0, "client", i, 2)])
             assert np.array_equal(solo.sanitized[0], stacked.sanitized[i])
             assert solo.epsilon[0] == stacked.epsilon[i]
             assert solo.radius[0] == stacked.radius[i]
@@ -267,7 +285,7 @@ class TestServerRound:
             assert solo.train_loss[0] == pytest.approx(stacked.train_loss[i], rel=1e-12)
             received = lowest_loss(spec, hyps, dataset)[None]
             update = local_updates(
-                spec, received, [dataset], 0.1, 2, 4, [substream(0, "client", i, 2)]
+                spec, received, table(spec, [dataset]), 0.1, 2, 4, [substream(0, "client", i, 2)]
             )[0]
             assert solo.radius[0] == float(np.linalg.norm(update - received[0]))
             if nu == 0:
@@ -275,9 +293,8 @@ class TestServerRound:
 
     def test_a_round_builds_no_seed_sequence(self, monkeypatch):
         train, _ = split_views(n_clients=30)
-        indices = {cid: i for i, cid in enumerate(sorted(train))}
         config = make_config(U=7, nu=5.0)
-        streams = RoundStreams(config.master_seed, len(train), config.T)
+        run = Run(train, config)
         hyps = HypothesisSet(np.zeros((2, 2)))
         built = []
 
@@ -289,10 +306,9 @@ class TestServerRound:
 
         for name in ("SeedSequence", "PCG64", "default_rng"):
             monkeypatch.setattr(np.random, name, counting(getattr(np.random, name)))
-        ledger = PrivacyLedger()
         for t in range(4):
-            hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices, streams)
-        assert len(ledger) == 4 * 7
+            hyps, _ = run.round(hyps, t)
+        assert len(run.ledger) == 4 * 7
         # Only the first round builds PCG64s, into which later rounds load states.
         assert "SeedSequence" not in built and "default_rng" not in built
         assert built.count("PCG64") == 7
@@ -312,26 +328,22 @@ class TestServerRound:
         clients = {i: Batch(np.ones((2, 1)), np.ones(2)) for i in range(4)}
         config = make_config(k=3, U=4, nu=5.0)
         hyps = HypothesisSet(np.array([[0.0], [5.0], [10.0]]))
-        ledger = PrivacyLedger()
-        indices = {i: i for i in range(4)}
-        new_hyps, _ = server_round(
-            clients, hyps, spec, config, ledger, 0, indices, streams_for(config, indices)
-        )
+        run = Run(clients, config, spec)
+        new_hyps, _ = run.round(hyps, 0)
         kmeans = kmeans_from_hypotheses(list(enumerate(released)), hyps.vectors)
         assert kmeans.labels.tolist() == [0, 2, 0, 2]
         assert kmeans.centroids[1, 0] == pytest.approx(5.2, rel=1e-12)
         assert new_hyps.vectors[1, 0] == 5.0
         assert new_hyps.vectors[:, 0] == pytest.approx([2.0, 5.0, 8.2], rel=1e-12)
-        assert round_assignment(ledger, 0) == {0: 0, 1: 2, 2: 0, 3: 2}
-        assert all(event.cluster_id != 1 for _, event, _ in ledger.iter_rows())
+        assert round_assignment(run.ledger, 0) == {0: 0, 1: 2, 2: 0, 3: 2}
+        assert all(event.cluster_id != 1 for _, event, _ in run.ledger.iter_rows())
 
     def test_too_few_clients_rejected(self):
         clients = {0: make_dataset()}
         config = make_config(U=2)
         hyps = HypothesisSet(np.zeros((2, 2)))
-        streams = streams_for(config, {0: 0})
         with pytest.raises(RuntimeError):
-            server_round(clients, hyps, LINEAR, config, PrivacyLedger(), 0, {0: 0}, streams)
+            Run(clients, config).round(hyps, 0)
 
 
 class TestInformationHygiene:
@@ -341,21 +353,17 @@ class TestInformationHygiene:
         clients, _ = split_views()
         config = make_config(U=5)
         hyps = HypothesisSet(np.zeros((2, 2)))
-        indices = {cid: i for i, cid in enumerate(sorted(clients))}
-        ledger = PrivacyLedger()
-        returned = server_round(
-            clients, hyps, LINEAR, config, ledger, 0, indices, streams_for(config, indices)
-        )
+        run = Run(clients, config)
+        returned = run.round(hyps, 0)
         assert len(returned) == 2
         new_hyps, mean_train_loss = returned
         assert isinstance(new_hyps, HypothesisSet)
         assert {f.name for f in dataclasses.fields(HypothesisSet)} == {"vectors"}
         assert type(mean_train_loss) is float
+        rngs = {cid: substream(0, "client", run.ids.index(cid), 0) for cid in run.ids}
         steps = [
-            federation._client_steps(
-                LINEAR, [clients[cid]], hyps, config, [substream(0, "client", indices[cid], 0)]
-            )
-            for cid in round_assignment(ledger, 0)
+            client_steps(LINEAR, [clients[cid]], hyps, config, [rngs[cid]])
+            for cid in round_assignment(run.ledger, 0)
         ]
         solo_mean = np.mean([s.train_loss[0] for s in steps])
         assert mean_train_loss == pytest.approx(solo_mean, rel=1e-12)
@@ -374,6 +382,51 @@ class TestInformationHygiene:
         assert fields == {"sanitized", "epsilon", "radius", "leakage", "train_loss"}
 
 
+class TestDivergence:
+    @pytest.mark.parametrize("nu", [0.0, 5.0])
+    def test_a_non_finite_update_names_the_round(self, monkeypatch, nu):
+        # A NaN update used to be released at radius RADIUS_FLOOR (nu > 0) or
+        # as-is (nu = 0); now the round fails before anything is recorded.
+        real = federation.local_updates
+
+        def one_nan_row(*args):
+            updated = real(*args)
+            updated[1] = np.nan
+            return updated
+
+        monkeypatch.setattr(federation, "local_updates", one_nan_row)
+        clients, _ = split_views()
+        run = Run(clients, make_config(U=5, nu=nu))
+        with pytest.raises(FloatingPointError, match="round 3: .* diverged"):
+            run.round(HypothesisSet(np.zeros((2, 2))), 3)
+        assert len(run.ledger) == 0
+
+
+class TestRoundPath:
+    def test_rows_are_concatenated_once_and_no_event_is_built(self, monkeypatch):
+        # After run_experiment's two tables (training, validation), no round
+        # builds one, and recording the rounds creates no LeakageEvent.
+        built = []
+        real = ClientTable.from_batches.__func__
+
+        def from_batches(cls, spec, batches):
+            if len(built) == 2:
+                raise AssertionError("client rows concatenated after setup")
+            built.append(len(batches))
+            return real(cls, spec, batches)
+
+        def no_event(self):
+            raise AssertionError("a LeakageEvent was built on the round path")
+
+        monkeypatch.setattr(ClientTable, "from_batches", classmethod(from_batches))
+        monkeypatch.setattr(LeakageEvent, "__post_init__", no_event)
+        train, val = split_views()
+        result = run_experiment(train, val, LINEAR, make_config(T=12, validation_patience=12))
+        assert len(result.history) == 12
+        assert built == [len(train), len(val)]
+        assert len(result.ledger) == 12 * 7
+
+
 class TestEarlyStopping:
     def test_validation_loss_is_mean_of_per_client_minimum(self):
         gen = np.random.default_rng(11)
@@ -383,7 +436,9 @@ class TestEarlyStopping:
             min(loss(LINEAR, vec, validation[cid], "rmse") for vec in hyps.vectors)
             for cid in sorted(validation)
         ]
-        got = federation._validation_loss(validation, hyps, LINEAR)
+        got = federation._validation_loss(
+            table(LINEAR, [validation[cid] for cid in sorted(validation)]), hyps, LINEAR
+        )
         assert got == pytest.approx(np.mean(per_client), rel=1e-12)
 
     def test_zero_rounds_returns_initial_hypotheses(self):
@@ -453,18 +508,15 @@ class TestReproducibilityAndReduction:
         # client-updated vectors, recomputed here from scratch.
         train, _ = split_views()
         config = make_config(k=1, nu=0.0, T=3, U=5)
-        indices = {cid: i for i, cid in enumerate(sorted(train))}
         hyps = HypothesisSet(np.zeros((1, 2)))
-        ledger = PrivacyLedger()
-        streams = streams_for(config, indices)
+        run = Run(train, config)
         for t in range(3):
-            new_hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices, streams)
+            new_hyps, _ = run.round(hyps, t)
             manual = []
-            for cid in round_assignment(ledger, t):
-                rng = substream(config.master_seed, "client", indices[cid], t)
-                manual.append(
-                    local_updates(LINEAR, hyps.vectors, [train[cid]], 0.1, 1, 10, [rng])[0]
-                )
+            for cid in round_assignment(run.ledger, t):
+                rng = substream(config.master_seed, "client", run.ids.index(cid), t)
+                data = table(LINEAR, [train[cid]])
+                manual.append(local_updates(LINEAR, hyps.vectors, data, 0.1, 1, 10, [rng])[0])
             assert new_hyps.vectors[0] == pytest.approx(np.mean(manual, axis=0), rel=1e-12)
             hyps = new_hyps
 
@@ -474,34 +526,30 @@ class TestBudgetCap:
         train, _ = split_views(n_clients=13)  # 9 train clients after the 30% split
         # per-round cost 0.4; cap 0.5 allows exactly one participation
         config = make_config(U=3, nu=5.0, budget_cap=0.5, T=50)
-        indices = {cid: i for i, cid in enumerate(sorted(train))}
         hyps = HypothesisSet(np.zeros((2, 2)))
-        ledger = PrivacyLedger()
-        streams = streams_for(config, indices)
+        run = Run(train, config)
         seen = set()
         for t in range(3):
-            hyps, _ = server_round(train, hyps, LINEAR, config, ledger, t, indices, streams)
-            sampled = set(round_assignment(ledger, t))
+            hyps, _ = run.round(hyps, t)
+            sampled = set(round_assignment(run.ledger, t))
             assert not (sampled & seen), "an exhausted client was resampled"
             seen |= sampled
         # all 9 clients used up: a fourth round cannot field U=3
         with pytest.raises(RuntimeError):
-            server_round(train, hyps, LINEAR, config, ledger, 3, indices, streams)
+            run.round(hyps, 3)
 
     def test_cap_admits_every_release_it_covers(self):
         # per-release cost 2/20 = 0.1; three releases sum to 0.30000000000000004
         # in floating point but must fit under a cap of 0.3, and a fourth must not
         clients = {i: make_dataset(seed=i) for i in range(3)}
         config = make_config(k=1, U=3, nu=20.0, budget_cap=0.3)
-        indices = {i: i for i in range(3)}
         hyps = HypothesisSet(np.zeros((1, 2)))
-        ledger = PrivacyLedger()
-        streams = streams_for(config, indices)
+        run = Run(clients, config)
         for t in range(3):
-            hyps, _ = server_round(clients, hyps, LINEAR, config, ledger, t, indices, streams)
-        assert all(len(ledger.events(cid)) == 3 for cid in clients)
+            hyps, _ = run.round(hyps, t)
+        assert all(len(run.ledger.events(cid)) == 3 for cid in clients)
         with pytest.raises(RuntimeError):
-            server_round(clients, hyps, LINEAR, config, ledger, 3, indices, streams)
+            run.round(hyps, 3)
 
     def test_exhausted_budget_ends_training(self, monkeypatch):
         # 9 training clients, U=3, one release each: three rounds, then the

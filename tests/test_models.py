@@ -12,6 +12,7 @@ from oracle_sgd import sgd_reference
 
 from metricfl.models import (
     Batch,
+    ClientTable,
     ModelSpec,
     client_losses,
     gradient,
@@ -27,6 +28,10 @@ from metricfl.models import (
 
 LINEAR_2D = ModelSpec("linear", input_dim=2)
 SMALL_MLP = ModelSpec("mlp", input_dim=3, hidden=(2,))
+
+
+def table(spec, batches):
+    return ClientTable.from_batches(spec, batches)
 
 
 def finite_difference(spec, params, batch, objective, h=1e-5):
@@ -181,7 +186,7 @@ class TestLossMatrix:
         hypotheses = gen.standard_normal((k, n_params(spec)))
         for sizes in ([1], [4], [1, 7, 1, 3], [2, 1, 64, 5, 1]):
             batches = random_batches(gen, spec, sizes)
-            matrix = loss_matrix(spec, hypotheses, batches)
+            matrix = loss_matrix(spec, hypotheses, table(spec, batches))
             assert matrix.shape == (len(batches), k)
             for i, batch in enumerate(batches):
                 for j in range(k):
@@ -194,13 +199,13 @@ class TestLossMatrix:
         sizes = [2, 1, 64, 5, 1]
         params = gen.standard_normal((len(sizes), n_params(spec)))
         batches = random_batches(gen, spec, sizes)
-        losses = client_losses(spec, params, batches)
+        losses = client_losses(spec, params, table(spec, batches))
         assert losses.shape == (len(sizes),)
         for i, batch in enumerate(batches):
             expected = loss(spec, params[i], batch, objective)
             assert losses[i] == pytest.approx(expected, rel=1e-12, abs=0.0)
         with pytest.raises(ValueError):
-            client_losses(spec, params[:2], batches)
+            client_losses(spec, params[:2], table(spec, batches))
 
     def test_argmin_breaks_ties_to_lowest_index(self):
         spec = SMALL_MLP
@@ -209,7 +214,7 @@ class TestLossMatrix:
         worse = best + 1.0
         hypotheses = np.stack([worse, best, best, worse])
         batch = Batch(gen.standard_normal((5, 3)), gen.standard_normal(5))
-        row = loss_matrix(spec, hypotheses, [batch])[0]
+        row = loss_matrix(spec, hypotheses, table(spec, [batch]))[0]
         assert row[1] == row[2]
         assert int(np.argmin(row)) == 1
 
@@ -218,13 +223,14 @@ class TestLossMatrix:
         batch = Batch(np.zeros((3, 3)), np.zeros(3))
         empty = Batch(np.zeros((0, 3)), np.zeros(0))
         with pytest.raises(ValueError):
-            loss_matrix(SMALL_MLP, hypotheses, [batch, empty])
+            loss_matrix(SMALL_MLP, hypotheses, table(SMALL_MLP, [batch, empty]))
         with pytest.raises(ValueError):
-            loss_matrix(SMALL_MLP, hypotheses, [])
+            loss_matrix(SMALL_MLP, hypotheses, table(SMALL_MLP, []))
         with pytest.raises(ValueError):
-            loss_matrix(SMALL_MLP, np.zeros((2, 10)), [batch])
+            loss_matrix(SMALL_MLP, np.zeros((2, 10)), table(SMALL_MLP, [batch]))
+        narrow = Batch(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ValueError):
-            loss_matrix(SMALL_MLP, hypotheses, [Batch(np.zeros((3, 2)), np.zeros(3))])
+            loss_matrix(SMALL_MLP, hypotheses, table(SMALL_MLP, [narrow]))
 
 
 class TestGradient:
@@ -252,7 +258,9 @@ class TestGradient:
         with pytest.raises(ValueError):
             gradient(ModelSpec("linear", input_dim=3), np.zeros(3), wrong, "rmse")
         with pytest.raises(ValueError):
-            local_updates(SMALL_MLP, np.zeros((1, 11)), [wrong], 0.1, 1, 2, streams([0]))
+            local_updates(
+                SMALL_MLP, np.zeros((1, 11)), table(SMALL_MLP, [wrong]), 0.1, 1, 2, streams([0])
+            )
 
     def test_only_rmse_is_accepted(self):
         batch = Batch(np.ones((3, 2)), np.ones(3))
@@ -278,44 +286,46 @@ class TestLocalUpdate:
     def test_zero_step_size_is_identity(self):
         dataset = self.make_dataset()
         params = np.array([[1.0, -1.0]])
-        out = local_updates(LINEAR_2D, params, [dataset], 0.0, 3, 4, streams([0]))
+        out = local_updates(LINEAR_2D, params, table(LINEAR_2D, [dataset]), 0.0, 3, 4, streams([0]))
         assert np.array_equal(out, params)
 
     def test_input_vector_untouched(self):
         dataset = self.make_dataset()
         params = np.array([[1.0, -1.0]])
-        local_updates(LINEAR_2D, params, [dataset], 0.1, 1, 10, streams([0]))
+        local_updates(LINEAR_2D, params, table(LINEAR_2D, [dataset]), 0.1, 1, 10, streams([0]))
         assert np.array_equal(params, np.array([[1.0, -1.0]]))
 
     def test_single_full_batch_step(self):
         dataset = self.make_dataset()
         params = np.array([[0.5, 0.5]])
-        out = local_updates(LINEAR_2D, params, [dataset], 0.1, 1, len(dataset), streams([0]))
+        data = table(LINEAR_2D, [dataset])
+        out = local_updates(LINEAR_2D, params, data, 0.1, 1, len(dataset), streams([0]))
         expected = params[0] - 0.1 * gradient(LINEAR_2D, params[0], dataset, "rmse")
         assert out[0] == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_given_seed(self):
-        dataset = self.make_dataset()
+        data = table(LINEAR_2D, [self.make_dataset()])
         runs = [
-            local_updates(LINEAR_2D, np.zeros((1, 2)), [dataset], 0.1, 5, 3, streams([77]))
+            local_updates(LINEAR_2D, np.zeros((1, 2)), data, 0.1, 5, 3, streams([77]))
             for _ in range(2)
         ]
         assert np.array_equal(runs[0], runs[1])
 
     def test_batch_size_validated(self):
-        dataset = self.make_dataset()
+        data = table(LINEAR_2D, [self.make_dataset()])
         with pytest.raises(ValueError):
-            local_updates(LINEAR_2D, np.zeros((1, 2)), [dataset], 0.1, 1, 0, streams([0]))
+            local_updates(LINEAR_2D, np.zeros((1, 2)), data, 0.1, 1, 0, streams([0]))
 
     def test_converges_to_least_squares_solution(self):
         # Repeated full-batch steps must approach the closed-form minimizer
         # of this dataset, which itself sits close to the generating vector.
         dataset = self.make_dataset(seed=8, m=50)
+        data = table(LINEAR_2D, [dataset])
         solution, *_ = np.linalg.lstsq(dataset.x, np.asarray(dataset.y, dtype=float), rcond=None)
         params = np.zeros((1, 2))
         gen = np.random.default_rng(0)
         for _ in range(300):
-            params = local_updates(LINEAR_2D, params, [dataset], 0.1, 1, len(dataset), [gen])
+            params = local_updates(LINEAR_2D, params, data, 0.1, 1, len(dataset), [gen])
         assert np.linalg.norm(solution - np.array([5.0, 6.0])) < 0.45
         assert np.linalg.norm(params[0] - np.array([5.0, 6.0])) < 0.5
 
@@ -352,7 +362,7 @@ def streams(seeds):
 
 def solo_runs(spec, params, datasets, step, epochs, batch_size, seeds):
     return [
-        local_updates(spec, p[None], [d], step, epochs, batch_size, streams([seed]))[0]
+        local_updates(spec, p[None], table(spec, [d]), step, epochs, batch_size, streams([seed]))[0]
         for p, d, seed in zip(params, datasets, seeds)
     ]
 
@@ -378,7 +388,8 @@ class TestLocalUpdates:
         sizes = [1, largest] + [1 + int(f * (largest - 1)) for f in fractions]
         gen = np.random.default_rng(seed)
         params, datasets, seeds = random_stack(gen, spec, sizes)
-        stacked = local_updates(spec, params, datasets, 0.05, epochs, batch_size, streams(seeds))
+        data = table(spec, datasets)
+        stacked = local_updates(spec, params, data, 0.05, epochs, batch_size, streams(seeds))
         solo = solo_runs(spec, params, datasets, 0.05, epochs, batch_size, seeds)
         for i, (p, d, s) in enumerate(zip(params, datasets, seeds)):
             reference = np.array(
@@ -394,12 +405,13 @@ class TestLocalUpdates:
         spec = STACK_CASES["mlp_rmse"]
         gen = np.random.default_rng(11)
         params, datasets, seeds = random_stack(gen, spec, [1, 13])
-        stacked = local_updates(spec, params, datasets, 0.05, 2, 4, streams(seeds))
-        alone = local_updates(spec, params[:1], datasets[:1], 0.05, 2, 4, streams(seeds[:1]))
+        stacked = local_updates(spec, params, table(spec, datasets), 0.05, 2, 4, streams(seeds))
+        first = table(spec, datasets[:1])
+        alone = local_updates(spec, params[:1], first, 0.05, 2, 4, streams(seeds[:1]))
         assert np.array_equal(stacked[0], alone[0])
         # zero epochs: every step is absent, the vectors come back as given
         assert np.array_equal(
-            local_updates(spec, params, datasets, 0.05, 0, 4, streams(seeds)), params
+            local_updates(spec, params, table(spec, datasets), 0.05, 0, 4, streams(seeds)), params
         )
 
     def test_zero_residual_client_stays_put_while_others_move(self):
@@ -412,7 +424,7 @@ class TestLocalUpdates:
         noisy = Batch(x, x @ theta + gen.standard_normal(9))
         spec = STACK_CASES["linear"]
         params = np.stack([theta, theta])
-        out = local_updates(spec, params, [fitted, noisy], 0.1, 2, 4, streams([1, 2]))
+        out = local_updates(spec, params, table(spec, [fitted, noisy]), 0.1, 2, 4, streams([1, 2]))
         assert np.array_equal(out[0], theta)
         assert not np.array_equal(out[1], theta)
 
@@ -423,7 +435,7 @@ class TestLocalUpdates:
         params[1] *= 1e150
         datasets[1] = Batch(datasets[1].x * 1e150, datasets[1].y)
         with np.errstate(over="ignore", invalid="ignore"):
-            stacked = local_updates(spec, params, datasets, 0.05, 2, 4, streams(seeds))
+            stacked = local_updates(spec, params, table(spec, datasets), 0.05, 2, 4, streams(seeds))
             solo = solo_runs(spec, params, datasets, 0.05, 2, 4, seeds)
         assert not np.all(np.isfinite(stacked[1]))
         for i in (0, 2):
@@ -435,8 +447,8 @@ class TestLocalUpdates:
         dataset = Batch(np.ones((3, 3)), np.ones(3))
         gen = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            local_updates(spec, np.zeros((2, 3)), [dataset], 0.1, 1, 2, [gen])
+            local_updates(spec, np.zeros((2, 3)), table(spec, [dataset]), 0.1, 1, 2, [gen])
         with pytest.raises(ValueError):
-            local_updates(spec, np.zeros((1, 4)), [dataset], 0.1, 1, 2, [gen])
+            local_updates(spec, np.zeros((1, 4)), table(spec, [dataset]), 0.1, 1, 2, [gen])
         with pytest.raises(ValueError):
-            local_updates(spec, np.zeros((1, 3)), [dataset], 0.1, 1, 2, [gen, gen])
+            local_updates(spec, np.zeros((1, 3)), table(spec, [dataset]), 0.1, 1, 2, [gen, gen])
