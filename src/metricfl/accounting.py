@@ -36,7 +36,6 @@ __all__ = [
 RADIUS_FLOOR = 1e-9
 
 _REL_TOL = 1e-12
-_LARGEST = np.finfo(float).max
 
 
 def heuristic_epsilons(
@@ -67,11 +66,9 @@ def heuristic_epsilon(update_norm: float, dimension: int, noise_multiplier: floa
 def _check_events(
     round: int, epsilon: np.ndarray, radius: np.ndarray, leakage: np.ndarray
 ) -> None:
-    """Reject a round's rows (float columns) if any holds values no release
-    can have.  At a finite epsilon, which must be positive, the leakage must
-    equal epsilon * radius to ``math.isclose`` at ``_REL_TOL``: there both
-    are >= 0 or NaN, so that is the comparison below.  At an infinite
-    epsilon the leakage must be infinite too."""
+    """Reject rows (float columns) that no release can have: a finite
+    epsilon must be positive, with leakage ``math.isclose`` to epsilon *
+    radius at ``_REL_TOL``; an infinite epsilon needs infinite leakage."""
     if round < 0 or (radius < 0).any():
         raise ValueError("round and radius must be nonnegative")
     finite = np.isfinite(epsilon)
@@ -79,10 +76,10 @@ def _check_events(
         raise ValueError("epsilon must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
         expected = epsilon * radius
-        # Capped, so that an infinite expected cost is close only to itself.
-        scale = np.minimum(np.maximum(leakage, expected), _LARGEST)
-        tolerance = np.maximum(_REL_TOL * scale, 1e-300)
-        close = (abs(leakage - expected) <= tolerance) | (leakage == expected)
+        gap = abs(leakage - expected)
+        # expected is >= 0 or NaN, so max() stands in for isclose's max of abs().
+        tolerance = np.maximum(_REL_TOL * np.maximum(leakage, expected), 1e-300)
+        close = (leakage == expected) | (np.isfinite(gap) & (gap <= tolerance))
     if not (close | ~finite).all():
         i = np.flatnonzero(finite & ~close)[0]
         raise ValueError(
@@ -133,10 +130,9 @@ class PrivacyLedger:
     Clients are held by position: ``client_ids`` (a run passes its sorted
     training ids) take the first ones, and ``record_participation`` appends
     an id it has not seen; ids appear again only where rows are read.  Each
-    round is one chunk of columns.  Composed leakage is one vector by
-    position, grown by one ``+=`` per round, so each client's sum keeps its
-    order.  Rows recorded in (round, client id) order, as a run records
-    them, are read back without a sort.  Single writer.
+    round is one chunk of columns, and the positions each round has seen are
+    one set.  Composed leakage is one vector by position, grown by one
+    ``+=`` per round, so each client's sum keeps its order.  Single writer.
     """
 
     def __init__(self, client_ids: Sequence[Hashable] = ()) -> None:
@@ -146,9 +142,7 @@ class PrivacyLedger:
             raise ValueError("duplicate client ids")
         self._composed = np.zeros(len(self._ids))
         self._chunks: list[_Columns] = []
-        # Position order is id order, and rows came in (round, position) order.
-        self._in_order = self._ids == sorted(self._ids)
-        self._last_key = (-1, -1)
+        self._rounds: dict[int, set[int]] = {}
 
     def record_participation(
         self,
@@ -168,15 +162,14 @@ class PrivacyLedger:
         """
         if leakage is None:
             leakage = epsilon * radius
-        event = LeakageEvent(round, epsilon, radius, leakage, cluster_id)
+        event = LeakageEvent(round, epsilon, radius, leakage, cluster_id)  # checks the values
         if client_id not in self._position:
-            self._in_order = self._in_order and (not self._ids or self._ids[-1] < client_id)
             self._position[client_id] = len(self._ids)
             self._ids.append(client_id)
             self._composed = np.append(self._composed, 0.0)
-        position = [self._position[client_id]]
-        cluster = [_NO_CLUSTER if cluster_id is None else cluster_id]
-        self.record_round(round, position, [epsilon], [radius], cluster, leakage)
+        cluster = _NO_CLUSTER if cluster_id is None else cluster_id
+        values = np.array([[epsilon], [radius], [leakage]], dtype=float)
+        self._append(round, [self._position[client_id]], [cluster], *values)
         return event
 
     def record_round(
@@ -191,26 +184,29 @@ class PrivacyLedger:
         """Append one round's releases, row i for the client at ``positions[i]``.
 
         ``positions`` must ascend; a scalar ``leakage`` is every row's.  The
-        values are checked as ``LeakageEvent`` checks them, and a repeated
-        round is looked for among these positions only.  A rejected call
+        values are checked as ``LeakageEvent`` checks them.  A rejected call
         leaves the ledger as it was.
         """
-        positions = np.array(positions, dtype=np.intp)
         epsilon, radius = np.array(epsilon, dtype=float), np.array(radius, dtype=float)
-        leakage = np.full(positions.shape, leakage, dtype=float)
-        rounds, clusters = np.full(len(positions), round), np.array(clusters, dtype=np.int64)
+        leakage = np.full(len(epsilon), leakage, dtype=float)
         _check_events(round, epsilon, radius, leakage)
+        self._append(round, positions, clusters, epsilon, radius, leakage)
+
+    def _append(self, round, positions, clusters, epsilon, radius, leakage) -> None:
+        """Append rows whose values are checked, once their positions pass:
+        ascending, in range, and none with a row in this round yet."""
+        positions = np.array(positions, dtype=np.intp)
         if not len(positions) or (positions[1:] <= positions[:-1]).any():
             raise ValueError("a round's client positions must be nonempty and ascend")
-        in_order = self._in_order and (round, int(positions[0])) > self._last_key
-        # Rows that keep (round, position) order cannot repeat an earlier row.
-        for chunk in () if in_order else self._chunks:
-            again = positions[np.isin(positions, chunk.position)] if chunk.round[0] == round else []
-            if len(again):
-                cid = self._ids[again[0]]
-                raise ValueError(f"client {cid!r} already has an event for round {round}")
-        self._in_order, self._last_key = in_order, (round, int(positions[-1]))
+        if positions[0] < 0 or positions[-1] >= len(self._ids):
+            raise ValueError(f"client positions must lie in [0, {len(self._ids)})")
+        seen = self._rounds.get(round, set())
+        if again := seen.intersection(positions.tolist()):
+            cid = self._ids[min(again)]
+            raise ValueError(f"client {cid!r} already has an event for round {round}")
+        self._rounds.setdefault(round, seen).update(positions.tolist())
         self._composed[positions] += leakage
+        rounds, clusters = np.full(len(positions), round), np.array(clusters, dtype=np.int64)
         row = (rounds, positions, clusters, epsilon, radius, leakage, self._composed[positions])
         self._chunks.append(_Columns(*row))
 
@@ -225,7 +221,9 @@ class PrivacyLedger:
 
     def events(self, client_id: Hashable) -> list[LeakageEvent]:
         """The client's events in round order."""
-        return [event for cid, event, _ in self.iter_rows() if cid == client_id]
+        rows = self._columns()
+        mine = rows.position == self._position.get(client_id, -1)
+        return [event for _, event, _ in self._rows(_Columns(*(c[mine] for c in rows)))]
 
     def composed_leakage(self, client_id: Hashable) -> float:
         position = self._position.get(client_id)
@@ -236,26 +234,31 @@ class PrivacyLedger:
 
     def _columns(self) -> _Columns:
         """All rows in (round, client id) order, ``composed`` being the
-        running total in that order.  Only rows recorded out of order are sorted."""
+        running total in that order.  Rows recorded in that order, as a run
+        records them, are not sorted."""
         if not self._chunks:
             return _Columns(*np.zeros((7, 0), dtype=np.int64))
         rows = _Columns(*(np.concatenate(column) for column in zip(*self._chunks)))
-        if self._in_order:
+        rank = np.empty(len(self._ids), dtype=np.int64)
+        rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = range(len(self._ids))
+        key = rows.round * len(self._ids) + rank[rows.position]
+        if (key[1:] > key[:-1]).all():
             return rows
-        keys = [(t, self._ids[p]) for t, p in zip(rows.round.tolist(), rows.position.tolist())]
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        rows = _Columns(*(column[order] for column in rows))
+        rows = _Columns(*(column[np.argsort(key)] for column in rows))
         running = np.zeros(len(self._ids))
         for i, (p, amount) in enumerate(zip(rows.position.tolist(), rows.leakage.tolist())):
             running[p] += amount
             rows.composed[i] = running[p]
         return rows
 
-    def iter_rows(self) -> Iterator[tuple[Hashable, LeakageEvent, float]]:
-        """All events in (round, client_id) order with the running composed value."""
-        for t, p, cluster, *values, composed in zip(*(c.tolist() for c in self._columns())):
+    def _rows(self, rows: _Columns) -> Iterator[tuple[Hashable, LeakageEvent, float]]:
+        for t, p, cluster, *values, composed in zip(*(c.tolist() for c in rows)):
             cluster_id = None if cluster == _NO_CLUSTER else cluster
             yield self._ids[p], LeakageEvent(t, *values, cluster_id), composed
+
+    def iter_rows(self) -> Iterator[tuple[Hashable, LeakageEvent, float]]:
+        """All events in (round, client_id) order with the running composed value."""
+        return self._rows(self._columns())
 
 
 @dataclass

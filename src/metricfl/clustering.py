@@ -37,24 +37,14 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def cluster_means(points: np.ndarray, labels: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Row j: the mean of the points labelled j, bit for bit what
-    ``points[labels == j].mean(axis=0)`` gives; ``fallback[j]`` where no
-    point is labelled j.
-
-    numpy sums an (m, n >= 2) block row by row onto +0.0, as the
-    scatter-add below does (so a column of -0.0 means 0.0).  A one-column
-    block is summed pairwise from 8 rows on instead, so it takes numpy's
-    own mean.
-    """
-    k, n = fallback.shape
-    counts = np.bincount(labels, minlength=k)
-    if n == 1:
-        return np.array(
-            [points[labels == j].mean(axis=0) if counts[j] else fallback[j] for j in range(k)]
-        )
-    sums = np.zeros((k, n))
-    np.add.at(sums, labels, points)
-    return np.where(counts[:, None] > 0, sums / np.maximum(counts, 1)[:, None], fallback)
+    """Row j: ``points[labels == j].mean(axis=0)``, computed as numpy's mean
+    computes it (an add-reduce, then one division by the count), or
+    ``fallback[j]`` if no point is labelled j."""
+    means = fallback.copy()
+    for j, count in enumerate(np.bincount(labels, minlength=len(fallback)).tolist()):
+        if count:
+            means[j] = np.add.reduce(points[labels == j]) / count
+    return means
 
 
 def kmeans_from_hypotheses(

@@ -8,15 +8,12 @@ local dataset size and the client's own idea of its cluster never do.  The
 server groups the received vectors with k-means seeded at the hypotheses and
 averages within groups.
 
-A run maps client ids to positions once (the sorted order) and builds one
-``models.ClientTable`` of the training clients and one of the validation
-clients: their concatenated rows and targets, and each client's row offset
-and size.  Only the client phase (``_client_steps``, which gathers the
-sampled clients' rows once per round) and validation read a table; the
-server half of ``server_round`` handles positions, sanitized vectors and
-ledger rows, never a dataset size.  The ledger records each round as one
-chunk of columns by position; ids appear only where it is read back and in
-the CSV files.
+A run maps client ids to positions once and builds one ``models.ClientTable``
+(concatenated rows and targets, each client's row offset and size) of the
+training clients and one of the validation clients.  Only ``_client_steps``
+(one gather per round) and validation read them; the server half of
+``server_round`` sees positions, sanitized vectors and the ledger's columns,
+never a dataset size.  Ids appear only where the ledger is read and in CSVs.
 
 The sampled clients' steps run as one stacked computation (selection, local
 SGD, training loss, release), in ascending client-id order; every random

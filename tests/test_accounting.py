@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from metricfl import accounting
 from metricfl.accounting import (
     RADIUS_FLOOR,
     LeakageEvent,
@@ -354,14 +355,17 @@ class TestColumnarLedger:
         assert ledger_state(one_row, tmp_path) == expected
         assert ledger_state(shuffled, tmp_path) == expected
 
-    def test_recording_cost_does_not_grow_with_the_ledger(self):
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_recording_cost_does_not_grow_with_the_ledger(self, descending):
         # Every Python-level and builtin call made while recording one round,
-        # on a ledger of 10 rounds and on one of 10,000.
+        # on a ledger of 10 rounds and on one of 10,000, their rounds recorded
+        # in order or (descending) all out of order.
         history = [round_columns(t) for t in range(7)]
 
         def calls_to_record(prior_rounds):
             ledger = PrivacyLedger(self.IDS)
-            for t in range(prior_rounds):
+            rounds = range(prior_rounds)
+            for t in reversed(rounds) if descending else rounds:
                 ledger.record_round(t, *history[t % 7], 0.4)
             names = []
 
@@ -384,6 +388,27 @@ class TestColumnarLedger:
         # No sort and no per-release LeakageEvent (its check runs in __post_init__).
         assert not {"sorted", "sort", "argsort", "lexsort", "__post_init__"} & set(long)
 
+    def test_one_row_recording_checks_its_values_once(self, monkeypatch):
+        checks = []
+        check = accounting._check_events
+        monkeypatch.setattr(accounting, "_check_events", lambda *a: checks.append(check(*a)))
+        ledger = PrivacyLedger()
+        event = ledger.record_participation("a", round=0, epsilon=2.0, radius=0.5, cluster_id=1)
+        assert len(checks) == 1
+        assert ledger.events("a") == [event]
+
+    def test_events_builds_only_the_clients_own_rows(self, monkeypatch):
+        ledger = PrivacyLedger(self.IDS)
+        for t in range(20):
+            ledger.record_round(t, *round_columns(t), 0.4)
+        expected = [event for cid, event, _ in ledger.iter_rows() if cid == "c3"]
+        built = []
+        check = LeakageEvent.__post_init__
+        monkeypatch.setattr(LeakageEvent, "__post_init__", lambda e: built.append(check(e)))
+        assert ledger.events("c3") == expected
+        assert len(built) == len(expected) > 0
+        assert ledger.events("absent") == []
+
     def test_rejected_round_leaves_the_ledger_unchanged(self, tmp_path):
         ledger = PrivacyLedger(self.IDS)
         for t in range(3):
@@ -398,9 +423,17 @@ class TestColumnarLedger:
             (3, positions[::-1], epsilon, radius, clusters),  # positions descend
             (2, *repeated),  # round 2 again
             (-1, positions, epsilon, radius, clusters),
+            (3, positions - positions[0] - 1, epsilon, radius, clusters),  # a negative position
+            (3, positions + len(self.IDS) - positions[-1], epsilon, radius, clusters),  # past the end
         ]
         for t, *columns in rejected:
             with pytest.raises(ValueError):
                 ledger.record_round(t, *columns, 0.4)
             assert ledger_state(ledger, tmp_path) == before
             assert len(ledger) == 9
+        # Nothing a rejected call saw is kept: round 3 still records as on a fresh ledger.
+        ledger.record_round(3, positions, epsilon, radius, clusters, 0.4)
+        fresh = PrivacyLedger(self.IDS)
+        for t in range(4):
+            fresh.record_round(t, *round_columns(t), 0.4)
+        assert ledger_state(ledger, tmp_path) == ledger_state(fresh, tmp_path)

@@ -140,7 +140,7 @@ class TestProperties:
 
 
 def masked_means(points, labels, fallback):
-    """The per-cluster loop ``cluster_means`` replaces."""
+    """The reference ``cluster_means`` must match bit for bit, whatever its kernel."""
     out = fallback.copy()
     for j in range(len(fallback)):
         if (labels == j).any():
