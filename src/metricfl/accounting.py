@@ -66,27 +66,26 @@ def heuristic_epsilon(update_norm: float, dimension: int, noise_multiplier: floa
 def _check_events(
     round: int, epsilon: np.ndarray, radius: np.ndarray, leakage: np.ndarray
 ) -> None:
-    """Reject rows (float columns) that no release can have: a finite
-    epsilon must be positive, with leakage ``math.isclose`` to epsilon *
-    radius at ``_REL_TOL``; an infinite epsilon needs infinite leakage."""
-    if round < 0 or (radius < 0).any():
-        raise ValueError("round and radius must be nonnegative")
-    finite = np.isfinite(epsilon)
-    if (finite & (epsilon <= 0)).any():
-        raise ValueError("epsilon must be positive")
+    """Reject rows (float columns) that no release can have: a negative radius,
+    a finite epsilon that is not positive or whose leakage is not ``math.isclose``
+    to epsilon * radius at ``_REL_TOL``, or a non-finite one at finite leakage."""
+    if round < 0:
+        raise ValueError(f"round must be nonnegative, got {round}")
     with np.errstate(over="ignore", invalid="ignore"):
         expected = epsilon * radius
         gap = abs(leakage - expected)
         # expected is >= 0 or NaN, so max() stands in for isclose's max of abs().
         tolerance = np.maximum(_REL_TOL * np.maximum(leakage, expected), 1e-300)
         close = (leakage == expected) | (np.isfinite(gap) & (gap <= tolerance))
-    if not (close | ~finite).all():
-        i = np.flatnonzero(finite & ~close)[0]
+        finite = np.isfinite(epsilon)
+        # ~(radius < 0), not radius >= 0: a NaN radius is judged by the cost.
+        valid = ~(radius < 0) & np.where(finite, (epsilon > 0) & close, np.isinf(leakage))
+    if not valid.all():
+        i = int(np.argmin(valid))
         raise ValueError(
-            f"leakage {float(leakage[i])} inconsistent with epsilon*radius {float(expected[i])}"
+            f"round {round}, row {i}: a release at epsilon {float(epsilon[i])!r} and radius "
+            f"{float(radius[i])!r} cannot cost {float(leakage[i])!r}"
         )
-    if not (finite | np.isinf(leakage)).all():
-        raise ValueError("infinite epsilon requires infinite leakage")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute the sweep described by a config file")
     run.add_argument("--config", required=True, help="path to the experiment YAML")
     run.add_argument("--out", required=True, help="output directory for run artifacts")
+    run.set_defaults(handler=_cmd_run)
 
     verify = sub.add_parser("verify-mechanism", help="empirical noise moments vs. theory")
     verify.add_argument("--dim", type=int, required=True, help="noise dimension n")
@@ -37,6 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, default=100_000, help="number of draws")
     verify.add_argument("--seed", type=int, default=0, help="rng seed")
     verify.add_argument("--out", default=None, help="directory for the CSV report")
+    verify.set_defaults(handler=_cmd_verify_mechanism)
 
     fixture = sub.add_parser("make-fixture", help="write a provider/charge fixture CSV")
     fixture.add_argument("--providers", type=int, default=75)
@@ -44,6 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fixture.add_argument("--clusters", type=int, default=5)
     fixture.add_argument("--seed", type=int, default=0)
     fixture.add_argument("--out", required=True, help="output CSV path")
+    fixture.set_defaults(handler=_cmd_make_fixture)
     return parser
 
 
@@ -72,13 +75,12 @@ def _cmd_verify_mechanism(args: argparse.Namespace) -> int:
         scale = NoiseScale(epsilon=args.epsilon, dimension=args.dim)
         if args.samples < 2:
             raise ValueError("--samples must be >= 2")
-        if args.seed < 0:
-            raise ValueError("--seed must be >= 0")
+        rng = substream(args.seed, "verify")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        rows = moment_report(scale, args.samples, substream(args.seed, "verify"))
+        rows = moment_report(scale, args.samples, rng)
         print(f"{'statistic':<22}{'empirical':>14}{'theoretical':>14}{'abs_error':>12}")
         for name, empirical, theoretical in rows:
             print(
@@ -105,23 +107,13 @@ def _cmd_verify_mechanism(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_fixture(args: argparse.Namespace) -> int:
+    out = Path(args.out)
     try:
-        if args.providers < 1 or args.services < 1 or args.clusters < 1:
-            raise ValueError("--providers, --services and --clusters must be >= 1")
-        if args.clusters > args.providers:
-            raise ValueError("--clusters cannot exceed --providers")
-        if args.seed < 0:
-            raise ValueError("--seed must be >= 0")
+        rng = substream(args.seed, "fixture")
+        n_rows = write_fixture(out, args.providers, args.services, args.clusters, rng)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        out = Path(args.out)
-        if out.parent and not out.parent.exists():
-            out.parent.mkdir(parents=True, exist_ok=True)
-        n_rows = write_fixture(
-            out, args.providers, args.services, args.clusters, substream(args.seed, "fixture")
-        )
     except OSError as exc:
         print(f"make-fixture failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -131,13 +123,7 @@ def _cmd_make_fixture(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "verify-mechanism":
-        return _cmd_verify_mechanism(args)
-    if args.command == "make-fixture":
-        return _cmd_make_fixture(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -140,7 +140,6 @@ def ingest_csv(path: str | Path, scaling: FeatureScaling = FeatureScaling()) -> 
             raise ValueError(f"{path}: empty file") from None
         if header != CSV_COLUMNS:
             raise ValueError(f"{path}: expected columns {CSV_COLUMNS}, found {header}")
-        n_rows = 0
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -159,8 +158,7 @@ def ingest_csv(path: str | Path, scaling: FeatureScaling = FeatureScaling()) -> 
             if payment < 0:
                 raise ValueError(f"{path}:{line_no}: negative payment")
             rows.setdefault(provider, []).append((service, longitude, latitude, payment))
-            n_rows += 1
-    if n_rows == 0:
+    if not rows:
         raise ValueError(f"{path}: no data rows")
 
     clients = []
@@ -215,13 +213,14 @@ def write_fixture(
     with the middle term drawn once per provider and the last per row, so
     adjacent tiers differ by 9 in mean payment while providers inside a tier
     keep distinct cost levels.  One row is written per (provider, service)
-    pair; the row count is returned.
+    pair, and the row count returned; the directory is made once the checks pass.
     """
     if providers < 1 or services < 1 or clusters < 1:
         raise ValueError("providers, services and clusters must be >= 1")
     if clusters > providers:
         raise ValueError("more clusters than providers")
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     n_rows = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -17,7 +17,6 @@ Run layout under ``<out>/<name>/``:
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 import re
@@ -305,23 +304,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config
 
 
-def effective_dict(
-    config: ExperimentConfig,
-    nu: float | None = None,
-    k: int | None = None,
-    seed: int | None = None,
-) -> dict:
-    """Config as a plain dict with all defaults applied.
-
-    When a sweep cell is given, the sweep lists are narrowed to it so the
-    echoed file reproduces exactly that run.
-    """
-    document = copy.deepcopy(config.document)
-    if nu is not None:
-        document["sweep"] = {"nu": [nu], "k": [k], "seeds": [seed]}
-    return document
-
-
 def _check_training_clients(U: int, n_clients: int, validation_fraction: float) -> None:
     n_train = n_clients - validation_size(n_clients, validation_fraction)
     if U > n_train:
@@ -351,19 +333,6 @@ def build_population(
     return train.federation_view(), val.federation_view()
 
 
-@dataclass(frozen=True)
-class CellRun:
-    """What the sweep keeps of a finished cell; the ledger is not kept."""
-
-    nu: float
-    k: int
-    seed: int
-    run_dir: Path
-    best_validation_loss: float
-    budget_median: float
-    budget_max: float
-
-
 def format_value(value: float) -> str:
     """Compact run-directory token for a sweep value (5.0 -> "5")."""
     return f"{value:g}"
@@ -377,42 +346,33 @@ def run_cell(
     run_dir: Path,
     train: Mapping[Hashable, Batch],
     val: Mapping[Hashable, Batch],
-) -> CellRun:
-    """Execute one sweep cell on ``build_population(config, seed, ...)``'s
-    views and write its artifacts."""
+) -> tuple[float, float, float]:
+    """Execute one sweep cell on ``build_population(config, seed, ...)``'s views
+    and write its artifacts.  Returns the best validation loss and the median
+    and largest composed leakage."""
     run_dir.mkdir(parents=True, exist_ok=True)
     fed_config = config.federation_config(nu=nu, k=k, seed=seed)
     result = run_experiment(train, val, config.model, fed_config)
 
-    (run_dir / "config.yaml").write_text(
-        yaml.safe_dump(effective_dict(config, nu=nu, k=k, seed=seed), sort_keys=True)
-    )
+    document = {**config.document, "sweep": {"nu": [nu], "k": [k], "seeds": [seed]}}
+    (run_dir / "config.yaml").write_text(yaml.safe_dump(document, sort_keys=True))
     summary = ledger_summary(result.ledger)
     write_metrics_csv(result.history, summary.max_trajectory, k, run_dir / "metrics.csv")
     write_ledger_csv(result.ledger, run_dir / "ledger.csv")
     write_hypotheses(result.best_hypotheses, run_dir / "hypotheses.txt")
     write_hypotheses(result.final_hypotheses, run_dir / "hypotheses_final.txt")
 
-    budget_median = summary.overall.median if summary.overall else 0.0
-    budget_max = summary.overall.maximum if summary.overall else 0.0
-    return CellRun(
-        nu=nu,
-        k=k,
-        seed=seed,
-        run_dir=run_dir,
-        best_validation_loss=result.best_validation_loss,
-        budget_median=budget_median,
-        budget_max=budget_max,
-    )
+    if summary.overall is None:
+        return result.best_validation_loss, 0.0, 0.0
+    return result.best_validation_loss, summary.overall.median, summary.overall.maximum
 
 
 def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
     """Run every (nu, k, seed) combination and write the aggregate tables.
 
-    Cells run seed by seed, so one population is held at a time: a table is
-    ingested once per sweep, and checked against ``federation.U`` before
-    anything is written; ``build_population`` generates (synthetic data) and
-    splits each seed's population once, before the seed's first cell.
+    Cells run seed by seed, so one population is held at a time.  A table is
+    ingested once per sweep and checked against ``federation.U`` before
+    anything is written.
     """
     table = None
     if not isinstance(config.data, SyntheticDataConfig):
@@ -422,55 +382,37 @@ def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
 
     exp_dir = Path(out_root) / config.name
     exp_dir.mkdir(parents=True, exist_ok=True)
-    (exp_dir / "config.yaml").write_text(yaml.safe_dump(effective_dict(config), sort_keys=True))
+    (exp_dir / "config.yaml").write_text(yaml.safe_dump(config.document, sort_keys=True))
 
-    cells: list[CellRun] = []
+    # run_cell's results per (nu, k), in sweep order.
+    results = {(nu, k): [] for nu in config.sweep_nu for k in config.sweep_k}
     for seed in config.seeds:
         views = None
-        for nu in config.sweep_nu:
-            for k in config.sweep_k:
-                run_dir = exp_dir / f"{format_value(nu)}_{k}_{seed}"
-                try:
-                    if views is None:
-                        views = build_population(config, seed, table)
-                    cells.append(run_cell(config, nu, k, seed, run_dir, *views))
-                except Exception as exc:
-                    raise RuntimeError(f"run {run_dir.name}: {exc}") from exc
-
-    _write_summary(config, cells, exp_dir / "summary.csv")
-    _write_budget_summary(config, cells, exp_dir / "budget_summary.csv")
+        for (nu, k), cells in results.items():
+            run_dir = exp_dir / f"{format_value(nu)}_{k}_{seed}"
+            try:
+                if views is None:
+                    views = build_population(config, seed, table)
+                cells.append(run_cell(config, nu, k, seed, run_dir, *views))
+            except Exception as exc:
+                raise RuntimeError(f"run {run_dir.name}: {exc}") from exc
+    _write_summaries(results, exp_dir)
     return exp_dir
 
 
-def _cell_groups(config: ExperimentConfig, cells: list[CellRun]):
-    for nu in config.sweep_nu:
-        for k in config.sweep_k:
-            yield nu, k, [c for c in cells if c.nu == nu and c.k == k]
-
-
-def _write_summary(config: ExperimentConfig, cells: list[CellRun], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nu", "k", "runs", "mean_validation_loss", "std_validation_loss"])
-        for nu, k, group in _cell_groups(config, cells):
-            losses = [c.best_validation_loss for c in group]
-            mean = statistics.fmean(losses)
+def _write_summaries(results: dict[tuple[float, int], list], exp_dir: Path) -> None:
+    """summary.csv and budget_summary.csv, a row per (nu, k) of ``results``.
+    fmean sums with math.fsum, so budgets that hold an inf average to inf."""
+    with open(exp_dir / "summary.csv", "w", newline="") as fh, \
+            open(exp_dir / "budget_summary.csv", "w", newline="") as budget_fh:
+        summary, budget = csv.writer(fh), csv.writer(budget_fh)
+        summary.writerow(["nu", "k", "runs", "mean_validation_loss", "std_validation_loss"])
+        budget.writerow(["noise_multiplier", "hypotheses", "median_budget", "max_budget"])
+        for (nu, k), cells in results.items():
+            losses, medians, maxima = zip(*cells)
             std = statistics.stdev(losses) if len(losses) > 1 else 0.0
-            writer.writerow([format_value(nu), k, len(group), repr(mean), repr(std)])
-
-
-def _write_budget_summary(config: ExperimentConfig, cells: list[CellRun], path: Path) -> None:
-    # Unlike summary.csv, nu is written by _fmt (repr): 5.0, not 5.
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["noise_multiplier", "hypotheses", "median_budget", "max_budget"])
-        for nu, k, group in _cell_groups(config, cells):
-            medians = [c.budget_median for c in group]
-            maxima = [c.budget_max for c in group]
-            writer.writerow([_fmt(nu), k, _fmt(_mean_or_inf(medians)), _fmt(_mean_or_inf(maxima))])
-
-
-def _mean_or_inf(values: list[float]) -> float:
-    if any(math.isinf(v) for v in values):
-        return math.inf
-    return statistics.fmean(values)
+            summary.writerow([format_value(nu), k, len(cells), repr(statistics.fmean(losses)),
+                              repr(std)])
+            # Unlike summary.csv, nu is written by _fmt (repr): 5.0, not 5.
+            budget.writerow([_fmt(nu), k, _fmt(statistics.fmean(medians)),
+                             _fmt(statistics.fmean(maxima))])

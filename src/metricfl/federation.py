@@ -181,16 +181,20 @@ def _client_steps(
     leakage, when nu = 0).  The clients' rows are gathered once; selection,
     local SGD, the training loss and the release each run once for the whole
     stack.  Each client draws its noise from its own stream after its SGD
-    permutations.  A zero update norm is floored to ``RADIUS_FLOOR``; a
-    non-finite one means local SGD diverged, and raises.
+    permutations.  A zero update norm is floored to ``RADIUS_FLOOR``; an
+    overflow or invalid value in training, or a non-finite norm, raises.
     """
     local = table.take(positions)
     chosen = np.argmin(loss_matrix(spec, hypotheses.vectors, local), axis=1)
     received = hypotheses.vectors[chosen]
-    updated = local_updates(spec, received, local, config.s, config.E, config.B_s, rngs)
-    train_losses = client_losses(spec, updated, local)
-    # sqrt(d.dot(d)) per row is what np.linalg.norm(d) computes, to the bit.
-    update_norms = np.sqrt([d.dot(d) for d in updated - received])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            updated = local_updates(spec, received, local, config.s, config.E, config.B_s, rngs)
+            train_losses = client_losses(spec, updated, local)
+            # sqrt(d.dot(d)) per row is what np.linalg.norm(d) computes, to the bit.
+            update_norms = np.sqrt([d.dot(d) for d in updated - received])
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"round {round_index}: a local update diverged ({exc})") from None
     if not np.isfinite(update_norms).all():
         raise FloatingPointError(f"round {round_index}: a local update diverged (non-finite norm)")
     if config.nu == 0:

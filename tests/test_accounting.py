@@ -431,6 +431,11 @@ class TestColumnarLedger:
                 ledger.record_round(t, *columns, 0.4)
             assert ledger_state(ledger, tmp_path) == before
             assert len(ledger) == 9
+        # The message names the round, the row and the row's values.
+        with pytest.raises(ValueError) as wrong:
+            ledger.record_round(3, positions, wrong_cost, radius, clusters, 0.4)
+        assert str(wrong.value).startswith("round 3, row 2: ")
+        assert f"epsilon {float(wrong_cost[-1])!r}" in str(wrong.value)
         # Nothing a rejected call saw is kept: round 3 still records as on a fresh ledger.
         ledger.record_round(3, positions, epsilon, radius, clusters, 0.4)
         fresh = PrivacyLedger(self.IDS)

@@ -18,7 +18,6 @@ from metricfl.cli import main
 from metricfl.data import write_fixture
 from metricfl.experiment import (
     ConfigError,
-    effective_dict,
     format_value,
     load_config,
     run_sweep,
@@ -188,7 +187,7 @@ class TestLoadConfig:
 
 
 def echo(config):
-    return yaml.safe_dump(effective_dict(config), sort_keys=True)
+    return yaml.safe_dump(config.document, sort_keys=True)
 
 
 class TestEcho:
@@ -352,7 +351,7 @@ class TestPopulations:
 
         def run_cell(config, nu, k, seed, run_dir, train, val):
             cells.append((seed, id(train), id(val)))
-            return experiment.CellRun(nu, k, seed, run_dir, 1.0, 0.0, 0.0)
+            return 1.0, 0.0, 0.0
 
         monkeypatch.setattr(experiment, "run_cell", run_cell)
         config = load_config(CONFIG_DIR / "tabular.yaml")
@@ -396,7 +395,8 @@ class TestPopulations:
 # SHA-256 of a small sweep's artifacts as the per-round SeedSequence and
 # per-client sanitization code wrote them; the stream table and the stacked
 # release must reproduce them bit for bit.  Any change to a stream or to the
-# float operations of a round shows up here.
+# float operations of a round shows up here.  The aggregate tables and the
+# config echoes are pinned too; the nu = 0 cells give infinite budgets.
 GOLDEN = {
     "0_2_3/ledger.csv": "eb4435b8b43a6d0470b7b653442f466636481512d7b099d8c40208e91db56cbd",
     "0_2_4294967303/ledger.csv": "477fb5642478f749d25733441e3a4d70c48b4237c836cb6ffef37aab3ca17278",
@@ -409,6 +409,12 @@ GOLDEN = {
     "5_2_3/hypotheses_final.txt": "cd0a84b6732fe2b3dfdf42c9fdc1b87d6728204a5e3637d83c522f38fa62331b",
     "5_2_4294967303/hypotheses_final.txt": (
         "602f0cc5cec29f260cd7a01f8ba1f4d79b60d04eaf8d80a4e37b1129b4bc8d36"
+    ),
+    "summary.csv": "634ff89d0b21c5e090df9a429aa9782c3da775ee5c13c2c569e38d294c4e33b4",
+    "budget_summary.csv": "9644fad1c30a6d5e43ce4495c16a50a974c3254ee76a61a74f2db111e5bbe287",
+    "config.yaml": "819bf4e4a2498e3434d7de31c1e6dad906166cd8df1de3df7b80be1c9800cce7",
+    "5_2_4294967303/config.yaml": (
+        "eb27c9f15512553e0ab57ccd68918b8bc6b5ce7259c112d769be27085b6b60cf"
     ),
 }
 
@@ -526,14 +532,16 @@ def test_import_and_config_load_leave_heavy_modules_unloaded():
 
 
 class TestCli:
-    def test_diverging_sgd_exits_2_and_says_so(self, tmp_path):
-        # The shipped tabular sweep at s = 1e300: local SGD overflows in round 0.
-        # Before, nu = 0 released the non-finite vectors and nu = 1 failed on
-        # "epsilon must be positive and finite, got 0.0".  A separate process
-        # runs it as a user would, with numpy's overflow warnings as warnings.
+    @pytest.mark.parametrize("s", [1e300, 1e150])
+    def test_diverging_sgd_exits_2_and_says_so(self, tmp_path, s):
+        # The shipped tabular sweep at a step size where local SGD overflows in
+        # round 0.  At s = 1e150 an overflowed RMSE gradient is a zero step
+        # unless the overflow raises; at s = 1e300 the norms turn non-finite
+        # after numpy has warned.  A separate process runs it as a user would,
+        # with numpy's warnings as warnings: the error is the one stderr line.
         doc = yaml.safe_load((CONFIG_DIR / "tabular.yaml").read_text())
         doc["data"]["path"] = str(CONFIG_DIR / "fixture.csv")
-        doc["federation"]["s"] = 1e300
+        doc["federation"]["s"] = s
         doc["sweep"]["seeds"] = [0]
         path = tmp_path / "diverging.yaml"
         path.write_text(yaml.safe_dump(doc))
@@ -544,6 +552,7 @@ class TestCli:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": env_path},
         )
         assert done.returncode == 2
+        assert len(done.stderr.splitlines()) == 1
         assert "run 0_5_0: round 0: " in done.stderr and "diverged" in done.stderr
 
     def test_run_exit_codes(self, tmp_path, capsys):
@@ -671,6 +680,8 @@ class TestCli:
     def test_verify_mechanism_rejects_bad_flags(self):
         assert main(["verify-mechanism", "--dim", "0", "--epsilon", "1.0"]) == 1
         assert main(["verify-mechanism", "--dim", "2", "--epsilon", "-1.0"]) == 1
+        assert main(["verify-mechanism", "--dim", "2", "--epsilon", "1.0", "--samples", "1"]) == 1
+        assert main(["verify-mechanism", "--dim", "2", "--epsilon", "1.0", "--seed", "-1"]) == 1
 
     def test_make_fixture(self, tmp_path, capsys):
         out = tmp_path / "fixture.csv"
@@ -694,6 +705,13 @@ class TestCli:
             "make-fixture", "--providers", "2", "--clusters", "5",
             "--out", str(tmp_path / "f.csv"),
         ]) == 1
+        assert main(["make-fixture", "--seed", "-1", "--out", str(tmp_path / "f.csv")]) == 1
+        # A rejected call writes nothing, not even the output's directory.
+        assert main([
+            "make-fixture", "--providers", "2", "--clusters", "5",
+            "--out", str(tmp_path / "new" / "f.csv"),
+        ]) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_format_value_compacts_floats():
