@@ -27,6 +27,7 @@ from .federation import (
     FederationConfig,
     HypothesisSet,
     run_experiment,
+    run_experiments,
     server_round,
 )
 from .mechanism import (

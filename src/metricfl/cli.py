@@ -75,6 +75,8 @@ def _cmd_verify_mechanism(args: argparse.Namespace) -> int:
         scale = NoiseScale(epsilon=args.epsilon, dimension=args.dim)
         if args.samples < 2:
             raise ValueError("--samples must be >= 2")
+        if args.seed < 0:
+            raise ValueError("--seed must be >= 0")
         rng = substream(args.seed, "verify")
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -109,6 +111,8 @@ def _cmd_verify_mechanism(args: argparse.Namespace) -> int:
 def _cmd_make_fixture(args: argparse.Namespace) -> int:
     out = Path(args.out)
     try:
+        if args.seed < 0:
+            raise ValueError("--seed must be >= 0")
         rng = substream(args.seed, "fixture")
         n_rows = write_fixture(out, args.providers, args.services, args.clusters, rng)
     except ValueError as exc:

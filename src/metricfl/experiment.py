@@ -38,8 +38,10 @@ from .data import (
     validation_size,
 )
 from .federation import (
+    Diverged,
+    ExperimentResult,
     FederationConfig,
-    run_experiment,
+    run_experiments,
     write_hypotheses,
     write_metrics_csv,
 )
@@ -338,22 +340,17 @@ def format_value(value: float) -> str:
     return f"{value:g}"
 
 
-def run_cell(
+def write_cell(
     config: ExperimentConfig,
     nu: float,
     k: int,
     seed: int,
     run_dir: Path,
-    train: Mapping[Hashable, Batch],
-    val: Mapping[Hashable, Batch],
+    result: ExperimentResult,
 ) -> tuple[float, float, float]:
-    """Execute one sweep cell on ``build_population(config, seed, ...)``'s views
-    and write its artifacts.  Returns the best validation loss and the median
-    and largest composed leakage."""
+    """Write one sweep cell's artifacts from its ``run_experiments`` result;
+    returns the best validation loss and the median and largest leakage."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    fed_config = config.federation_config(nu=nu, k=k, seed=seed)
-    result = run_experiment(train, val, config.model, fed_config)
-
     document = {**config.document, "sweep": {"nu": [nu], "k": [k], "seeds": [seed]}}
     (run_dir / "config.yaml").write_text(yaml.safe_dump(document, sort_keys=True))
     summary = ledger_summary(result.ledger)
@@ -370,9 +367,11 @@ def run_cell(
 def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
     """Run every (nu, k, seed) combination and write the aggregate tables.
 
-    Cells run seed by seed, so one population is held at a time.  A table is
-    ingested once per sweep and checked against ``federation.U`` before
-    anything is written.
+    Cells run seed by seed, so one population is held at a time, as one
+    group in lockstep (``run_experiments``), or one per nu under a budget
+    cap; a cell is written as soon as it stops.  A table is ingested once
+    per sweep and checked against ``federation.U`` before anything is
+    written.
     """
     table = None
     if not isinstance(config.data, SyntheticDataConfig):
@@ -384,18 +383,28 @@ def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
     exp_dir.mkdir(parents=True, exist_ok=True)
     (exp_dir / "config.yaml").write_text(yaml.safe_dump(config.document, sort_keys=True))
 
-    # run_cell's results per (nu, k), in sweep order.
+    # write_cell's results per (nu, k), in sweep order.
     results = {(nu, k): [] for nu in config.sweep_nu for k in config.sweep_k}
+    groups = [list(results)]
+    if config.document["federation"]["budget_cap"] is not None:
+        groups = [[cell for cell in results if cell[0] == nu] for nu in config.sweep_nu]
     for seed in config.seeds:
         views = None
-        for (nu, k), cells in results.items():
-            run_dir = exp_dir / f"{format_value(nu)}_{k}_{seed}"
+        for group in groups:
+            names = [f"{format_value(nu)}_{k}_{seed}" for nu, k in group]
+            at = 0  # the cell whose artifacts are being written
             try:
                 if views is None:
                     views = build_population(config, seed, table)
-                cells.append(run_cell(config, nu, k, seed, run_dir, *views))
+                cells = [config.federation_config(nu, k, seed) for nu, k in group]
+                for at, result in run_experiments(*views, config.model, cells):
+                    results[group[at]].append(
+                        write_cell(config, *group[at], seed, exp_dir / names[at], result)
+                    )
+                    at = 0
             except Exception as exc:
-                raise RuntimeError(f"run {run_dir.name}: {exc}") from exc
+                failed = cells.index(exc.config) if isinstance(exc, Diverged) else at
+                raise RuntimeError(f"run {names[failed]}: {exc}") from exc
     _write_summaries(results, exp_dir)
     return exp_dir
 

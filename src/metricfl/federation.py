@@ -8,29 +8,34 @@ local dataset size and the client's own idea of its cluster never do.  The
 server groups the received vectors with k-means seeded at the hypotheses and
 averages within groups.
 
-A run maps client ids to positions once and builds one ``models.ClientTable``
-(concatenated rows and targets, each client's row offset and size) of the
-training clients and one of the validation clients.  Only ``_client_steps``
+A group maps client ids to positions once and builds one
+``models.ClientTable`` (concatenated rows and targets, each client's row
+offset and size) of the training clients and one of the validation clients.  Only ``_client_steps``
 (one gather per round) and validation read them; the server half of
 ``server_round`` sees positions, sanitized vectors and the ledger's columns,
 never a dataset size.  Ids appear only where the ledger is read and in CSVs.
 
-The sampled clients' steps run as one stacked computation (selection, local
-SGD, training loss, release), in ascending client-id order; every random
-draw comes from the client's own stream.  No operation mixes two clients'
-rows, so each client's release is bit-identical to the one it makes when
-stepped alone: the outcome does not depend on which clients share a round.
-Only the reported training loss (``models.client_losses``) is exempt: it may
-move in the last ulp with the client's round-mates.
+The cells of one seed, or of one (seed, nu) under a budget cap, run as a
+group in lockstep (``run_experiments``): they sample the same clients and
+load the same streams every round, so a round is one stacked computation
+(selection, local SGD, training loss, release) over cells by clients, in
+ascending client-id order.  A client draws its permutations and raw noise
+once, from its own stream, for all cells; each cell keeps its own k-means,
+ledger, history and early stopping.  No operation mixes two rows, so each
+release is bit-identical to the one the client makes stepped alone: the
+outcome depends neither on a client's round-mates nor on a cell's group.
+Only the reported training loss (``models.client_losses``) may move in the
+last ulp with the client's round-mates.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
-from typing import Hashable, Mapping
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -54,7 +59,9 @@ __all__ = [
     "HypothesisSet",
     "RoundMetrics",
     "ExperimentResult",
+    "Diverged",
     "server_round",
+    "run_experiments",
     "run_experiment",
     "write_metrics_csv",
     "write_hypotheses",
@@ -163,30 +170,52 @@ class ExperimentResult:
     ledger: PrivacyLedger
 
 
+class Diverged(FloatingPointError):
+    """A local update of the cell of ``config`` diverged in the round named."""
+
+    def __init__(self, message: str, config: FederationConfig):
+        super().__init__(message)
+        self.config = config
+
+
+def _stacked(hypotheses: Sequence[HypothesisSet]) -> tuple[np.ndarray, list[slice]]:
+    """The cells' hypotheses as one (sum of k, n) array (a lone cell's as it
+    is) and each cell's rows of it."""
+    vectors = [h.vectors for h in hypotheses]
+    ends = accumulate(len(v) for v in vectors)
+    rows = [slice(end - len(v), end) for v, end in zip(vectors, ends)]
+    return (vectors[0] if len(vectors) == 1 else np.concatenate(vectors)), rows
+
+
 def _client_steps(
     spec: ModelSpec,
     table: ClientTable,
     positions: np.ndarray,
-    hypotheses: HypothesisSet,
-    config: FederationConfig,
+    hypotheses: Sequence[HypothesisSet],
+    configs: Sequence[FederationConfig],
     rngs: list[np.random.Generator],
     round_index: int,
-) -> _ClientSteps:
+) -> list[_ClientSteps]:
     """Select, train and release for the clients at ``positions`` of
-    ``table``, one row per client.
+    ``table`` in each cell c of a group (``hypotheses[c]``, ``configs[c]``),
+    one row per client.
 
-    Each client picks the hypothesis with the lowest loss on its full local
-    dataset (ties to the lowest index), trains it, and releases the updated
-    vector with noise calibrated to the update norm (as-is, at infinite
-    leakage, when nu = 0).  The clients' rows are gathered once; selection,
-    local SGD, the training loss and the release each run once for the whole
-    stack.  Each client draws its noise from its own stream after its SGD
-    permutations.  A zero update norm is floored to ``RADIUS_FLOOR``; an
-    overflow or invalid value in training, or a non-finite norm, raises.
+    In each cell, each client picks the hypothesis with the lowest loss on
+    its full local dataset (ties to the lowest index), trains it, and
+    releases the updated vector with noise calibrated to the update norm
+    (as-is, at infinite leakage, when nu = 0).  The rows are gathered once;
+    selection, local SGD, the training loss and the release each run once
+    for the stack of cells by clients.  A client's stream draws its SGD
+    permutations, then its raw noise, once for all cells.  A zero update
+    norm is floored to ``RADIUS_FLOOR``; an overflow or invalid value in
+    training, or a non-finite norm, raises.
     """
     local = table.take(positions)
-    chosen = np.argmin(loss_matrix(spec, hypotheses.vectors, local), axis=1)
-    received = hypotheses.vectors[chosen]
+    vectors, columns = _stacked(hypotheses)
+    losses = loss_matrix(spec, vectors, local)
+    chosen = [np.argmin(losses[:, cols], axis=1) + cols.start for cols in columns]
+    received = vectors[chosen[0] if len(chosen) == 1 else np.concatenate(chosen)]
+    config = configs[0]
     try:
         with np.errstate(over="raise", invalid="raise"):
             updated = local_updates(spec, received, local, config.s, config.E, config.B_s, rngs)
@@ -197,15 +226,24 @@ def _client_steps(
         raise FloatingPointError(f"round {round_index}: a local update diverged ({exc})") from None
     if not np.isfinite(update_norms).all():
         raise FloatingPointError(f"round {round_index}: a local update diverged (non-finite norm)")
-    if config.nu == 0:
-        infinite = np.full(len(rngs), math.inf)
-        return _ClientSteps(updated, infinite, update_norms, math.inf, train_losses)
+    dim, n_clients = n_params(spec), len(positions)
+    blocks = [slice(c * n_clients, (c + 1) * n_clients) for c in range(len(configs))]
     radii = np.where(update_norms == 0, RADIUS_FLOOR, update_norms)
-    dim = n_params(spec)
-    epsilons = heuristic_epsilons(radii, dim, config.nu)
-    sanitized = sanitize_rows(updated, epsilons, rngs)
+    epsilons = np.full(len(updated), math.inf)
+    noisy = [(rows, cell.nu) for rows, cell in zip(blocks, configs) if cell.nu > 0]
+    for rows, nu in noisy:
+        epsilons[rows] = heuristic_epsilons(radii[rows], dim, nu)
+    if len(noisy) == len(configs):
+        updated = sanitize_rows(updated, epsilons, rngs)
+    elif noisy:
+        rows = np.r_[tuple(rows for rows, _ in noisy)]  # the rows of the cells with nu > 0
+        updated[rows] = sanitize_rows(updated[rows], epsilons[rows], rngs)
     # One division, not epsilon*radius: keeps the recorded cost exact.
-    return _ClientSteps(sanitized, epsilons, radii, dim / config.nu, train_losses)
+    costs = [(radii, dim / cell.nu) if cell.nu else (update_norms, math.inf) for cell in configs]
+    return [
+        _ClientSteps(updated[rows], epsilons[rows], radius[rows], leakage, train_losses[rows])
+        for rows, (radius, leakage) in zip(blocks, costs)
+    ]
 
 
 def _eligible(ledger: PrivacyLedger, spec: ModelSpec, config: FederationConfig) -> np.ndarray:
@@ -223,64 +261,89 @@ def _eligible(ledger: PrivacyLedger, spec: ModelSpec, config: FederationConfig) 
 def server_round(
     table: ClientTable,
     pool: np.ndarray,
-    hypotheses: HypothesisSet,
+    hypotheses: Sequence[HypothesisSet],
     spec: ModelSpec,
-    config: FederationConfig,
-    ledger: PrivacyLedger,
+    configs: Sequence[FederationConfig],
+    ledgers: Sequence[PrivacyLedger],
     round_index: int,
     streams: RoundStreams,
-) -> tuple[HypothesisSet, float]:
-    """One full round: sample, collect sanitized vectors, cluster, average.
+) -> list[tuple[HypothesisSet, float]]:
+    """One full round of each cell c of a group (``hypotheses[c]``,
+    ``configs[c]``, ``ledgers[c]``): sample, collect sanitized vectors,
+    cluster, average.  The cells share the sample and the client streams.
 
     ``table`` holds the run's training clients by position, ``pool`` the
     ascending positions eligible this round, and ``streams`` is the run's
-    stream table.  Returns the new hypotheses and the sampled clients' mean
-    training loss.  Who was sampled and which cluster each release was
-    aggregated into is recorded in ``ledger`` as one round of rows; the
-    cluster a client chose for itself is never kept.  Raises RuntimeError
-    when the pool holds fewer than U clients.
+    stream table.  Returns each cell's new hypotheses and sampled clients'
+    mean training loss.  Who was sampled and which cluster each release was
+    aggregated into is recorded in the cell's ledger as one round of rows;
+    the cluster a client chose for itself is never kept.  Raises
+    RuntimeError when the pool holds fewer than U clients, and ``Diverged``
+    when a local update diverges.
     """
-    if len(pool) < config.U:
-        raise RuntimeError(
-            f"round {round_index}: only {len(pool)} eligible clients, need U={config.U}"
-        )
-    picked = streams.sampling(round_index).choice(len(pool), size=config.U, replace=False)
+    U = configs[0].U
+    if len(pool) < U:
+        raise RuntimeError(f"round {round_index}: only {len(pool)} eligible clients, need U={U}")
+    picked = streams.sampling(round_index).choice(len(pool), size=U, replace=False)
     sampled = np.sort(pool[picked])
+    positions = sampled.tolist()
 
-    rngs = streams.clients(round_index, sampled.tolist())
-    steps = _client_steps(spec, table, sampled, hypotheses, config, rngs, round_index)
+    rngs = streams.clients(round_index, positions)
+    try:
+        steps = _client_steps(spec, table, sampled, hypotheses, configs, rngs, round_index)
+    except FloatingPointError as exc:
+        # Name the first cell that diverges alone, on fresh copies of the streams.
+        for c, config in enumerate(configs):
+            try:
+                rngs = streams.clients(round_index, positions)
+                _client_steps(spec, table, sampled, [hypotheses[c]], [config], rngs, round_index)
+            except FloatingPointError as alone:
+                raise Diverged(str(alone), config) from None
+        raise Diverged(str(exc), configs[0]) from None
 
-    released = steps.sanitized
-    points = list(zip(sampled.tolist(), released))
-    labels = kmeans_from_hypotheses(points, hypotheses.vectors).labels
-    # Labels, not k-means' centroids: a cluster Lloyd empties keeps a mean of releases it lost.
-    new_vectors = cluster_means(released, labels, hypotheses.vectors)
-    ledger.record_round(round_index, sampled, steps.epsilon, steps.radius, labels, steps.leakage)
-    return HypothesisSet(new_vectors), float(np.mean(steps.train_loss))
+    rounds = []
+    for cell, hyps, ledger in zip(steps, hypotheses, ledgers):
+        released = cell.sanitized
+        labels = kmeans_from_hypotheses(list(zip(positions, released)), hyps.vectors).labels
+        # Labels, not k-means' centroids: a cluster Lloyd empties keeps a mean of releases it lost.
+        new_vectors = cluster_means(released, labels, hyps.vectors)
+        ledger.record_round(round_index, sampled, cell.epsilon, cell.radius, labels, cell.leakage)
+        rounds.append((HypothesisSet(new_vectors), float(np.mean(cell.train_loss))))
+    return rounds
 
 
-def _validation_loss(table: ClientTable, hypotheses: HypothesisSet, spec: ModelSpec) -> float:
-    """Mean over validation clients of the loss at their best-fitting
-    hypothesis; with personalization there is no single global model."""
-    per_client = loss_matrix(spec, hypotheses.vectors, table).min(axis=1)
-    return float(np.mean(per_client))
+def _validation_loss(losses: np.ndarray) -> float:
+    """Mean over validation clients of the loss at their best-fitting hypothesis
+    (one cell's columns of the loss matrix): no single global model exists."""
+    return float(np.mean(losses.min(axis=1)))
 
 
-def run_experiment(
+def run_experiments(
     train: Mapping[Hashable, Batch],
     validation: Mapping[Hashable, Batch],
     spec: ModelSpec,
-    config: FederationConfig,
-) -> ExperimentResult:
-    """Drive up to T rounds with early stopping on the validation loss.
+    configs: Sequence[FederationConfig],
+) -> Iterator[tuple[int, ExperimentResult]]:
+    """Drive a group of cells (``configs``) in lockstep, each for up to T
+    rounds with early stopping on its validation loss.
+
+    The cells may differ in k, and in nu without a budget cap.  Their pools
+    are then equal, so they sample the same clients with the same streams:
+    each round is one ``server_round`` and one validation pass for all cells
+    still running.  A cell sees the float operations it sees alone, so its
+    result does not depend on its group.  Yields ``(c, result)`` for
+    ``configs[c]`` when that cell stops, and drops it.
 
     Every ``validation_every`` rounds the validation clients are scored at
-    their per-client best hypothesis; training stops after
+    their per-client best hypothesis; a cell stops after
     ``validation_patience`` consecutive evaluations without a strict
     round-over-round improvement, or before a round in which the budget cap
-    leaves fewer than U eligible clients.  Either way the returned model is
+    leaves fewer than U eligible clients.  Either way the result's model is
     the hypothesis set of the best evaluation, not the last round.
     """
+    config = configs[0]
+    if len({replace(c, k=1, nu=c.nu if c.budget_cap else 0.0) for c in configs}) > 1:
+        raise ValueError("the cells of a group may differ only in k, and in nu without a cap")
     if config.U > len(train):
         raise ValueError(f"U={config.U} exceeds the {len(train)} training clients")
     # Ids become positions here; the ledger maps them back when it is read.
@@ -291,63 +354,71 @@ def run_experiment(
         val_table = ClientTable.from_batches(spec, [validation[cid] for cid in sorted(validation)])
     streams = RoundStreams(config.master_seed, len(ids), config.T)
 
-    rng_hyp = substream(config.master_seed, "hypotheses")
-    vectors = np.stack([init_params(spec, rng_hyp) for _ in range(config.k)])
-    hypotheses = HypothesisSet(vectors)
-
-    ledger = PrivacyLedger(ids)
-    history: list[RoundMetrics] = []
-    best = ExperimentResult(
-        best_hypotheses=hypotheses.copy(),
-        final_hypotheses=hypotheses,
-        best_validation_loss=math.inf,
-        best_round=None,
-        history=history,
-        ledger=ledger,
-    )
-
-    stale_evaluations = 0
-    previous_val = math.inf
+    running: dict[int, ExperimentResult] = {}  # by index in configs
+    for c, cell in enumerate(configs):
+        rng_hyp = substream(cell.master_seed, "hypotheses")
+        hypotheses = HypothesisSet(np.stack([init_params(spec, rng_hyp) for _ in range(cell.k)]))
+        ledger = PrivacyLedger(ids)
+        running[c] = ExperimentResult(hypotheses, hypotheses, math.inf, None, [], ledger)
+    stale_evaluations = [0] * len(configs)
+    previous_val = [math.inf] * len(configs)
     for t in range(config.T):
-        pool = _eligible(ledger, spec, config)
+        cells = list(running)
+        if not cells:
+            break
+        pool = _eligible(running[cells[0]].ledger, spec, config)
         if len(pool) < config.U:
             break
-        hypotheses, mean_train_loss = server_round(
-            table, pool, hypotheses, spec, config, ledger, t, streams
+        results = [running[c] for c in cells]
+        rounds = server_round(
+            table, pool, [result.final_hypotheses for result in results], spec,
+            [configs[c] for c in cells], [result.ledger for result in results], t, streams,
         )
 
-        val_loss: float | None = None
+        val_losses: list[float | None] = [None] * len(cells)
         if val_table is not None and (t + 1) % config.validation_every == 0:
-            val_loss = _validation_loss(val_table, hypotheses, spec)
-            if val_loss < best.best_validation_loss:
-                best.best_validation_loss = val_loss
-                best.best_hypotheses = hypotheses.copy()
-                best.best_round = t
-            # Convergence means no round-over-round decrease anymore; a noisy
-            # but still-descending loss sequence must not trigger the stop.
-            if val_loss < previous_val:
-                stale_evaluations = 0
-            else:
-                stale_evaluations += 1
-            previous_val = val_loss
+            vectors, columns = _stacked([hypotheses for hypotheses, _ in rounds])
+            losses = loss_matrix(spec, vectors, val_table)
+            val_losses = [_validation_loss(losses[:, cols]) for cols in columns]
 
-        history.append(
-            RoundMetrics(
-                round=t,
-                mean_train_loss=mean_train_loss,
-                validation_loss=val_loss,
-                # sqrt(v.dot(v)) is np.linalg.norm(v) to the bit, without its overhead.
-                hypothesis_norms=np.sqrt([v.dot(v) for v in hypotheses.vectors]).tolist(),
-            )
-        )
-        if stale_evaluations >= config.validation_patience:
-            break
+        for c, result, (hypotheses, mean_train_loss), val_loss in zip(
+            cells, results, rounds, val_losses
+        ):
+            result.final_hypotheses = hypotheses
+            if result.best_round is None:
+                # Until an evaluation improves on inf (never without validation
+                # clients), the best set is the latest.
+                result.best_hypotheses = hypotheses
+            if val_loss is not None:
+                if val_loss < result.best_validation_loss:
+                    result.best_validation_loss = val_loss
+                    result.best_hypotheses = hypotheses.copy()
+                    result.best_round = t
+                # Convergence means no round-over-round decrease anymore; a noisy
+                # but still-descending loss sequence must not trigger the stop.
+                if val_loss < previous_val[c]:
+                    stale_evaluations[c] = 0
+                else:
+                    stale_evaluations[c] += 1
+                previous_val[c] = val_loss
+            # sqrt(v.dot(v)) is np.linalg.norm(v) to the bit, without its overhead.
+            norms = np.sqrt([v.dot(v) for v in hypotheses.vectors]).tolist()
+            result.history.append(RoundMetrics(t, mean_train_loss, val_loss, norms))
+            if stale_evaluations[c] >= configs[c].validation_patience:
+                yield c, running.pop(c)
+    for c in list(running):
+        yield c, running.pop(c)
 
-    best.final_hypotheses = hypotheses
-    if best.best_round is None:
-        # No evaluation ever ran (T=0 or no validation clients).
-        best.best_hypotheses = hypotheses.copy()
-    return best
+
+def run_experiment(
+    train: Mapping[Hashable, Batch],
+    validation: Mapping[Hashable, Batch],
+    spec: ModelSpec,
+    config: FederationConfig,
+) -> ExperimentResult:
+    """The group of one cell: ``run_experiments`` for ``config`` alone."""
+    ((_, result),) = run_experiments(train, validation, spec, [config])
+    return result
 
 
 def write_metrics_csv(

@@ -128,16 +128,17 @@ def sample_direction(
 
 
 def _noise_rows(
-    dimension: int, epsilons: np.ndarray, rngs: Sequence[np.random.Generator]
+    dimension: int, rngs: Sequence[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Radius and unit direction of one perturbation per stream.
+    """Raw radius (the sum of n exponentials, not yet over epsilon) and unit
+    direction of one perturbation per stream.
 
-    Stream i draws its n exponentials (the radius at ``epsilons[i]``), then
-    its n normals (the direction); the arithmetic then runs once for all rows.
+    Stream i draws its n exponentials, then its n normals; the arithmetic
+    then runs once for all rows.
     """
     exponentials = np.stack([rng.standard_exponential(dimension) for rng in rngs])
     normals = np.stack([rng.standard_normal(dimension) for rng in rngs])
-    return exponentials.sum(axis=1) / epsilons, _unit_rows(normals, rngs)
+    return exponentials.sum(axis=1), _unit_rows(normals, rngs)
 
 
 def sample_noise_batch(scale: NoiseScale, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -150,17 +151,21 @@ def sample_noise_batch(scale: NoiseScale, rng: np.random.Generator, size: int) -
 def sanitize_rows(
     vectors: np.ndarray, epsilons: np.ndarray, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """Row i of the (U, n) ``vectors`` plus one noise draw at ``epsilons[i]``
-    from ``rngs[i]``; row i equals the release of that row stacked alone."""
+    """Row i of the (G*U, n) ``vectors`` plus one noise draw at ``epsilons[i]``
+    from ``rngs[i % U]``: a stream's one draw serves its row in all G blocks,
+    at each row's own epsilon.  Row i equals the release of that row alone."""
     vectors = np.asarray(vectors, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
-    if vectors.ndim != 2 or not len(vectors) == len(epsilons) == len(rngs):
-        raise ValueError("need a (U, n) stack with one epsilon and one stream per row")
+    copies = len(vectors) // len(rngs) if len(rngs) else 0
+    if vectors.ndim != 2 or not copies or not len(vectors) == len(epsilons) == copies * len(rngs):
+        raise ValueError("need a (U, n) stack or G of them, one epsilon and one stream per row")
     bad = ~(np.isfinite(epsilons) & (epsilons > 0))
     if bad.any():
         raise ValueError(f"epsilon must be positive and finite, got {float(epsilons[bad][0])!r}")
-    radii, directions = _noise_rows(vectors.shape[1], epsilons, rngs)
-    return vectors + radii[:, None] * directions
+    raw, directions = _noise_rows(vectors.shape[1], rngs)
+    if copies > 1:
+        raw, directions = np.tile(raw, copies), np.tile(directions, (copies, 1))
+    return vectors + (raw / epsilons)[:, None] * directions
 
 
 def moment_report(

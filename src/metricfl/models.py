@@ -310,19 +310,22 @@ def loss_matrix(spec: ModelSpec, hypotheses: np.ndarray, table: ClientTable) -> 
 
 
 def client_losses(spec: ModelSpec, params: np.ndarray, table: ClientTable) -> np.ndarray:
-    """Loss of ``params[i]`` on client i of ``table`` for each i, from one
-    forward pass: the clients are stacked, padded to the largest one, each
-    under its own vector.  A padded sum may round differently from the
-    client's own, so on ragged clients an entry can move in the last ulp
-    with the others.
+    """Loss of ``params[i]`` on client ``i % len(table)`` of ``table`` for
+    each i (G blocks of one vector per client), from one forward pass: the
+    clients are stacked, padded to the largest one, each under its own
+    vector.  A padded sum may round differently from the client's own, so on
+    ragged clients an entry can move in the last ulp with the other clients.
     """
     stack = _check_stack(spec, params, "params")
-    if len(table) != len(stack):
-        raise ValueError("need one client per parameter vector")
+    copies = len(stack) // len(table)
+    if not copies or len(stack) % len(table):
+        raise ValueError("need one client per parameter vector of each of G >= 1 blocks")
     sizes = table.sizes
     slot = np.arange(sizes.max())
     mask = slot < sizes[:, None]
     rows = table.offsets[:, None] + np.where(mask, slot, 0)
+    if copies > 1:
+        sizes, mask, rows = (np.concatenate([a] * copies) for a in (sizes, mask, rows))
     out, _ = _forward(spec, stack, table.x[rows])
     totals = np.sum(np.where(mask, _squared_residuals(out, table.y[rows]), 0.0), axis=1)
     return np.sqrt(totals) / np.sqrt(sizes)
@@ -362,40 +365,46 @@ def local_updates(
     batch_size: int,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Mini-batch SGD for U clients at once; row i of the result is client i's.
+    """Mini-batch SGD for G copies of U clients; row g*U + i of the result
+    is client i's in copy g.
 
-    ``params`` is a (U, n_params(spec)) array of starting vectors, ``table``
+    ``params`` is a (G*U, n_params(spec)) array of starting vectors, ``table``
     holds the U local datasets and ``rngs`` their streams; the input array
-    is untouched.  Each epoch every client reshuffles with its
-    own stream, in stack order, and walks blocks of ``batch_size`` rows (its
-    last one may be smaller).  All clients step together: step j of an
-    epoch takes block j of every client, padded to ``batch_size`` rows with
-    copies of the client's first row.  A padded row, and a step past a
-    client's last block, leave that client's vector exactly as it was.
-    Blocks are ``batch_size`` rows wide whatever the stack, and no operation
-    mixes clients, so row i is bit-identical to a stack of client i alone;
-    the price is that a ``batch_size`` above the largest dataset computes
-    padding rows.
+    is untouched.  Each epoch every client reshuffles with its own stream, in
+    client order, for its rows in all G copies, and walks blocks of
+    ``batch_size`` rows (its last one may be smaller).  All rows step
+    together: step j of an epoch takes block j of every client, padded to
+    ``batch_size`` rows with copies of the client's first row.  A padded
+    row, and a step past a client's last block, leave that row's vector
+    exactly as it was.  Blocks are ``batch_size`` rows wide whatever the
+    stack, and no operation mixes rows, so row i is bit-identical to a stack
+    of that row alone; the price is that a ``batch_size`` above the largest
+    dataset computes padding rows.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
     stack = _check_stack(spec, params, "params").copy()
-    if not len(table) == len(rngs) == len(stack):
-        raise ValueError("need one dataset and one stream per parameter vector")
+    copies = len(stack) // len(table)
+    if len(rngs) != len(table) or not copies or len(stack) % len(table):
+        raise ValueError("need one dataset and one stream per parameter vector, or G such blocks")
     x, y, sizes, starts = table.x, table.y, table.sizes, table.offsets
     n_clients = len(sizes)
     steps = -(-sizes.max() // batch_size)
     slots = steps * batch_size
     mask = (np.arange(slots) < sizes[:, None]).reshape(n_clients, steps, batch_size)
+    if copies > 1:
+        mask = np.tile(mask, (copies, 1, 1))
     counts = mask.sum(axis=2)
     for _ in range(epochs):
         rows = np.repeat(starts[:, None], slots, axis=1)
         for i, rng in enumerate(rngs):
             rows[i, : sizes[i]] += rng.permutation(sizes[i])
-        xs = x[rows].reshape(n_clients, steps, batch_size, -1)
-        ys = y[rows].reshape(n_clients, steps, batch_size)
+        if copies > 1:
+            rows = np.tile(rows, (copies, 1))
+        xs = x[rows].reshape(len(stack), steps, batch_size, -1)
+        ys = y[rows].reshape(len(stack), steps, batch_size)
         for j in range(steps):
             out, inputs = _forward(spec, stack, xs[:, j])
             d_out, moving = _output_gradient(out, ys[:, j], mask[:, j], counts[:, j])

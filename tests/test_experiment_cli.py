@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import metricfl.experiment as experiment
+import metricfl.federation as federation
 from metricfl.accounting import PrivacyLedger, ledger_summary
 from metricfl.cli import main
 from metricfl.data import write_fixture
@@ -22,6 +23,7 @@ from metricfl.experiment import (
     load_config,
     run_sweep,
 )
+from metricfl.models import ModelSpec, init_params
 from metricfl.rng import substream
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -343,25 +345,26 @@ class TestRunSweep:
 
 class TestPopulations:
     def test_shipped_tabular_sweep_splits_once_per_seed(self, tmp_path, monkeypatch):
-        splits, cells = [], []
+        splits, groups = [], []
         real = experiment.split_population
         monkeypatch.setattr(
             experiment, "split_population", lambda *a: splits.append(a) or real(*a)
         )
 
-        def run_cell(config, nu, k, seed, run_dir, train, val):
-            cells.append((seed, id(train), id(val)))
-            return 1.0, 0.0, 0.0
+        def run_experiments(train, val, spec, configs):
+            groups.append([(c.nu, c.k, c.master_seed) for c in configs])
+            return ((c, None) for c in range(len(configs)))
 
-        monkeypatch.setattr(experiment, "run_cell", run_cell)
+        monkeypatch.setattr(experiment, "run_experiments", run_experiments)
+        monkeypatch.setattr(experiment, "write_cell", lambda *a: (1.0, 0.0, 0.0))
         config = load_config(CONFIG_DIR / "tabular.yaml")
         run_sweep(config, tmp_path / "out")
         assert len(config.seeds) == len(splits) == 5
-        assert len(cells) == 20
-        # Every cell of a seed gets that seed's views, not a split of its own.
-        for seed in config.seeds:
-            views = [cell[1:] for cell in cells if cell[0] == seed]
-            assert len(views) == 4 and len(set(views)) == 1
+        # One group per seed: all four cells of a seed run on that seed's
+        # views, in one call, not on a split of their own.
+        assert groups == [
+            [(nu, 5, seed) for nu in config.sweep_nu] for seed in config.seeds
+        ]
 
     def test_a_table_is_ingested_once_per_sweep(self, tmp_path, monkeypatch):
         calls = []
@@ -390,6 +393,41 @@ class TestPopulations:
         for name in ("metrics.csv", "ledger.csv", "hypotheses_final.txt"):
             solo = (redo_dir / "3_2_1" / name).read_bytes()
             assert solo == (exp_dir / "3_2_1" / name).read_bytes()
+
+
+    def test_capped_cells_group_by_seed_and_nu_and_match_their_solo_runs(
+        self, tmp_path, monkeypatch
+    ):
+        # Under a cap the pool follows the composed leakage, which nu sets: a
+        # group is one (seed, nu).  Cost 2/nu against a cap of 2 allows one
+        # to four releases per client, and a patience of 3 stops some cells
+        # earlier; each cell's artifacts are those of its own one-cell sweep.
+        groups = []
+        real = experiment.run_experiments
+
+        def recording(train, val, spec, configs):
+            groups.append([(c.nu, c.k, c.master_seed) for c in configs])
+            return real(train, val, spec, configs)
+
+        monkeypatch.setattr(experiment, "run_experiments", recording)
+        path = small_synthetic_config(
+            tmp_path,
+            federation={"T": 40, "U": 3, "E": 1, "s": 0.1, "B_s": 4, "validation_every": 1,
+                        "validation_patience": 3, "budget_cap": 2.0},
+            data={"n_clients": 15, "samples_per_client": 10, "validation_fraction": 0.3},
+            sweep={"nu": [1.0, 4.0], "k": [1, 2, 3], "seeds": [0, 1]},
+        )
+        exp_dir = run_sweep(load_config(path), tmp_path / "out")
+        assert groups[:4] == [
+            [(nu, k, seed) for k in (1, 2, 3)] for seed in (0, 1) for nu in (1.0, 4.0)
+        ]
+        rounds = set()
+        for cell in sorted(p for p in exp_dir.iterdir() if p.is_dir()):
+            redo = run_sweep(load_config(cell / "config.yaml"), tmp_path / "redo" / cell.name)
+            for name in ("metrics.csv", "ledger.csv", "hypotheses.txt", "hypotheses_final.txt"):
+                assert (redo / cell.name / name).read_bytes() == (cell / name).read_bytes()
+            rounds.add(len((cell / "metrics.csv").read_text().splitlines()) - 1)
+        assert len(rounds) > 2
 
 
 # SHA-256 of a small sweep's artifacts as the per-round SeedSequence and
@@ -555,6 +593,31 @@ class TestCli:
         assert len(done.stderr.splitlines()) == 1
         assert "run 0_5_0: round 0: " in done.stderr and "diverged" in done.stderr
 
+    def test_divergence_in_a_group_names_the_cell_and_writes_none_of_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Cells k = 1 and k = 2 of one seed run as one group; only the second
+        # holds hypothesis 1, and a stub turns every update from it into NaNs.
+        # The error names that cell; no cell of the group was written.
+        linear = ModelSpec("linear", input_dim=2)
+        rng_hyp = substream(0, "hypotheses")
+        second = [init_params(linear, rng_hyp) for _ in range(2)][1]
+        real = federation.local_updates
+
+        def from_second_diverges(spec, params, *rest):
+            updated = real(spec, params, *rest)
+            updated[(params == second).all(axis=1)] = np.nan
+            return updated
+
+        monkeypatch.setattr(federation, "local_updates", from_second_diverges)
+        path = small_synthetic_config(tmp_path, sweep={"nu": [5.0], "k": [1, 2], "seeds": [0]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "run 5_2_0: round 0: a local update diverged" in err
+        assert [p.name for p in (out / "mini").iterdir()] == ["config.yaml"]
+
     def test_run_exit_codes(self, tmp_path, capsys):
         good = small_synthetic_config(tmp_path)
         assert main(["run", "--config", str(good), "--out", str(tmp_path / "out")]) == 0
@@ -677,11 +740,17 @@ class TestCli:
             rows = {row["statistic"]: float(row["empirical"]) for row in csv.DictReader(fh)}
         assert rows[statistic] == pytest.approx(expected, rel=rel)
 
-    def test_verify_mechanism_rejects_bad_flags(self):
+    def test_verify_mechanism_rejects_bad_flags(self, tmp_path, capsys):
         assert main(["verify-mechanism", "--dim", "0", "--epsilon", "1.0"]) == 1
         assert main(["verify-mechanism", "--dim", "2", "--epsilon", "-1.0"]) == 1
         assert main(["verify-mechanism", "--dim", "2", "--epsilon", "1.0", "--samples", "1"]) == 1
-        assert main(["verify-mechanism", "--dim", "2", "--epsilon", "1.0", "--seed", "-1"]) == 1
+        capsys.readouterr()
+        # The message names the flag the user passed, and nothing is written.
+        out = tmp_path / "report"
+        assert main(["verify-mechanism", "--dim", "2", "--epsilon", "1.0", "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
+        assert not out.exists()
 
     def test_make_fixture(self, tmp_path, capsys):
         out = tmp_path / "fixture.csv"
@@ -700,12 +769,14 @@ class TestCli:
         ])
         assert out.read_bytes() == again.read_bytes()
 
-    def test_make_fixture_rejects_bad_flags(self, tmp_path):
+    def test_make_fixture_rejects_bad_flags(self, tmp_path, capsys):
         assert main([
             "make-fixture", "--providers", "2", "--clusters", "5",
             "--out", str(tmp_path / "f.csv"),
         ]) == 1
+        capsys.readouterr()
         assert main(["make-fixture", "--seed", "-1", "--out", str(tmp_path / "f.csv")]) == 1
+        assert capsys.readouterr().err == "config error: --seed must be >= 0\n"
         # A rejected call writes nothing, not even the output's directory.
         assert main([
             "make-fixture", "--providers", "2", "--clusters", "5",

@@ -1,6 +1,7 @@
 """Round orchestration: client step, aggregation, early stopping, budget cap
 and the information boundary."""
 
+import collections
 import dataclasses
 import math
 
@@ -13,17 +14,22 @@ from metricfl.federation import (
     FederationConfig,
     HypothesisSet,
     run_experiment,
+    run_experiments,
     server_round,
+    write_hypotheses,
+    write_metrics_csv,
 )
-from metricfl.accounting import LeakageEvent, PrivacyLedger
+from metricfl.accounting import LeakageEvent, PrivacyLedger, ledger_summary, write_ledger_csv
 from metricfl.clustering import kmeans_from_hypotheses
 from metricfl.models import (
     Batch,
     ClientTable,
     ModelSpec,
     gradient,
+    init_params,
     local_updates,
     loss,
+    loss_matrix,
     n_params,
 )
 from metricfl.rng import RoundStreams, substream
@@ -70,17 +76,19 @@ class Run:
 
     def round(self, hyps, t):
         pool = federation._eligible(self.ledger, self.spec, self.config)
-        return server_round(
-            self.table, pool, hyps, self.spec, self.config, self.ledger, t, self.streams
+        (cell,) = server_round(
+            self.table, pool, [hyps], self.spec, [self.config], [self.ledger], t, self.streams
         )
+        return cell
 
 
 def client_steps(spec, datasets, hyps, config, rngs, round_index=0):
     """``_client_steps`` for a table of ``datasets``, every client sampled."""
     positions = np.arange(len(datasets))
-    return federation._client_steps(
-        spec, table(spec, datasets), positions, hyps, config, rngs, round_index
+    (steps,) = federation._client_steps(
+        spec, table(spec, datasets), positions, [hyps], [config], rngs, round_index
     )
+    return steps
 
 
 def round_assignment(ledger, t):
@@ -322,7 +330,7 @@ class TestServerRound:
         ones = np.ones(4)
         monkeypatch.setattr(
             federation, "_client_steps",
-            lambda *args: federation._ClientSteps(released, ones, 0.2 * ones, 0.2, 0 * ones),
+            lambda *args: [federation._ClientSteps(released, ones, 0.2 * ones, 0.2, 0 * ones)],
         )
         spec = ModelSpec("linear", input_dim=1)
         clients = {i: Batch(np.ones((2, 1)), np.ones(2)) for i in range(4)}
@@ -427,6 +435,95 @@ class TestRoundPath:
         assert len(result.ledger) == 12 * 7
 
 
+    @pytest.mark.parametrize("n_cells", [1, 3])
+    def test_a_stacked_round_runs_each_shared_step_once(self, monkeypatch, n_cells):
+        # Sampling, the client streams, the row gather, local SGD, selection
+        # and validation run once per round whatever the number of cells.
+        calls = collections.Counter()
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in [(RoundStreams, "sampling"), (RoundStreams, "clients"),
+                            (ClientTable, "take"), (federation, "local_updates"),
+                            (federation, "loss_matrix")]:
+            count(owner, name)
+        train, val = split_views()
+        cells = [(1, 0.0), (2, 0.5), (3, 5.0)][:n_cells]
+        configs = [make_config(k=k, nu=nu, T=8, validation_patience=8) for k, nu in cells]
+        results = dict(run_experiments(train, val, LINEAR, configs))
+        assert sorted(results) == list(range(n_cells))
+        assert all(len(result.history) == 8 for result in results.values())
+        # loss_matrix twice a round: selection and validation.
+        assert calls == {"sampling": 8, "clients": 8, "take": 8, "local_updates": 8,
+                         "loss_matrix": 16}
+
+
+def artifacts(result, k, path):
+    """The bytes of a result's ledger.csv, metrics.csv and hypothesis files."""
+    path.mkdir()
+    trajectory = ledger_summary(result.ledger).max_trajectory
+    write_ledger_csv(result.ledger, path / "ledger.csv")
+    write_metrics_csv(result.history, trajectory, k, path / "metrics.csv")
+    write_hypotheses(result.best_hypotheses, path / "hypotheses.txt")
+    write_hypotheses(result.final_hypotheses, path / "hypotheses_final.txt")
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class TestSeedGroups:
+    def test_each_cell_matches_its_solo_run(self, tmp_path):
+        # Nine cells of one seed, k 1..3 by nu 0/0.5/5, with a patience that
+        # stops them in different rounds: each cell is yielded as it stops,
+        # and its artifacts are the bytes of its run alone.
+        train, val = split_views()
+        configs = [
+            make_config(k=k, nu=nu, T=30, validation_patience=2)
+            for nu in (0.0, 0.5, 5.0) for k in (1, 2, 3)
+        ]
+        stopped = []
+        for c, result in run_experiments(train, val, LINEAR, configs):
+            stopped.append((len(result.history), c))
+            grouped = artifacts(result, configs[c].k, tmp_path / f"group{c}")
+            solo = run_experiment(train, val, LINEAR, configs[c])
+            assert grouped == artifacts(solo, configs[c].k, tmp_path / f"solo{c}")
+        assert sorted(c for _, c in stopped) == list(range(9))
+        assert stopped == sorted(stopped)
+        assert len({rounds for rounds, _ in stopped}) > 2
+
+    def test_cells_must_share_all_but_k_and_nu(self):
+        train, val = split_views()
+        with pytest.raises(ValueError, match="differ only in k"):
+            list(run_experiments(train, val, LINEAR, [make_config(), make_config(U=5)]))
+        capped = [make_config(budget_cap=2.0), make_config(nu=2.5, budget_cap=2.0)]
+        with pytest.raises(ValueError, match="differ only in k"):
+            list(run_experiments(train, val, LINEAR, capped))
+
+    def test_divergence_names_the_first_diverging_cell(self, monkeypatch):
+        # Only cells 1 and 2 (k = 2) hold hypothesis 1; a stub turns every
+        # update that starts from it into NaNs, so the error names cell 1.
+        rng_hyp = substream(0, "hypotheses")
+        second = [init_params(LINEAR, rng_hyp) for _ in range(2)][1]
+        real = federation.local_updates
+
+        def from_second_diverges(spec, params, *rest):
+            updated = real(spec, params, *rest)
+            updated[(params == second).all(axis=1)] = np.nan
+            return updated
+
+        monkeypatch.setattr(federation, "local_updates", from_second_diverges)
+        train, val = split_views()
+        configs = [make_config(k=1), make_config(k=2), make_config(k=2, nu=0.0)]
+        with pytest.raises(federation.Diverged, match="round 0: .* diverged") as failure:
+            list(run_experiments(train, val, LINEAR, configs))
+        assert failure.value.config == configs[1]
+
+
 class TestEarlyStopping:
     def test_validation_loss_is_mean_of_per_client_minimum(self):
         gen = np.random.default_rng(11)
@@ -436,9 +533,9 @@ class TestEarlyStopping:
             min(loss(LINEAR, vec, validation[cid], "rmse") for vec in hyps.vectors)
             for cid in sorted(validation)
         ]
-        got = federation._validation_loss(
-            table(LINEAR, [validation[cid] for cid in sorted(validation)]), hyps, LINEAR
-        )
+        got = federation._validation_loss(loss_matrix(
+            LINEAR, hyps.vectors, table(LINEAR, [validation[cid] for cid in sorted(validation)])
+        ))
         assert got == pytest.approx(np.mean(per_client), rel=1e-12)
 
     def test_zero_rounds_returns_initial_hypotheses(self):

@@ -320,6 +320,40 @@ class TestStackedRelease:
         alone = sanitize_rows(vectors[1, None], epsilons[1, None], [ZeroFirstNormal(2)])
         assert np.array_equal(alone[0], stacked[1])
 
+    def test_blocks_share_each_streams_draw(self):
+        # Three blocks of three rows on three streams, the middle stream's
+        # first normals all zero: its direction is redrawn once and serves
+        # row 1 of every block.  Each block equals its own call on fresh
+        # streams, each row its per-client reference.
+        def fresh():
+            return [substream(7, "client", 0, 0), ZeroFirstNormal(2), substream(7, "client", 2, 0)]
+
+        gen = rng(7)
+        vectors = gen.standard_normal((9, 4))
+        epsilons = gen.uniform(0.05, 20.0, 9)
+        streams = fresh()
+        stacked = sanitize_rows(vectors, epsilons, streams)
+        assert streams[1].zeroed
+        for g in range(3):
+            rows = slice(3 * g, 3 * g + 3)
+            alone = sanitize_rows(vectors[rows], epsilons[rows], fresh())
+            assert np.array_equal(stacked[rows], alone)
+            for i, stream in enumerate(fresh()):
+                expected = reference_sanitize(vectors[3 * g + i], epsilons[3 * g + i], stream)
+                assert np.array_equal(stacked[3 * g + i], expected)
+
+    def test_one_stream_repeated_draws_row_after_row(self):
+        # [stream] * m is m rows of one stream: all m radii's exponentials,
+        # then all m directions' normals, in row order.
+        vectors = rng(8).standard_normal((4, 3))
+        epsilons = np.array([0.5, 1.0, 2.0, 4.0])
+        stacked = sanitize_rows(vectors, epsilons, [rng(9)] * 4)
+        replay = rng(9)
+        radii = replay.standard_exponential((4, 3)).sum(axis=1) / epsilons
+        normals = replay.standard_normal((4, 3))
+        directions = normals / np.linalg.norm(normals, axis=1)[:, None]
+        assert np.array_equal(stacked, vectors + radii[:, None] * directions)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_degenerate_epsilon(self, bad):
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):

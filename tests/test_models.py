@@ -1,6 +1,7 @@
 """Predictors, the RMSE objective, analytic gradients against finite
 differences, and local SGD."""
 
+import copy
 import math
 import pickle
 
@@ -442,12 +443,47 @@ class TestLocalUpdates:
             assert np.all(np.isfinite(stacked[i]))
             assert np.array_equal(stacked[i], solo[i])
 
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_stacked_copies_share_each_clients_stream(self, case):
+        # G = 3 copies of four ragged clients, each under its own vectors, on
+        # one stream per client: each block is bit-identical to its own call
+        # on fresh streams, and so is its training loss.
+        spec = STACK_CASES[case]
+        gen = np.random.default_rng(21)
+        _, datasets, seeds = random_stack(gen, spec, [1, 13, 4, 7])
+        params = gen.standard_normal((12, n_params(spec)))
+        data = table(spec, datasets)
+        stacked = local_updates(spec, params, data, 0.05, 2, 4, streams(seeds))
+        losses = client_losses(spec, stacked, data)
+        for g in range(3):
+            block = slice(4 * g, 4 * g + 4)
+            alone = local_updates(spec, params[block], data, 0.05, 2, 4, streams(seeds))
+            assert np.array_equal(stacked[block], alone)
+            assert np.array_equal(losses[block], client_losses(spec, alone, data))
+
+    def test_one_stream_repeated_serves_the_clients_in_order(self):
+        # [stream] * m gives m clients one stream: in a one-epoch run, client
+        # i shuffles with the draws that follow clients 0..i-1's permutations.
+        spec = STACK_CASES["mlp_rmse"]
+        gen = np.random.default_rng(22)
+        params, datasets, _ = random_stack(gen, spec, [3, 6, 2])
+        shared = np.random.default_rng(5)
+        stacked = local_updates(spec, params, table(spec, datasets), 0.05, 1, 4, [shared] * 3)
+        replay = np.random.default_rng(5)
+        for i, (p, d) in enumerate(zip(params, datasets)):
+            rngs = [copy.deepcopy(replay)]
+            alone = local_updates(spec, p[None], table(spec, [d]), 0.05, 1, 4, rngs)
+            assert np.array_equal(stacked[i], alone[0])
+            replay.permutation(len(d))
+
     def test_stack_shape_checked(self):
         spec = STACK_CASES["linear"]
         dataset = Batch(np.ones((3, 3)), np.ones(3))
         gen = np.random.default_rng(0)
+        # Two vectors on one client are two stacked copies of it; three on two are not.
+        pair = table(spec, [dataset, dataset])
         with pytest.raises(ValueError):
-            local_updates(spec, np.zeros((2, 3)), table(spec, [dataset]), 0.1, 1, 2, [gen])
+            local_updates(spec, np.zeros((3, 3)), pair, 0.1, 1, 2, [gen, gen])
         with pytest.raises(ValueError):
             local_updates(spec, np.zeros((1, 4)), table(spec, [dataset]), 0.1, 1, 2, [gen])
         with pytest.raises(ValueError):
