@@ -25,6 +25,7 @@ __all__ = [
     "heuristic_epsilons",
     "LeakageEvent",
     "PrivacyLedger",
+    "record_rounds",
     "LedgerSummary",
     "ledger_summary",
     "max_leakage_series",
@@ -39,14 +40,14 @@ _REL_TOL = 1e-12
 
 
 def heuristic_epsilons(
-    update_norms: np.ndarray, dimension: int, noise_multiplier: float
+    update_norms: np.ndarray, dimension: int, noise_multiplier: float | np.ndarray
 ) -> np.ndarray:
     """epsilon_i = n / (noise_multiplier * update_norms[i]) for a stack of updates.
 
     With this choice every release costs exactly n / noise_multiplier within
     its own neighborhood, independent of the realized update norm.
     """
-    if noise_multiplier <= 0:
+    if np.any(np.asarray(noise_multiplier) <= 0):
         raise ValueError("noise_multiplier must be positive")
     update_norms = np.asarray(update_norms, dtype=float)
     if not np.all(np.isfinite(update_norms)):
@@ -166,9 +167,11 @@ class PrivacyLedger:
             self._position[client_id] = len(self._ids)
             self._ids.append(client_id)
             self._composed = np.append(self._composed, 0.0)
+        positions = np.array([self._position[client_id]])
+        self._check_room(round, positions)
         cluster = _NO_CLUSTER if cluster_id is None else cluster_id
         values = np.array([[epsilon], [radius], [leakage]], dtype=float)
-        self._append(round, [self._position[client_id]], [cluster], *values)
+        self._append(round, positions, np.array([cluster], dtype=np.int64), *values)
         return event
 
     def record_round(
@@ -180,32 +183,23 @@ class PrivacyLedger:
         clusters: Sequence[int],
         leakage: float | Sequence[float],
     ) -> None:
-        """Append one round's releases, row i for the client at ``positions[i]``.
+        """The one-ledger case of ``record_rounds``: row i for the client at
+        ``positions[i]``; a scalar ``leakage`` is every row's."""
+        record_rounds([self], round, positions, [epsilon], [radius], [clusters], [leakage])
 
-        ``positions`` must ascend; a scalar ``leakage`` is every row's.  The
-        values are checked as ``LeakageEvent`` checks them.  A rejected call
-        leaves the ledger as it was.
-        """
-        epsilon, radius = np.array(epsilon, dtype=float), np.array(radius, dtype=float)
-        leakage = np.full(len(epsilon), leakage, dtype=float)
-        _check_events(round, epsilon, radius, leakage)
-        self._append(round, positions, clusters, epsilon, radius, leakage)
-
-    def _append(self, round, positions, clusters, epsilon, radius, leakage) -> None:
-        """Append rows whose values are checked, once their positions pass:
-        ascending, in range, and none with a row in this round yet."""
-        positions = np.array(positions, dtype=np.intp)
-        if not len(positions) or (positions[1:] <= positions[:-1]).any():
-            raise ValueError("a round's client positions must be nonempty and ascend")
+    def _check_room(self, round: int, positions: np.ndarray) -> None:
+        """Reject ascending positions out of range or with a row in ``round``."""
         if positions[0] < 0 or positions[-1] >= len(self._ids):
             raise ValueError(f"client positions must lie in [0, {len(self._ids)})")
-        seen = self._rounds.get(round, set())
-        if again := seen.intersection(positions.tolist()):
+        if again := self._rounds.get(round, set()).intersection(positions.tolist()):
             cid = self._ids[min(again)]
             raise ValueError(f"client {cid!r} already has an event for round {round}")
-        self._rounds.setdefault(round, seen).update(positions.tolist())
+
+    def _append(self, round, positions, clusters, epsilon, radius, leakage) -> None:
+        """Append rows whose values and positions passed the checks."""
+        self._rounds.setdefault(round, set()).update(positions.tolist())
         self._composed[positions] += leakage
-        rounds, clusters = np.full(len(positions), round), np.array(clusters, dtype=np.int64)
+        rounds = np.full(len(positions), round)
         row = (rounds, positions, clusters, epsilon, radius, leakage, self._composed[positions])
         self._chunks.append(_Columns(*row))
 
@@ -258,6 +252,30 @@ class PrivacyLedger:
     def iter_rows(self) -> Iterator[tuple[Hashable, LeakageEvent, float]]:
         """All events in (round, client_id) order with the running composed value."""
         return self._rows(self._columns())
+
+
+def record_rounds(
+    ledgers: Sequence[PrivacyLedger], round: int, positions: Sequence[int],
+    epsilon: np.ndarray, radius: np.ndarray, clusters: np.ndarray, leakage: np.ndarray,
+) -> None:
+    """Append row c of the (G, U) ``epsilon``, ``radius``, ``clusters`` and
+    ``leakage`` (a (G, 1) column is one cost per ledger) to the distinct
+    ``ledgers[c]``, column i for the client at ascending ``positions[i]``.
+    The values are checked as ``LeakageEvent`` checks them, in one pass, and
+    every ledger's positions before any is appended to: a rejected call
+    leaves every ledger as it was."""
+    epsilon, radius = np.array(epsilon, dtype=float), np.array(radius, dtype=float)
+    clusters, positions = np.array(clusters, dtype=np.int64), np.array(positions, dtype=np.intp)
+    if not epsilon.shape == radius.shape == clusters.shape == (len(ledgers), len(positions)):
+        raise ValueError("need one row of values per ledger and one column per position")
+    leakage = np.full(epsilon.shape, leakage, dtype=float)
+    _check_events(round, epsilon.ravel(), radius.ravel(), leakage.ravel())
+    if not len(positions) or (positions[1:] <= positions[:-1]).any():
+        raise ValueError("a round's client positions must be nonempty and ascend")
+    for ledger in ledgers:
+        ledger._check_room(round, positions)
+    for ledger, *rows in zip(ledgers, clusters, epsilon, radius, leakage):
+        ledger._append(round, positions, *rows)
 
 
 @dataclass

@@ -20,9 +20,10 @@ group in lockstep (``run_experiments``): they sample the same clients and
 load the same streams every round, so a round is one stacked computation
 (selection, local SGD, training loss, release) over cells by clients, in
 ascending client-id order.  A client draws its permutations and raw noise
-once, from its own stream, for all cells; each cell keeps its own k-means,
-ledger, history and early stopping.  No operation mixes two rows, so each
-release is bit-identical to the one the client makes stepped alone: the
+once, from its own stream, for all cells.  k-means, averaging and the ledger
+checks are shared too (one Lloyd run per k); early stopping and history stay
+per cell.  No operation mixes two rows or two cells, so each release and
+each cell's result is bit-identical to the one it gets alone: the
 outcome depends neither on a client's round-mates nor on a cell's group.
 Only the reported training loss (``models.client_losses``) may move in the
 last ulp with the client's round-mates.
@@ -40,7 +41,8 @@ from typing import Hashable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .accounting import _REL_TOL, RADIUS_FLOOR, PrivacyLedger, _fmt, heuristic_epsilons
-from .clustering import cluster_means, kmeans_from_hypotheses
+from .accounting import record_rounds
+from .clustering import lloyd
 from .mechanism import sanitize_rows
 from .models import (
     Batch,
@@ -187,6 +189,16 @@ def _stacked(hypotheses: Sequence[HypothesisSet]) -> tuple[np.ndarray, list[slic
     return (vectors[0] if len(vectors) == 1 else np.concatenate(vectors)), rows
 
 
+def _by_cell(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The cells' arrays along a new first axis; a lone array as a view of it."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """sqrt(d.dot(d)) per row d, np.linalg.norm(d) to the bit, in one call."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
 def _client_steps(
     spec: ModelSpec,
     table: ClientTable,
@@ -220,8 +232,7 @@ def _client_steps(
         with np.errstate(over="raise", invalid="raise"):
             updated = local_updates(spec, received, local, config.s, config.E, config.B_s, rngs)
             train_losses = client_losses(spec, updated, local)
-            # sqrt(d.dot(d)) per row is what np.linalg.norm(d) computes, to the bit.
-            update_norms = np.sqrt([d.dot(d) for d in updated - received])
+            update_norms = _row_norms(updated - received)
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {round_index}: a local update diverged ({exc})") from None
     if not np.isfinite(update_norms).all():
@@ -229,15 +240,11 @@ def _client_steps(
     dim, n_clients = n_params(spec), len(positions)
     blocks = [slice(c * n_clients, (c + 1) * n_clients) for c in range(len(configs))]
     radii = np.where(update_norms == 0, RADIUS_FLOOR, update_norms)
-    epsilons = np.full(len(updated), math.inf)
-    noisy = [(rows, cell.nu) for rows, cell in zip(blocks, configs) if cell.nu > 0]
-    for rows, nu in noisy:
-        epsilons[rows] = heuristic_epsilons(radii[rows], dim, nu)
-    if len(noisy) == len(configs):
-        updated = sanitize_rows(updated, epsilons, rngs)
-    elif noisy:
-        rows = np.r_[tuple(rows for rows, _ in noisy)]  # the rows of the cells with nu > 0
-        updated[rows] = sanitize_rows(updated[rows], epsilons[rows], rngs)
+    nus = np.repeat([cell.nu for cell in configs], n_clients)
+    noisy, epsilons = nus > 0, np.full(len(updated), math.inf)
+    if noisy.any():
+        epsilons[noisy] = heuristic_epsilons(radii[noisy], dim, nus[noisy])
+        updated[noisy] = sanitize_rows(updated[noisy], epsilons[noisy], rngs)
     # One division, not epsilon*radius: keeps the recorded cost exact.
     costs = [(radii, dim / cell.nu) if cell.nu else (update_norms, math.inf) for cell in configs]
     return [
@@ -301,21 +308,27 @@ def server_round(
                 raise Diverged(str(alone), config) from None
         raise Diverged(str(exc), configs[0]) from None
 
-    rounds = []
-    for cell, hyps, ledger in zip(steps, hypotheses, ledgers):
-        released = cell.sanitized
-        labels = kmeans_from_hypotheses(list(zip(positions, released)), hyps.vectors).labels
-        # Labels, not k-means' centroids: a cluster Lloyd empties keeps a mean of releases it lost.
-        new_vectors = cluster_means(released, labels, hyps.vectors)
-        ledger.record_round(round_index, sampled, cell.epsilon, cell.radius, labels, cell.leakage)
-        rounds.append((HypothesisSet(new_vectors), float(np.mean(cell.train_loss))))
-    return rounds
+    # One Lloyd run per k; its means of the final labels are the new hypotheses.
+    labels, new_vectors = np.empty((len(steps), U), dtype=np.intp), {}
+    for k in dict.fromkeys(len(hyps.vectors) for hyps in hypotheses):
+        cells = [c for c, hyps in enumerate(hypotheses) if len(hyps.vectors) == k]
+        fit = lloyd(_by_cell([steps[c].sanitized for c in cells]),
+                    _by_cell([hypotheses[c].vectors for c in cells]))
+        labels[cells] = fit.labels
+        new_vectors.update(zip(cells, fit.means))
+    epsilon, radius = _by_cell([c.epsilon for c in steps]), _by_cell([c.radius for c in steps])
+    costs = [[cell.leakage] for cell in steps]  # one per cell
+    record_rounds(ledgers, round_index, sampled, epsilon, radius, labels, costs)
+    train_losses = _by_cell([cell.train_loss for cell in steps]).mean(axis=1).tolist()
+    return [(HypothesisSet(new_vectors[c]), loss) for c, loss in enumerate(train_losses)]
 
 
-def _validation_loss(losses: np.ndarray) -> float:
-    """Mean over validation clients of the loss at their best-fitting hypothesis
-    (one cell's columns of the loss matrix): no single global model exists."""
-    return float(np.mean(losses.min(axis=1)))
+def _validation_loss(losses: np.ndarray, starts: Sequence[int]) -> list[float]:
+    """Each cell's mean over validation clients of the loss at their best-fitting
+    hypothesis (no single global model exists); cell c's columns start at
+    ``starts[c]``.  A cell's minima are one contiguous row, summed as alone."""
+    best = np.ascontiguousarray(np.minimum.reduceat(losses, starts, axis=1).T)
+    return best.mean(axis=1).tolist()
 
 
 def run_experiments(
@@ -375,14 +388,15 @@ def run_experiments(
             [configs[c] for c in cells], [result.ledger for result in results], t, streams,
         )
 
+        vectors, columns = _stacked([hypotheses for hypotheses, _ in rounds])
         val_losses: list[float | None] = [None] * len(cells)
         if val_table is not None and (t + 1) % config.validation_every == 0:
-            vectors, columns = _stacked([hypotheses for hypotheses, _ in rounds])
             losses = loss_matrix(spec, vectors, val_table)
-            val_losses = [_validation_loss(losses[:, cols]) for cols in columns]
+            val_losses = _validation_loss(losses, [cols.start for cols in columns])
+        norms = _row_norms(vectors).tolist()
 
-        for c, result, (hypotheses, mean_train_loss), val_loss in zip(
-            cells, results, rounds, val_losses
+        for c, result, (hypotheses, mean_train_loss), val_loss, cols in zip(
+            cells, results, rounds, val_losses, columns
         ):
             result.final_hypotheses = hypotheses
             if result.best_round is None:
@@ -401,9 +415,7 @@ def run_experiments(
                 else:
                     stale_evaluations[c] += 1
                 previous_val[c] = val_loss
-            # sqrt(v.dot(v)) is np.linalg.norm(v) to the bit, without its overhead.
-            norms = np.sqrt([v.dot(v) for v in hypotheses.vectors]).tolist()
-            result.history.append(RoundMetrics(t, mean_train_loss, val_loss, norms))
+            result.history.append(RoundMetrics(t, mean_train_loss, val_loss, norms[cols]))
             if stale_evaluations[c] >= configs[c].validation_patience:
                 yield c, running.pop(c)
     for c in list(running):

@@ -18,6 +18,7 @@ from metricfl.accounting import (
     heuristic_epsilons,
     ledger_summary,
     max_leakage_series,
+    record_rounds,
     write_ledger_csv,
 )
 
@@ -65,6 +66,19 @@ class TestLeakageEvent:
         LeakageEvent(round=0, epsilon=math.inf, radius=0.3, leakage=math.inf)
         with pytest.raises(ValueError):
             LeakageEvent(round=0, epsilon=math.inf, radius=0.3, leakage=1.0)
+
+
+class TestOneMultiplierPerUpdate:
+    def test_each_row_gets_the_bits_of_its_own_multiplier(self):
+        gen = np.random.default_rng(3)
+        norms, nus = gen.uniform(1e-9, 5.0, 40), gen.choice([0.5, 1.0, 3.0, 5.0], 40)
+        per_row = heuristic_epsilons(norms, 11, nus)
+        alone = [heuristic_epsilons(norms[i:i + 1], 11, nu)[0] for i, nu in enumerate(nus)]
+        assert per_row.tolist() == alone
+
+    def test_any_non_positive_multiplier_is_rejected(self):
+        with pytest.raises(ValueError, match="noise_multiplier must be positive"):
+            heuristic_epsilons(np.ones(3), 2, np.array([5.0, 0.0, 1.0]))
 
 
 class TestNonFiniteNorms:
@@ -442,3 +456,51 @@ class TestColumnarLedger:
         for t in range(4):
             fresh.record_round(t, *round_columns(t), 0.4)
         assert ledger_state(ledger, tmp_path) == ledger_state(fresh, tmp_path)
+
+
+class TestGroupRecording:
+    IDS = [f"c{i}" for i in range(8)]
+
+    def group(self, rounds=3):
+        """Three ledgers with ``rounds`` rounds recorded as one group each."""
+        ledgers = [PrivacyLedger(self.IDS) for _ in range(3)]
+        for t in range(rounds):
+            positions, epsilon, radius, clusters = round_columns(t)
+            record_rounds(ledgers, t, positions, [epsilon] * 3, [radius] * 3, [clusters] * 3,
+                          [[0.4]] * 3)
+        return ledgers
+
+    def test_a_group_round_equals_a_round_per_ledger(self, tmp_path):
+        ledgers = self.group()
+        for ledger in ledgers:
+            alone = PrivacyLedger(self.IDS)
+            for t in range(3):
+                alone.record_round(t, *round_columns(t), 0.4)
+            assert ledger_state(ledger, tmp_path) == ledger_state(alone, tmp_path)
+
+    @pytest.mark.parametrize("fault", ["epsilon", "repeat"])
+    def test_a_fault_in_the_last_ledger_leaves_every_ledger_unchanged(self, fault):
+        # A wrong cost in the last ledger's row, or a client the last ledger
+        # alone already holds in round 3, rejects the whole group's round.
+        ledgers = self.group()
+        positions, epsilon, radius, clusters = round_columns(3)
+        epsilons = np.array([epsilon] * 3)
+        if fault == "epsilon":
+            epsilons[2, -1] *= 2
+        else:
+            ledgers[2].record_participation(self.IDS[positions[1]], 3, 2.0, 0.2, 0)
+        before = [(len(ledger), ledger.composed.tolist(), set(ledger._rounds.get(3, ())))
+                  for ledger in ledgers]
+        with pytest.raises(ValueError):
+            record_rounds(ledgers, 3, positions, epsilons, [radius] * 3, [clusters] * 3,
+                          [[0.4]] * 3)
+        after = [(len(ledger), ledger.composed.tolist(), set(ledger._rounds.get(3, ())))
+                 for ledger in ledgers]
+        assert after == before
+
+    def test_values_must_be_one_row_per_ledger(self):
+        ledgers = self.group(rounds=0)
+        positions, epsilon, radius, clusters = round_columns(0)
+        with pytest.raises(ValueError, match="one row of values per ledger"):
+            record_rounds(ledgers, 0, positions, [epsilon] * 2, [radius] * 2, [clusters] * 2, 0.4)
+        assert [len(ledger) for ledger in ledgers] == [0, 0, 0]

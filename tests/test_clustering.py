@@ -4,7 +4,7 @@ properties."""
 import numpy as np
 import pytest
 
-from metricfl.clustering import cluster_means, kmeans_from_hypotheses
+from metricfl.clustering import cluster_means, kmeans_from_hypotheses, lloyd
 from oracle_kmeans import lloyd_reference
 
 
@@ -180,8 +180,89 @@ class TestClusterMeans:
         expected = masked_means(points, labels, fallback)
         assert same_bits(cluster_means(points, labels, fallback), expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 11])
+    def test_stacked_problems_match_each_alone(self, n):
+        # One segment sum over g problems gives each the bits of its own
+        # masked means, an empty cluster its own fallback row.
+        gen = np.random.default_rng(100 + n)
+        for _ in range(100):
+            g, m, k = int(gen.integers(1, 5)), int(gen.integers(9, 40)), int(gen.integers(1, 6))
+            points = gen.standard_normal((g, m, n)) * 10.0 ** gen.integers(-5, 6, size=(g, m, 1))
+            labels = gen.integers(0, k, (g, m))
+            labels[:, :9] = 0
+            fallback = gen.standard_normal((g, k, n))
+            stacked = cluster_means(points, labels, fallback)
+            for c in range(g):
+                assert same_bits(stacked[c], masked_means(points[c], labels[c], fallback[c]))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_labels_out_of_range_are_rejected(self, bad):
+        # A stacked label outside [0, k) would land in a neighbour's cluster.
+        labels = np.array([[0, 1], [bad, 0], [1, 1]])
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 2\)"):
+            cluster_means(np.ones((3, 2, 2)), labels, np.zeros((3, 2, 2)))
+
     def test_empty_cluster_keeps_its_fallback_row(self):
         points = np.array([[1.0, 2.0], [3.0, 4.0]])
         fallback = np.array([[9.0, 9.0], [-7.0, 0.5], [8.0, 8.0]])
         means = cluster_means(points, np.array([0, 2]), fallback)
         assert same_bits(means, np.array([[1.0, 2.0], [-7.0, 0.5], [3.0, 4.0]]))
+
+
+class TestStackedLloyd:
+    """``lloyd`` over a stack of problems against each problem's own run."""
+
+    def random_stack(self, gen, g, k):
+        # Points near random hypotheses, some far off, so that problems need
+        # different numbers of iterations and clusters can empty.
+        n, m = int(gen.integers(2, 5)), int(gen.integers(1, 16))
+        init = gen.standard_normal((g, k, n)) * 3.0
+        spread = gen.uniform(0.1, 4.0)
+        points = init[:, gen.integers(0, k, m)] + gen.standard_normal((g, m, n)) * spread
+        return points, init
+
+    def assert_each_alone(self, points, init, **caps):
+        fit = lloyd(points, init, **caps)
+        for c in range(len(points)):
+            alone = kmeans_from_hypotheses(list(enumerate(points[c])), init[c], **caps)
+            assert np.array_equal(fit.labels[c], alone.labels)
+            assert same_bits(fit.centroids[c], alone.centroids)
+            assert fit.n_iterations[c] == alone.n_iterations
+            # The means the server takes: of the final labels, an empty cluster at its init row.
+            assert same_bits(fit.means[c], cluster_means(points[c], alone.labels, init[c]))
+        return fit
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_each_problem_stops_where_it_stops_alone(self, k):
+        gen = np.random.default_rng(k)
+        iterations = set()
+        for _ in range(60):
+            fit = self.assert_each_alone(*self.random_stack(gen, int(gen.integers(1, 6)), k))
+            iterations.update(fit.n_iterations.tolist())
+        assert k == 1 or len(iterations) > 2
+
+    @pytest.mark.parametrize("max_iters", [0, 1, 2])
+    def test_an_iteration_cap_stops_every_problem_as_alone(self, max_iters):
+        gen = np.random.default_rng(50 + max_iters)
+        for _ in range(30):
+            points, init = self.random_stack(gen, 4, 3)
+            fit = self.assert_each_alone(points, init, max_iters=max_iters)
+            assert (fit.n_iterations <= max_iters).all()
+
+    def test_a_loose_tolerance_stops_on_movement(self):
+        gen = np.random.default_rng(60)
+        for _ in range(30):
+            self.assert_each_alone(*self.random_stack(gen, 3, 2), tol=0.5)
+
+    def test_a_cluster_emptied_by_lloyd_keeps_its_hypothesis_in_the_means(self):
+        # Hypotheses 0, 5 and 10, releases 3.0, 7.4, 1.0 and 9.0: Lloyd's
+        # second step empties cluster 1, whose centroid stays at 5.2; the
+        # means keep hypothesis 5.0.  A second problem stops after one step.
+        points = np.array([[[3.0], [7.4], [1.0], [9.0]], [[0.1], [5.1], [9.9], [0.2]]])
+        init = np.array([[[0.0], [5.0], [10.0]]] * 2)
+        fit = self.assert_each_alone(points, init)
+        assert fit.labels.tolist() == [[0, 2, 0, 2], [0, 1, 2, 0]]
+        assert fit.n_iterations.tolist() == [2, 1]
+        assert fit.centroids[0, 1, 0] == pytest.approx(5.2, rel=1e-12)
+        assert fit.means[0, :, 0] == pytest.approx([2.0, 5.0, 8.2], rel=1e-12)
+        assert fit.means[0, 1, 0] == 5.0

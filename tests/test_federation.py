@@ -34,6 +34,7 @@ from metricfl.models import (
 )
 from metricfl.rng import RoundStreams, substream
 from test_mechanism import reference_sanitize
+from test_clustering import same_bits
 from test_models import table
 
 LINEAR = ModelSpec("linear", input_dim=2)
@@ -437,8 +438,9 @@ class TestRoundPath:
 
     @pytest.mark.parametrize("n_cells", [1, 3])
     def test_a_stacked_round_runs_each_shared_step_once(self, monkeypatch, n_cells):
-        # Sampling, the client streams, the row gather, local SGD, selection
-        # and validation run once per round whatever the number of cells.
+        # Sampling, the client streams, the row gather, local SGD, selection,
+        # validation and the ledger record run once per round whatever the
+        # number of cells, and k-means once per round for each distinct k.
         calls = collections.Counter()
 
         def count(owner, name):
@@ -452,17 +454,55 @@ class TestRoundPath:
 
         for owner, name in [(RoundStreams, "sampling"), (RoundStreams, "clients"),
                             (ClientTable, "take"), (federation, "local_updates"),
-                            (federation, "loss_matrix")]:
+                            (federation, "loss_matrix"), (federation, "lloyd"),
+                            (federation, "record_rounds"), (federation, "_validation_loss")]:
             count(owner, name)
         train, val = split_views()
-        cells = [(1, 0.0), (2, 0.5), (3, 5.0)][:n_cells]
+        cells = [(1, 0.0), (2, 0.5), (2, 5.0)][:n_cells]
         configs = [make_config(k=k, nu=nu, T=8, validation_patience=8) for k, nu in cells]
         results = dict(run_experiments(train, val, LINEAR, configs))
         assert sorted(results) == list(range(n_cells))
         assert all(len(result.history) == 8 for result in results.values())
         # loss_matrix twice a round: selection and validation.
         assert calls == {"sampling": 8, "clients": 8, "take": 8, "local_updates": 8,
-                         "loss_matrix": 16}
+                         "loss_matrix": 16, "lloyd": 8 * len({k for k, _ in cells}),
+                         "record_rounds": 8, "_validation_loss": 8}
+
+    def test_a_mixed_k_round_matches_each_cell_alone(self):
+        # Cells of k = 1, 2, 3 and one more k = 2 cell share a round: each gets
+        # the bits of its new hypotheses, training loss and ledger alone.
+        train, _ = split_views()
+        configs = [make_config(k=k, nu=nu) for k, nu in [(1, 5.0), (2, 0.5), (3, 5.0), (2, 0.0)]]
+        gen = np.random.default_rng(8)
+        hyps = [HypothesisSet(gen.standard_normal((c.k, n_params(LINEAR)))) for c in configs]
+
+        def one_round(cells):
+            runs = [Run(train, configs[c]) for c in cells]
+            pool = np.arange(len(runs[0].ids))
+            rounds = server_round(runs[0].table, pool, [hyps[c] for c in cells], LINEAR,
+                                  [configs[c] for c in cells], [r.ledger for r in runs], 0,
+                                  runs[0].streams)
+            return [(h.vectors, loss, list(run.ledger.iter_rows()))
+                    for (h, loss), run in zip(rounds, runs)]
+
+        grouped = one_round(range(4))
+        for c in range(4):
+            ((vectors, loss, rows),) = one_round([c])
+            assert same_bits(grouped[c][0], vectors)
+            assert grouped[c][1:] == (loss, rows)
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("n", [2, 3, 11, 17, 40])
+    def test_bit_equal_to_the_norm_of_each_row(self, n):
+        # metrics.csv and the golden digests hold these bits.
+        gen = np.random.default_rng(n)
+        for _ in range(400):
+            rows = gen.standard_normal((int(gen.integers(1, 61)), n))
+            rows *= 10.0 ** gen.integers(-150, 150, size=(len(rows), 1))
+            expected = np.array([np.linalg.norm(d) for d in rows])
+            assert same_bits(federation._row_norms(rows), expected)
+            assert same_bits(expected, np.sqrt([d.dot(d) for d in rows]))
 
 
 def artifacts(result, k, path):
@@ -533,10 +573,21 @@ class TestEarlyStopping:
             min(loss(LINEAR, vec, validation[cid], "rmse") for vec in hyps.vectors)
             for cid in sorted(validation)
         ]
-        got = federation._validation_loss(loss_matrix(
+        (got,) = federation._validation_loss(loss_matrix(
             LINEAR, hyps.vectors, table(LINEAR, [validation[cid] for cid in sorted(validation)])
-        ))
+        ), [0])
         assert got == pytest.approx(np.mean(per_client), rel=1e-12)
+
+    def test_stacked_cells_get_their_solo_bits(self):
+        # Columns of cells with k = 1, 3 and 2 over 40 clients (past numpy's
+        # 8-element pairwise block): each cell's loss is its solo bits.
+        gen = np.random.default_rng(12)
+        losses = gen.standard_normal((40, 6)) ** 2 * 10.0 ** gen.integers(-5, 6, size=(40, 6))
+        columns = [slice(0, 1), slice(1, 4), slice(4, 6)]
+        stacked = federation._validation_loss(losses, [cols.start for cols in columns])
+        for got, cols in zip(stacked, columns):
+            (solo,) = federation._validation_loss(np.ascontiguousarray(losses[:, cols]), [0])
+            assert got == solo == float(np.mean(losses[:, cols].min(axis=1)))
 
     def test_zero_rounds_returns_initial_hypotheses(self):
         train, val = split_views()
@@ -548,7 +599,7 @@ class TestEarlyStopping:
 
     def test_flat_sequence_stops_after_patience_evaluations(self, monkeypatch):
         train, val = split_views()
-        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: 1.0)
+        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: [1.0])
         config = make_config(T=50, validation_patience=6)
         result = run_experiment(train, val, LINEAR, config)
         # first evaluation sets the best; six more exhaust the patience
@@ -558,7 +609,7 @@ class TestEarlyStopping:
     def test_decreasing_sequence_never_stops(self, monkeypatch):
         train, val = split_views()
         losses = iter(float(x) for x in range(1000, 0, -1))
-        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: next(losses))
+        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: [next(losses)])
         config = make_config(T=20)
         result = run_experiment(train, val, LINEAR, config)
         assert len(result.history) == 20
@@ -567,7 +618,7 @@ class TestEarlyStopping:
     def test_best_hypotheses_come_from_best_round(self, monkeypatch):
         train, val = split_views()
         sequence = iter([5.0, 1.0, 3.0, 4.0, 4.5, 4.6, 4.7, 4.8, 4.9])
-        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: next(sequence))
+        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: [next(sequence)])
         config = make_config(T=9, validation_patience=50)
         result = run_experiment(train, val, LINEAR, config)
         assert result.best_round == 1
@@ -577,7 +628,7 @@ class TestEarlyStopping:
         train, val = split_views()
         calls = []
         monkeypatch.setattr(
-            federation, "_validation_loss", lambda *a, **k: calls.append(0) or 1.0
+            federation, "_validation_loss", lambda *a, **k: calls.append(0) or [1.0]
         )
         config = make_config(T=10, validation_every=3, validation_patience=100)
         result = run_experiment(train, val, LINEAR, config)
@@ -653,7 +704,7 @@ class TestBudgetCap:
         # run stops and returns the best evaluation instead of raising
         train, val = split_views(n_clients=13)
         sequence = iter([3.0, 1.0, 2.0])
-        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: next(sequence))
+        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: [next(sequence)])
         config = make_config(U=3, nu=5.0, budget_cap=0.5, T=50, validation_patience=50)
         result = run_experiment(train, val, LINEAR, config)
         assert [m.round for m in result.history] == [0, 1, 2]
