@@ -240,11 +240,16 @@ def _client_steps(
     dim, n_clients = n_params(spec), len(positions)
     blocks = [slice(c * n_clients, (c + 1) * n_clients) for c in range(len(configs))]
     radii = np.where(update_norms == 0, RADIUS_FLOOR, update_norms)
-    nus = np.repeat([cell.nu for cell in configs], n_clients)
-    noisy, epsilons = nus > 0, np.full(len(updated), math.inf)
-    if noisy.any():
-        epsilons[noisy] = heuristic_epsilons(radii[noisy], dim, nus[noisy])
-        updated[noisy] = sanitize_rows(updated[noisy], epsilons[noisy], rngs)
+    nus = np.array([cell.nu for cell in configs])
+    if nus.all():  # every row is released with noise: whole arrays, no gathers
+        epsilons = heuristic_epsilons(radii.reshape(len(nus), -1), dim, nus[:, None]).ravel()
+        updated = sanitize_rows(updated, epsilons, rngs)
+    else:
+        nus = np.repeat(nus, n_clients)
+        noisy, epsilons = nus > 0, np.full(len(updated), math.inf)
+        if noisy.any():
+            epsilons[noisy] = heuristic_epsilons(radii[noisy], dim, nus[noisy])
+            updated[noisy] = sanitize_rows(updated[noisy], epsilons[noisy], rngs)
     # One division, not epsilon*radius: keeps the recorded cost exact.
     costs = [(radii, dim / cell.nu) if cell.nu else (update_norms, math.inf) for cell in configs]
     return [

@@ -5,7 +5,9 @@ ReLU network.  The objective is RMSE, the residual norm over the square root
 of the row count, so every model predicts one value per row.  Parameters
 live in a single flat vector so that sanitization and clustering can treat a
 model as a point in R^n.  The packing order is fixed: per layer, weights
-row-major then biases, layers in forward order.
+row-major then biases, layers in forward order.  Every kernel runs one
+stacked forward (and backward) pass over per-layer views into a (G, n) stack
+of such vectors, built once per call; local SGD steps that stack in place.
 """
 
 from __future__ import annotations
@@ -220,61 +222,75 @@ def _require_rmse(objective: str) -> None:
         raise ValueError(f"objective must be 'rmse', the only one, got {objective!r}")
 
 
-def _forward(spec: ModelSpec, stack: np.ndarray, x: np.ndarray):
+def _layers(spec: ModelSpec, stack: np.ndarray) -> list[tuple]:
+    """Each layer's (weights (G, out, fin), their transpose (G, fin, out),
+    biases (G, 1, out)) as views into the (G, n) ``stack``, built once per
+    call; writing through them writes the stack.  A linear model is one
+    layer (None, theta as (G, n, 1), None)."""
+    if spec.kind == "linear":
+        return [(None, stack[:, :, None], None)]
+    layers = []
+    for out, fin, weights, biases in spec.layer_slices:
+        w = stack[:, weights].reshape(-1, out, fin)
+        layers.append((w, w.transpose(0, 2, 1), stack[:, None, biases]))
+    return layers
+
+
+def _forward(layers: list[tuple], x: np.ndarray):
     """Stacked forward pass: (outputs, per-layer input cache for backprop).
 
-    ``stack`` holds G parameter vectors as a (G, n) array; ``x`` holds each
-    vector's rows as a (G, rows, input_dim) array, or (1, rows, input_dim)
-    to run all G vectors on the same rows.  Outputs are (G, rows, 1).  Every
-    product is one matmul per stacked vector, so a vector's outputs do not
-    depend on what else is stacked with it.
+    ``layers`` holds the views (``_layers``) of G parameter vectors; ``x``
+    holds each vector's rows as a (G, rows, input_dim) array, or (1, rows,
+    input_dim) to run all G vectors on the same rows.  Outputs are (G, rows,
+    1).  Every product is one matmul per stacked vector, so a vector's
+    outputs do not depend on what else is stacked with it.
     """
-    if spec.kind == "linear":
-        return x @ stack[:, :, None], [x]
     inputs = []
     a = x
-    last = len(spec.layer_slices) - 1
-    for i, (out, fin, weights, biases) in enumerate(spec.layer_slices):
+    for i, (_, w_t, b) in enumerate(layers):
         inputs.append(a)
-        z = a @ stack[:, weights].reshape(-1, out, fin).transpose(0, 2, 1) + stack[:, None, biases]
-        a = np.maximum(z, 0.0) if i < last else z
+        a = a @ w_t
+        if b is not None:
+            a += b
+            if i < len(layers) - 1:
+                np.maximum(a, 0.0, out=a)
     return a, inputs
 
 
 def _output_gradient(
-    out: np.ndarray, y: np.ndarray, mask: np.ndarray, counts: np.ndarray
+    out: np.ndarray, y: np.ndarray, mask: np.ndarray, root_counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Derivative of each stacked block's RMSE w.r.t. its outputs.
 
-    ``out`` is (G, rows, 1), ``y`` (G, rows) targets, ``mask`` (G, rows)
-    marks real rows and ``counts`` (G,) holds their number per block.
-    Masked rows get an exactly zero derivative.  Also returns which blocks
-    take a step: those with a nonzero residual.  At a zero residual, and in
-    a block without rows, the zero vector is the subgradient, so the step is
-    skipped rather than divided by the zero norm.
+    ``out``, the targets ``y`` and ``mask`` (real rows) are (G, rows, 1);
+    ``root_counts`` (G, 1, 1) holds the square root of each block's real row
+    count.  Masked rows get an exactly zero derivative.  Also returns which
+    blocks take a step, as (G, 1): those with a nonzero residual.  At a zero
+    residual, and in a block without rows, the zero vector is the
+    subgradient, so the step is skipped rather than divided by the zero norm.
     """
-    residual = np.where(mask, y - out[..., 0], 0.0)
-    res_norm = np.sqrt(np.sum(residual * residual, axis=1))
-    flat = res_norm == 0.0
-    scale = np.where(flat, 1.0, np.sqrt(counts) * res_norm)
-    return (-residual / scale[:, None])[..., None], ~flat
+    residual = np.where(mask, y - out, 0.0)
+    res_norm = np.sqrt(np.add.reduce(residual * residual, axis=1, keepdims=True))
+    moving = res_norm != 0.0
+    scale = np.where(moving, root_counts * res_norm, 1.0)
+    return -residual / scale, moving[:, 0]
 
 
 def _backward(
-    spec: ModelSpec, stack: np.ndarray, inputs: list[np.ndarray], d_out: np.ndarray
-) -> np.ndarray:
-    """Stacked backward pass: the (G, n) gradient from the output derivative."""
-    if spec.kind == "linear":
-        return (inputs[0].transpose(0, 2, 1) @ d_out)[:, :, 0]
-    grad = np.empty_like(stack)
-    for i in range(len(spec.layer_slices) - 1, -1, -1):
-        out, fin, weights, biases = spec.layer_slices[i]
-        a_in = inputs[i]
-        grad[:, weights] = (d_out.transpose(0, 2, 1) @ a_in).reshape(len(grad), -1)
-        grad[:, biases] = d_out.sum(axis=1)
+    layers: list[tuple], grads: list[tuple], inputs: list[np.ndarray], d_out: np.ndarray
+) -> None:
+    """Stacked backward pass from the output derivative: writes each layer's
+    gradient into its views in ``grads`` (``_layers`` of a (G, n) buffer)."""
+    for i in range(len(layers) - 1, -1, -1):
+        (w, _, _), (g_w, g_wt, g_b), a_in = layers[i], grads[i], inputs[i]
+        if w is None:  # linear: theta's gradient is x^T d_out
+            np.matmul(a_in.transpose(0, 2, 1), d_out, out=g_wt)
+        else:
+            np.matmul(d_out.transpose(0, 2, 1), a_in, out=g_w)
+            np.add.reduce(d_out, axis=1, keepdims=True, out=g_b)
         if i > 0:
-            d_out = (d_out @ stack[:, weights].reshape(-1, out, fin)) * (a_in > 0)
-    return grad
+            d_out = d_out @ w
+            d_out *= a_in > 0
 
 
 def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.ndarray:
@@ -282,7 +298,7 @@ def predict(spec: ModelSpec, params: np.ndarray, features: np.ndarray) -> np.nda
     params = _check_params(spec, params)
     x = np.asarray(features, dtype=float)
     _check_features(spec, x)
-    out = _forward(spec, params[None], x[None])[0][0]
+    out = _forward(_layers(spec, params[None]), x[None])[0][0]
     return out[:, 0]
 
 
@@ -304,7 +320,7 @@ def loss_matrix(spec: ModelSpec, hypotheses: np.ndarray, table: ClientTable) -> 
     client.
     """
     h = _check_stack(spec, hypotheses, "hypotheses")
-    out, _ = _forward(spec, h, table.x[None])
+    out, _ = _forward(_layers(spec, h), table.x[None])
     totals = np.add.reduceat(_squared_residuals(out, table.y), table.offsets, axis=1)
     return (np.sqrt(totals) / np.sqrt(table.sizes)).T
 
@@ -326,7 +342,7 @@ def client_losses(spec: ModelSpec, params: np.ndarray, table: ClientTable) -> np
     rows = table.offsets[:, None] + np.where(mask, slot, 0)
     if copies > 1:
         sizes, mask, rows = (np.concatenate([a] * copies) for a in (sizes, mask, rows))
-    out, _ = _forward(spec, stack, table.x[rows])
+    out, _ = _forward(_layers(spec, stack), table.x[rows])
     totals = np.sum(np.where(mask, _squared_residuals(out, table.y[rows]), 0.0), axis=1)
     return np.sqrt(totals) / np.sqrt(sizes)
 
@@ -348,12 +364,14 @@ def gradient(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) 
     _require_rmse(objective)
     params = _check_params(spec, params)
     table = ClientTable.from_batches(spec, [batch])
-    out, inputs = _forward(spec, params[None], table.x[None])
-    mask = np.ones((1, len(batch)), bool)
-    d_out, moving = _output_gradient(out, table.y[None], mask, table.sizes)
-    if not moving[0]:
-        return np.zeros_like(params)
-    return _backward(spec, params[None], inputs, d_out)[0]
+    layers = _layers(spec, params[None])
+    out, inputs = _forward(layers, table.x[None])
+    root_count = np.sqrt(table.sizes)[:, None, None]
+    d_out, moving = _output_gradient(out, table.y[None, :, None], True, root_count)
+    grad = np.zeros((1, len(params)))
+    if moving[0, 0]:
+        _backward(layers, _layers(spec, grad), inputs, d_out)
+    return grad[0]
 
 
 def local_updates(
@@ -379,7 +397,9 @@ def local_updates(
     exactly as it was.  Blocks are ``batch_size`` rows wide whatever the
     stack, and no operation mixes rows, so row i is bit-identical to a stack
     of that row alone; the price is that a ``batch_size`` above the largest
-    dataset computes padding rows.
+    dataset computes padding rows.  ``params`` is copied once; each step
+    writes its gradient into one buffer and subtracts it from the copy in
+    place, through layer views of both built once per call.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -393,21 +413,25 @@ def local_updates(
     n_clients = len(sizes)
     steps = -(-sizes.max() // batch_size)
     slots = steps * batch_size
-    mask = (np.arange(slots) < sizes[:, None]).reshape(n_clients, steps, batch_size)
+    mask = (np.arange(slots) < sizes[:, None]).reshape(n_clients, steps, batch_size, 1)
     if copies > 1:
-        mask = np.tile(mask, (copies, 1, 1))
-    counts = mask.sum(axis=2)
+        mask = np.tile(mask, (copies, 1, 1, 1))
+    masks = mask.swapaxes(0, 1)
+    roots = np.sqrt(masks.sum(axis=2, keepdims=True))
+    layers, grad = _layers(spec, stack), np.empty_like(stack)
+    grads = _layers(spec, grad)
     for _ in range(epochs):
         rows = np.repeat(starts[:, None], slots, axis=1)
         for i, rng in enumerate(rngs):
             rows[i, : sizes[i]] += rng.permutation(sizes[i])
         if copies > 1:
             rows = np.tile(rows, (copies, 1))
-        xs = x[rows].reshape(len(stack), steps, batch_size, -1)
-        ys = y[rows].reshape(len(stack), steps, batch_size)
-        for j in range(steps):
-            out, inputs = _forward(spec, stack, xs[:, j])
-            d_out, moving = _output_gradient(out, ys[:, j], mask[:, j], counts[:, j])
-            stepped = stack - step_size * _backward(spec, stack, inputs, d_out)
-            stack = np.where(moving[:, None], stepped, stack)
+        xs = x[rows].reshape(len(stack), steps, batch_size, -1).swapaxes(0, 1)
+        ys = y[rows].reshape(len(stack), steps, batch_size, 1).swapaxes(0, 1)
+        for x_j, y_j, mask_j, root_j in zip(xs, ys, masks, roots):
+            out, inputs = _forward(layers, x_j)
+            d_out, moving = _output_gradient(out, y_j, mask_j, root_j)
+            _backward(layers, grads, inputs, d_out)
+            np.multiply(step_size, grad, out=grad)
+            np.subtract(stack, grad, out=stack, where=moving)
     return stack

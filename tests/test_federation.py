@@ -468,11 +468,12 @@ class TestRoundPath:
                          "loss_matrix": 16, "lloyd": 8 * len({k for k, _ in cells}),
                          "record_rounds": 8, "_validation_loss": 8}
 
-    def test_a_mixed_k_round_matches_each_cell_alone(self):
-        # Cells of k = 1, 2, 3 and one more k = 2 cell share a round: each gets
-        # the bits of its new hypotheses, training loss and ledger alone.
+    @staticmethod
+    def assert_round_matches_each_cell_alone(cells):
+        # Each cell of a shared round gets the bits of its new hypotheses,
+        # training loss and ledger alone.
         train, _ = split_views()
-        configs = [make_config(k=k, nu=nu) for k, nu in [(1, 5.0), (2, 0.5), (3, 5.0), (2, 0.0)]]
+        configs = [make_config(k=k, nu=nu) for k, nu in cells]
         gen = np.random.default_rng(8)
         hyps = [HypothesisSet(gen.standard_normal((c.k, n_params(LINEAR)))) for c in configs]
 
@@ -485,11 +486,21 @@ class TestRoundPath:
             return [(h.vectors, loss, list(run.ledger.iter_rows()))
                     for (h, loss), run in zip(rounds, runs)]
 
-        grouped = one_round(range(4))
-        for c in range(4):
+        grouped = one_round(range(len(cells)))
+        for c in range(len(cells)):
             ((vectors, loss, rows),) = one_round([c])
             assert same_bits(grouped[c][0], vectors)
             assert grouped[c][1:] == (loss, rows)
+
+    def test_a_mixed_k_round_matches_each_cell_alone(self):
+        # Cells of k = 1, 2, 3 and one more k = 2 cell, one of them without
+        # noise: the noisy rows are released apart from the others.
+        self.assert_round_matches_each_cell_alone([(1, 5.0), (2, 0.5), (3, 5.0), (2, 0.0)])
+
+    def test_an_all_noisy_round_matches_each_cell_alone(self):
+        # Every cell releases with noise, each at its own nu: the whole stack
+        # is released at once, with no gather of the noisy rows.
+        self.assert_round_matches_each_cell_alone([(1, 5.0), (2, 0.5), (3, 5.0), (2, 2.0)])
 
 
 class TestRowNorms:

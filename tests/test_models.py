@@ -371,6 +371,19 @@ def solo_runs(spec, params, datasets, step, epochs, batch_size, seeds):
 STACK_CASES = {
     "linear": ModelSpec("linear", input_dim=3),
     "mlp_rmse": ModelSpec("mlp", input_dim=9, hidden=(4, 2)),
+    # the shipped architecture, which both benchmark workloads run
+    "mlp_3_2_1": SMALL_MLP,
+}
+
+# Integer weights and biases of a linear model and of the 3-2-1 MLP, whose
+# outputs on integer rows are computed exactly: (spec, flat vector, outputs).
+EXACT_FITS = {
+    "linear": (STACK_CASES["linear"], np.array([1.0, -2.0, 3.0]), lambda x: x @ [1, -2, 3]),
+    "mlp": (
+        SMALL_MLP,
+        pack(SMALL_MLP, [([[1, -2, 3], [2, 1, -1]], [1, -1]), ([[2, -3]], [1])]),
+        lambda x: np.maximum(x @ [[1, 2], [-2, 1], [3, -1]] + [1, -1], 0) @ [2, -3] + 1,
+    ),
 }
 
 
@@ -415,19 +428,45 @@ class TestLocalUpdates:
             local_updates(spec, params, table(spec, datasets), 0.05, 0, 4, streams(seeds)), params
         )
 
-    def test_zero_residual_client_stays_put_while_others_move(self):
-        # Integer rows and coefficients: every prediction is exact, so the
-        # first client's residual is exactly zero in every block.
-        theta = np.array([1.0, -2.0, 3.0])
+    @pytest.mark.parametrize("case", sorted(EXACT_FITS))
+    def test_zero_residual_client_stays_put_while_others_move(self, case):
+        # Integer rows, weights and biases: every prediction is exact, so the
+        # first client's residual is exactly zero in every block and its
+        # in-place step is masked out, while the second client's is not.
+        spec, theta, outputs = EXACT_FITS[case]
         gen = np.random.default_rng(12)
-        x = gen.integers(-3, 4, size=(9, 3)).astype(float)
-        fitted = Batch(x, x @ theta)
-        noisy = Batch(x, x @ theta + gen.standard_normal(9))
-        spec = STACK_CASES["linear"]
+        x = gen.integers(-3, 4, size=(9, 3))
+        fitted = Batch(x, outputs(x))
+        noisy = Batch(x, outputs(x) + gen.standard_normal(9))
+        assert np.array_equal(predict(spec, theta, fitted.x), fitted.y)
         params = np.stack([theta, theta])
         out = local_updates(spec, params, table(spec, [fitted, noisy]), 0.1, 2, 4, streams([1, 2]))
         assert np.array_equal(out[0], theta)
         assert not np.array_equal(out[1], theta)
+
+    def test_underflowing_residual_norm_takes_no_step(self):
+        # A residual of 1e-170 squares to 0.0: the block's residual norm is
+        # zero, so no step is taken although the derivative is not zero.
+        spec = ModelSpec("linear", input_dim=1)
+        tiny = Batch(np.ones((2, 1)), np.full(2, 2e-170))
+        moved = Batch(np.ones((2, 1)), np.ones(2))
+        params = np.full((2, 1), 1e-170)
+        out = local_updates(spec, params, table(spec, [tiny, moved]), 0.1, 1, 2, streams([0, 1]))
+        assert out[0, 0] == 1e-170 and out[1, 0] != 1e-170
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_stacked_call_leaves_params_untouched(self, epochs):
+        # G = 2 copies of three clients: the steps write through views of a
+        # copy, never of ``params``, and the result owns its memory.
+        spec = SMALL_MLP
+        gen = np.random.default_rng(23)
+        _, datasets, seeds = random_stack(gen, spec, [2, 7, 5])
+        params = gen.standard_normal((6, n_params(spec)))
+        before = params.copy()
+        out = local_updates(spec, params, table(spec, datasets), 0.05, epochs, 4, streams(seeds))
+        assert params.tobytes() == before.tobytes()
+        assert not np.shares_memory(out, params)
+        assert np.array_equal(out, params) == (epochs == 0)
 
     def test_diverging_client_leaves_the_others_untouched(self):
         spec = STACK_CASES["mlp_rmse"]
