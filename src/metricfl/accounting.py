@@ -153,7 +153,7 @@ class PrivacyLedger:
         cluster_id: int | None = None,
         leakage: float | None = None,
     ) -> LeakageEvent:
-        """Append one event: the one-row case of ``record_round``.
+        """Append one event: the one-row case of ``record_rounds``.
 
         ``leakage`` defaults to epsilon * radius.  Callers using the
         heuristic pass the algebraically cancelled n / noise_multiplier so
@@ -173,19 +173,6 @@ class PrivacyLedger:
         values = np.array([[epsilon], [radius], [leakage]], dtype=float)
         self._append(round, positions, np.array([cluster], dtype=np.int64), *values)
         return event
-
-    def record_round(
-        self,
-        round: int,
-        positions: Sequence[int],
-        epsilon: Sequence[float],
-        radius: Sequence[float],
-        clusters: Sequence[int],
-        leakage: float | Sequence[float],
-    ) -> None:
-        """The one-ledger case of ``record_rounds``: row i for the client at
-        ``positions[i]``; a scalar ``leakage`` is every row's."""
-        record_rounds([self], round, positions, [epsilon], [radius], [clusters], [leakage])
 
     def _check_room(self, round: int, positions: np.ndarray) -> None:
         """Reject ascending positions out of range or with a row in ``round``."""

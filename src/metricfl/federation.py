@@ -19,24 +19,28 @@ The cells of one seed, or of one (seed, nu) under a budget cap, run as a
 group in lockstep (``run_experiments``): they sample the same clients and
 load the same streams every round, so a round is one stacked computation
 (selection, local SGD, training loss, release) over cells by clients, in
-ascending client-id order.  A client draws its permutations and raw noise
-once, from its own stream, for all cells.  k-means, averaging and the ledger
-checks are shared too (one Lloyd run per k); early stopping and history stay
-per cell.  No operation mixes two rows or two cells, so each release and
-each cell's result is bit-identical to the one it gets alone: the
-outcome depends neither on a client's round-mates nor on a cell's group.
-Only the reported training loss (``models.client_losses``) may move in the
-last ulp with the client's round-mates.
+ascending client-id order.  The state is one (sum of k, n) array of the
+running cells' hypotheses, cell by cell, and a stopped cell's rows leave it.
+A client draws its permutations and raw noise once, from its own stream, for
+all cells.  k-means, averaging and the ledger checks are shared too (one
+Lloyd run per k); early stopping and history stay per cell.  No operation
+mixes two rows or two cells, so each release and each cell's result is
+bit-identical to the one it gets alone: the outcome depends neither on a
+client's round-mates nor on a cell's group.  Only the reported training
+loss (``models.client_losses``) may move in the last ulp with the client's
+round-mates.  An overflow in local SGD, the release, k-means or validation
+raises; the cells then rerun alone, and ``Diverged`` names the first to fail.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from pathlib import Path
-from typing import Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,18 +143,16 @@ class HypothesisSet:
         if self.vectors.ndim != 2:
             raise ValueError("vectors must be a (k, n) array")
 
-    def copy(self) -> "HypothesisSet":
-        return HypothesisSet(self.vectors.copy())
 
-
-@dataclass(frozen=True)
-class _ClientSteps:
-    """The outcome of several clients' steps as columns, row i for client i."""
+class _ClientSteps(NamedTuple):
+    """The outcome of a group's client steps by cell, then client:
+    ``sanitized`` (G, U, n); ``epsilon``, ``radius`` and ``train_loss``
+    (G, U); ``leakage`` (G, 1), one cost per cell."""
 
     sanitized: np.ndarray
     epsilon: np.ndarray
     radius: np.ndarray
-    leakage: float
+    leakage: np.ndarray
     train_loss: np.ndarray
 
 
@@ -173,25 +175,41 @@ class ExperimentResult:
 
 
 class Diverged(FloatingPointError):
-    """A local update of the cell of ``config`` diverged in the round named."""
+    """A round of the cell of ``config`` overflowed or diverged, as named."""
 
     def __init__(self, message: str, config: FederationConfig):
         super().__init__(message)
         self.config = config
 
 
-def _stacked(hypotheses: Sequence[HypothesisSet]) -> tuple[np.ndarray, list[slice]]:
-    """The cells' hypotheses as one (sum of k, n) array (a lone cell's as it
-    is) and each cell's rows of it."""
-    vectors = [h.vectors for h in hypotheses]
-    ends = accumulate(len(v) for v in vectors)
-    rows = [slice(end - len(v), end) for v, end in zip(vectors, ends)]
-    return (vectors[0] if len(vectors) == 1 else np.concatenate(vectors)), rows
+def _offsets(configs: Sequence[FederationConfig]) -> list[int]:
+    """Cell c's rows of the group's stacked hypotheses: ``[c]`` up to ``[c + 1]``."""
+    return list(accumulate((config.k for config in configs), initial=0))
 
 
-def _by_cell(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """The cells' arrays along a new first axis; a lone array as a view of it."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+@contextmanager
+def _raising(round_index: int, what: str) -> Iterator[None]:
+    """Raise an overflow or invalid value as one naming the round and ``what``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"round {round_index}: {what} ({exc})") from None
+
+
+def _alone(step: Callable, vectors: np.ndarray, configs: Sequence[FederationConfig], *args):
+    """``step(vectors, configs, *args)`` for a group; on a FloatingPointError each cell
+    reruns it alone, and ``Diverged`` names the first that fails (else the first)."""
+    try:
+        return step(vectors, configs, *args)
+    except FloatingPointError as exc:
+        rows = _offsets(configs)
+        for c, config in enumerate(configs):
+            try:
+                step(vectors[rows[c]:rows[c + 1]], [config], *args)
+            except FloatingPointError as alone:
+                raise Diverged(str(alone), config) from None
+        raise Diverged(str(exc), configs[0]) from None
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -200,17 +218,12 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _client_steps(
-    spec: ModelSpec,
-    table: ClientTable,
-    positions: np.ndarray,
-    hypotheses: Sequence[HypothesisSet],
-    configs: Sequence[FederationConfig],
-    rngs: list[np.random.Generator],
-    round_index: int,
-) -> list[_ClientSteps]:
+    spec: ModelSpec, table: ClientTable, positions: np.ndarray, vectors: np.ndarray,
+    configs: Sequence[FederationConfig], rngs: list[np.random.Generator], round_index: int,
+) -> _ClientSteps:
     """Select, train and release for the clients at ``positions`` of
-    ``table`` in each cell c of a group (``hypotheses[c]``, ``configs[c]``),
-    one row per client.
+    ``table`` in each cell c of a group (``configs[c]``, with its rows of
+    the stacked ``vectors``, see ``_offsets``).
 
     In each cell, each client picks the hypothesis with the lowest loss on
     its full local dataset (ties to the lowest index), trains it, and
@@ -219,43 +232,52 @@ def _client_steps(
     selection, local SGD, the training loss and the release each run once
     for the stack of cells by clients.  A client's stream draws its SGD
     permutations, then its raw noise, once for all cells.  A zero update
-    norm is floored to ``RADIUS_FLOOR``; an overflow or invalid value in
-    training, or a non-finite norm, raises.
+    norm is floored to ``RADIUS_FLOOR``; an overflow or invalid value, or a
+    non-finite update norm, raises.
     """
     local = table.take(positions)
-    vectors, columns = _stacked(hypotheses)
-    losses = loss_matrix(spec, vectors, local)
-    chosen = [np.argmin(losses[:, cols], axis=1) + cols.start for cols in columns]
-    received = vectors[chosen[0] if len(chosen) == 1 else np.concatenate(chosen)]
-    config = configs[0]
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            updated = local_updates(spec, received, local, config.s, config.E, config.B_s, rngs)
-            train_losses = client_losses(spec, updated, local)
-            update_norms = _row_norms(updated - received)
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"round {round_index}: a local update diverged ({exc})") from None
+    rows, config = _offsets(configs), configs[0]
+    with _raising(round_index, "a local update diverged"):
+        losses = loss_matrix(spec, vectors, local)
+        chosen = [np.argmin(losses[:, a:b], axis=1) + a for a, b in zip(rows, rows[1:])]
+        received = vectors[np.concatenate(chosen)]
+        updated = local_updates(spec, received, local, config.s, config.E, config.B_s, rngs)
+        train_losses = client_losses(spec, updated, local)
+        update_norms = _row_norms(updated - received)
     if not np.isfinite(update_norms).all():
         raise FloatingPointError(f"round {round_index}: a local update diverged (non-finite norm)")
-    dim, n_clients = n_params(spec), len(positions)
-    blocks = [slice(c * n_clients, (c + 1) * n_clients) for c in range(len(configs))]
-    radii = np.where(update_norms == 0, RADIUS_FLOOR, update_norms)
-    nus = np.array([cell.nu for cell in configs])
-    if nus.all():  # every row is released with noise: whole arrays, no gathers
-        epsilons = heuristic_epsilons(radii.reshape(len(nus), -1), dim, nus[:, None]).ravel()
-        updated = sanitize_rows(updated, epsilons, rngs)
-    else:
-        nus = np.repeat(nus, n_clients)
-        noisy, epsilons = nus > 0, np.full(len(updated), math.inf)
-        if noisy.any():
-            epsilons[noisy] = heuristic_epsilons(radii[noisy], dim, nus[noisy])
-            updated[noisy] = sanitize_rows(updated[noisy], epsilons[noisy], rngs)
+    (G, U), dim = (len(configs), len(positions)), n_params(spec)
+    norms, nus = update_norms.reshape(G, U), np.array([[cell.nu] for cell in configs])
+    radius = np.where((norms == 0) & (nus > 0), RADIUS_FLOOR, norms)
+    epsilon, released = np.full((G, U), math.inf), updated.reshape(G, U, dim)
+    if noisy := [c for c, cell in enumerate(configs) if cell.nu]:
+        with _raising(round_index, "a release overflowed"):
+            epsilon[noisy] = heuristic_epsilons(radius[noisy], dim, nus[noisy])
+            noised = sanitize_rows(released[noisy].reshape(-1, dim), epsilon[noisy].ravel(), rngs)
+            released[noisy] = noised.reshape(len(noisy), U, dim)
     # One division, not epsilon*radius: keeps the recorded cost exact.
-    costs = [(radii, dim / cell.nu) if cell.nu else (update_norms, math.inf) for cell in configs]
-    return [
-        _ClientSteps(updated[rows], epsilons[rows], radius[rows], leakage, train_losses[rows])
-        for rows, (radius, leakage) in zip(blocks, costs)
-    ]
+    leakage = np.array([[dim / cell.nu if cell.nu else math.inf] for cell in configs])
+    return _ClientSteps(released, epsilon, radius, leakage, train_losses.reshape(G, U))
+
+
+def _round(
+    vectors: np.ndarray, configs: Sequence[FederationConfig], spec: ModelSpec,
+    table: ClientTable, sampled: np.ndarray, streams: RoundStreams, round_index: int,
+) -> tuple[_ClientSteps, np.ndarray, np.ndarray]:
+    """A group's client steps on fresh copies of the sampled clients' streams, then
+    one Lloyd run per k: returns the steps, each release's (G, U) cluster and the
+    new hypotheses (the means of the final labels), stacked as ``vectors``."""
+    rngs = streams.clients(round_index, sampled.tolist())
+    steps = _client_steps(spec, table, sampled, vectors, configs, rngs, round_index)
+    rows = _offsets(configs)
+    labels, means = np.empty(steps.epsilon.shape, dtype=np.intp), np.empty_like(vectors)
+    with _raising(round_index, "a release overflowed"):
+        for k in dict.fromkeys(config.k for config in configs):
+            cells = [c for c, config in enumerate(configs) if config.k == k]
+            at = [row for c in cells for row in range(rows[c], rows[c + 1])]
+            fit = lloyd(steps.sanitized[cells], vectors[at].reshape(len(cells), k, -1))
+            labels[cells], means[at] = fit.labels, fit.means.reshape(len(at), -1)
+    return steps, labels, means
 
 
 def _eligible(ledger: PrivacyLedger, spec: ModelSpec, config: FederationConfig) -> np.ndarray:
@@ -273,59 +295,36 @@ def _eligible(ledger: PrivacyLedger, spec: ModelSpec, config: FederationConfig) 
 def server_round(
     table: ClientTable,
     pool: np.ndarray,
-    hypotheses: Sequence[HypothesisSet],
+    vectors: np.ndarray,
     spec: ModelSpec,
     configs: Sequence[FederationConfig],
     ledgers: Sequence[PrivacyLedger],
     round_index: int,
     streams: RoundStreams,
-) -> list[tuple[HypothesisSet, float]]:
-    """One full round of each cell c of a group (``hypotheses[c]``,
-    ``configs[c]``, ``ledgers[c]``): sample, collect sanitized vectors,
-    cluster, average.  The cells share the sample and the client streams.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One full round of each cell c of a group (``configs[c]``,
+    ``ledgers[c]``, its rows of the stacked ``vectors``): sample, collect
+    sanitized vectors, cluster, average.  The cells share the sample and the
+    client streams.
 
     ``table`` holds the run's training clients by position, ``pool`` the
     ascending positions eligible this round, and ``streams`` is the run's
-    stream table.  Returns each cell's new hypotheses and sampled clients'
-    mean training loss.  Who was sampled and which cluster each release was
-    aggregated into is recorded in the cell's ledger as one round of rows;
-    the cluster a client chose for itself is never kept.  Raises
-    RuntimeError when the pool holds fewer than U clients, and ``Diverged``
-    when a local update diverges.
+    stream table.  Returns the new hypotheses, stacked as ``vectors``, and
+    the (G,) sampled clients' mean training loss by cell.  Who was sampled
+    and which cluster each release was aggregated into is recorded in the
+    cell's ledger as one round of rows; the cluster a client chose for
+    itself is never kept.  Raises RuntimeError when the pool holds fewer
+    than U clients, and ``Diverged`` when a round overflows or diverges.
     """
     U = configs[0].U
     if len(pool) < U:
         raise RuntimeError(f"round {round_index}: only {len(pool)} eligible clients, need U={U}")
     picked = streams.sampling(round_index).choice(len(pool), size=U, replace=False)
     sampled = np.sort(pool[picked])
-    positions = sampled.tolist()
-
-    rngs = streams.clients(round_index, positions)
-    try:
-        steps = _client_steps(spec, table, sampled, hypotheses, configs, rngs, round_index)
-    except FloatingPointError as exc:
-        # Name the first cell that diverges alone, on fresh copies of the streams.
-        for c, config in enumerate(configs):
-            try:
-                rngs = streams.clients(round_index, positions)
-                _client_steps(spec, table, sampled, [hypotheses[c]], [config], rngs, round_index)
-            except FloatingPointError as alone:
-                raise Diverged(str(alone), config) from None
-        raise Diverged(str(exc), configs[0]) from None
-
-    # One Lloyd run per k; its means of the final labels are the new hypotheses.
-    labels, new_vectors = np.empty((len(steps), U), dtype=np.intp), {}
-    for k in dict.fromkeys(len(hyps.vectors) for hyps in hypotheses):
-        cells = [c for c, hyps in enumerate(hypotheses) if len(hyps.vectors) == k]
-        fit = lloyd(_by_cell([steps[c].sanitized for c in cells]),
-                    _by_cell([hypotheses[c].vectors for c in cells]))
-        labels[cells] = fit.labels
-        new_vectors.update(zip(cells, fit.means))
-    epsilon, radius = _by_cell([c.epsilon for c in steps]), _by_cell([c.radius for c in steps])
-    costs = [[cell.leakage] for cell in steps]  # one per cell
-    record_rounds(ledgers, round_index, sampled, epsilon, radius, labels, costs)
-    train_losses = _by_cell([cell.train_loss for cell in steps]).mean(axis=1).tolist()
-    return [(HypothesisSet(new_vectors[c]), loss) for c, loss in enumerate(train_losses)]
+    steps, labels, means = _alone(_round, vectors, configs, spec, table, sampled, streams,
+                                  round_index)
+    record_rounds(ledgers, round_index, sampled, steps.epsilon, steps.radius, labels, steps.leakage)
+    return means, steps.train_loss.mean(axis=1)
 
 
 def _validation_loss(losses: np.ndarray, starts: Sequence[int]) -> list[float]:
@@ -334,6 +333,27 @@ def _validation_loss(losses: np.ndarray, starts: Sequence[int]) -> list[float]:
     ``starts[c]``.  A cell's minima are one contiguous row, summed as alone."""
     best = np.ascontiguousarray(np.minimum.reduceat(losses, starts, axis=1).T)
     return best.mean(axis=1).tolist()
+
+
+def _evaluate(
+    vectors: np.ndarray, configs: Sequence[FederationConfig], spec: ModelSpec,
+    table: ClientTable | None, round_index: int,
+) -> tuple[list[float], list[float | None]]:
+    """The norm of each stacked hypothesis and, given a validation ``table``,
+    each cell's ``_validation_loss`` (else None); an overflow raises."""
+    with _raising(round_index, "a hypothesis overflowed"):
+        norms = _row_norms(vectors).tolist()
+        if table is None:
+            return norms, [None] * len(configs)
+        return norms, _validation_loss(loss_matrix(spec, vectors, table), _offsets(configs)[:-1])
+
+
+def _finished(result: ExperimentResult, final: np.ndarray) -> ExperimentResult:
+    """``result`` with its final hypotheses, also its best if no evaluation improved on inf."""
+    result.final_hypotheses = HypothesisSet(final)
+    if result.best_round is None:
+        result.best_hypotheses = result.final_hypotheses
+    return result
 
 
 def run_experiments(
@@ -348,9 +368,10 @@ def run_experiments(
     The cells may differ in k, and in nu without a budget cap.  Their pools
     are then equal, so they sample the same clients with the same streams:
     each round is one ``server_round`` and one validation pass for all cells
-    still running.  A cell sees the float operations it sees alone, so its
-    result does not depend on its group.  Yields ``(c, result)`` for
-    ``configs[c]`` when that cell stops, and drops it.
+    still running, over one array of their hypotheses that no round writes
+    to.  A cell sees the float operations it sees alone, so its result does
+    not depend on its group.  Yields ``(c, result)`` for ``configs[c]`` when
+    that cell stops, and drops it.
 
     Every ``validation_every`` rounds the validation clients are scored at
     their per-client best hypothesis; a cell stops after
@@ -375,43 +396,29 @@ def run_experiments(
     running: dict[int, ExperimentResult] = {}  # by index in configs
     for c, cell in enumerate(configs):
         rng_hyp = substream(cell.master_seed, "hypotheses")
-        hypotheses = HypothesisSet(np.stack([init_params(spec, rng_hyp) for _ in range(cell.k)]))
-        ledger = PrivacyLedger(ids)
-        running[c] = ExperimentResult(hypotheses, hypotheses, math.inf, None, [], ledger)
+        start = HypothesisSet(np.stack([init_params(spec, rng_hyp) for _ in range(cell.k)]))
+        running[c] = ExperimentResult(start, start, math.inf, None, [], PrivacyLedger(ids))
+    vectors = np.concatenate([result.final_hypotheses.vectors for result in running.values()])
     stale_evaluations = [0] * len(configs)
     previous_val = [math.inf] * len(configs)
     for t in range(config.T):
-        cells = list(running)
-        if not cells:
+        cells, group = list(running), [configs[c] for c in running]
+        ledgers = [result.ledger for result in running.values()]
+        if not cells or len(pool := _eligible(ledgers[0], spec, config)) < config.U:
             break
-        pool = _eligible(running[cells[0]].ledger, spec, config)
-        if len(pool) < config.U:
-            break
-        results = [running[c] for c in cells]
-        rounds = server_round(
-            table, pool, [result.final_hypotheses for result in results], spec,
-            [configs[c] for c in cells], [result.ledger for result in results], t, streams,
-        )
+        vectors, train_losses = server_round(table, pool, vectors, spec, group, ledgers, t, streams)
+        validated = val_table if (t + 1) % config.validation_every == 0 else None
+        norms, val_losses = _alone(_evaluate, vectors, group, spec, validated, t)
 
-        vectors, columns = _stacked([hypotheses for hypotheses, _ in rounds])
-        val_losses: list[float | None] = [None] * len(cells)
-        if val_table is not None and (t + 1) % config.validation_every == 0:
-            losses = loss_matrix(spec, vectors, val_table)
-            val_losses = _validation_loss(losses, [cols.start for cols in columns])
-        norms = _row_norms(vectors).tolist()
-
-        for c, result, (hypotheses, mean_train_loss), val_loss, cols in zip(
-            cells, results, rounds, val_losses, columns
+        rows = _offsets(group)
+        for c, mean_train_loss, val_loss, a, b in zip(
+            cells, train_losses.tolist(), val_losses, rows, rows[1:]
         ):
-            result.final_hypotheses = hypotheses
-            if result.best_round is None:
-                # Until an evaluation improves on inf (never without validation
-                # clients), the best set is the latest.
-                result.best_hypotheses = hypotheses
+            result = running[c]
             if val_loss is not None:
                 if val_loss < result.best_validation_loss:
                     result.best_validation_loss = val_loss
-                    result.best_hypotheses = hypotheses.copy()
+                    result.best_hypotheses = HypothesisSet(vectors[a:b])
                     result.best_round = t
                 # Convergence means no round-over-round decrease anymore; a noisy
                 # but still-descending loss sequence must not trigger the stop.
@@ -420,11 +427,14 @@ def run_experiments(
                 else:
                     stale_evaluations[c] += 1
                 previous_val[c] = val_loss
-            result.history.append(RoundMetrics(t, mean_train_loss, val_loss, norms[cols]))
+            result.history.append(RoundMetrics(t, mean_train_loss, val_loss, norms[a:b]))
             if stale_evaluations[c] >= configs[c].validation_patience:
-                yield c, running.pop(c)
-    for c in list(running):
-        yield c, running.pop(c)
+                yield c, _finished(running.pop(c), vectors[a:b])
+        if len(running) < len(cells):
+            vectors = vectors[np.repeat([c in running for c in cells], np.diff(rows))]
+    rows = _offsets([configs[c] for c in running])
+    for c, a, b in zip(list(running), rows, rows[1:]):
+        yield c, _finished(running.pop(c), vectors[a:b])
 
 
 def run_experiment(

@@ -337,6 +337,13 @@ def round_columns(t, n_clients=8, U=3, seed=0):
     return positions, heuristic_epsilons(radius, 2, 5.0), radius, gen.integers(0, 3, U)
 
 
+def group_of_one(columns):
+    """A round's (positions, epsilon, radius, clusters) for ``record_rounds``
+    on one ledger: each value column as the group's one row."""
+    positions, *values = columns
+    return (positions, *([column] for column in values))
+
+
 def ledger_state(ledger, tmp_path):
     path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger, path)
@@ -354,7 +361,7 @@ class TestColumnarLedger:
         events = []
         for t in range(12):
             positions, epsilon, radius, clusters = round_columns(t)
-            columnar.record_round(t, positions, epsilon, radius, clusters, 0.4)
+            record_rounds([columnar], t, positions, [epsilon], [radius], [clusters], 0.4)
             for p, e, r, c in zip(positions.tolist(), epsilon.tolist(), radius.tolist(),
                                   clusters.tolist()):
                 events.append(dict(client_id=self.IDS[p], round=t, epsilon=e, radius=r,
@@ -380,7 +387,7 @@ class TestColumnarLedger:
             ledger = PrivacyLedger(self.IDS)
             rounds = range(prior_rounds)
             for t in reversed(rounds) if descending else rounds:
-                ledger.record_round(t, *history[t % 7], 0.4)
+                record_rounds([ledger], t, *group_of_one(history[t % 7]), 0.4)
             names = []
 
             def profile(frame, event, arg):
@@ -389,10 +396,10 @@ class TestColumnarLedger:
                 elif event == "c_call":
                     names.append(getattr(arg, "__name__", "?"))
 
-            columns = round_columns(prior_rounds)
+            columns = group_of_one(round_columns(prior_rounds))
             sys.setprofile(profile)
             try:
-                ledger.record_round(prior_rounds, *columns, 0.4)
+                record_rounds([ledger], prior_rounds, *columns, 0.4)
             finally:
                 sys.setprofile(None)
             return names
@@ -414,7 +421,7 @@ class TestColumnarLedger:
     def test_events_builds_only_the_clients_own_rows(self, monkeypatch):
         ledger = PrivacyLedger(self.IDS)
         for t in range(20):
-            ledger.record_round(t, *round_columns(t), 0.4)
+            record_rounds([ledger], t, *group_of_one(round_columns(t)), 0.4)
         expected = [event for cid, event, _ in ledger.iter_rows() if cid == "c3"]
         built = []
         check = LeakageEvent.__post_init__
@@ -426,7 +433,7 @@ class TestColumnarLedger:
     def test_rejected_round_leaves_the_ledger_unchanged(self, tmp_path):
         ledger = PrivacyLedger(self.IDS)
         for t in range(3):
-            ledger.record_round(t, *round_columns(t), 0.4)
+            record_rounds([ledger], t, *group_of_one(round_columns(t)), 0.4)
         before = ledger_state(ledger, tmp_path)
         positions, epsilon, radius, clusters = round_columns(3)
         wrong_cost = epsilon.copy()
@@ -442,19 +449,19 @@ class TestColumnarLedger:
         ]
         for t, *columns in rejected:
             with pytest.raises(ValueError):
-                ledger.record_round(t, *columns, 0.4)
+                record_rounds([ledger], t, *group_of_one(columns), 0.4)
             assert ledger_state(ledger, tmp_path) == before
             assert len(ledger) == 9
         # The message names the round, the row and the row's values.
         with pytest.raises(ValueError) as wrong:
-            ledger.record_round(3, positions, wrong_cost, radius, clusters, 0.4)
+            record_rounds([ledger], 3, positions, [wrong_cost], [radius], [clusters], 0.4)
         assert str(wrong.value).startswith("round 3, row 2: ")
         assert f"epsilon {float(wrong_cost[-1])!r}" in str(wrong.value)
         # Nothing a rejected call saw is kept: round 3 still records as on a fresh ledger.
-        ledger.record_round(3, positions, epsilon, radius, clusters, 0.4)
+        record_rounds([ledger], 3, positions, [epsilon], [radius], [clusters], 0.4)
         fresh = PrivacyLedger(self.IDS)
         for t in range(4):
-            fresh.record_round(t, *round_columns(t), 0.4)
+            record_rounds([fresh], t, *group_of_one(round_columns(t)), 0.4)
         assert ledger_state(ledger, tmp_path) == ledger_state(fresh, tmp_path)
 
 
@@ -473,10 +480,10 @@ class TestGroupRecording:
     def test_a_group_round_equals_a_round_per_ledger(self, tmp_path):
         ledgers = self.group()
         for ledger in ledgers:
-            alone = PrivacyLedger(self.IDS)
+            solo = PrivacyLedger(self.IDS)
             for t in range(3):
-                alone.record_round(t, *round_columns(t), 0.4)
-            assert ledger_state(ledger, tmp_path) == ledger_state(alone, tmp_path)
+                record_rounds([solo], t, *group_of_one(round_columns(t)), 0.4)
+            assert ledger_state(ledger, tmp_path) == ledger_state(solo, tmp_path)
 
     @pytest.mark.parametrize("fault", ["epsilon", "repeat"])
     def test_a_fault_in_the_last_ledger_leaves_every_ledger_unchanged(self, fault):

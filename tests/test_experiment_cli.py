@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -550,6 +551,71 @@ def test_golden_digests_budget_cap(tmp_path):
     assert digests == GOLDEN_CAPPED
 
 
+# The same pin for a group whose cells stop in different rounds: at a patience
+# of 2 the three nu = 5 cells stop after 3 (k = 2), 4 (k = 1) and 21 (k = 3)
+# rounds and the nu = 0 cells run all T = 30, so the group's rows leave its
+# stack from the middle, one cell at a time, while the others keep running.
+GOLDEN_STAGGERED = {
+    "0_1_1/metrics.csv": "01c26f1c7e4f47dd7b1207d48245e2efdf73d42bc1e28a3aad3845938e3f86fb",
+    "0_1_1/ledger.csv": "5a86e9af70ab2436cedb262798bde38e134f69316a839089a5974277de57b83f",
+    "0_1_1/hypotheses.txt": "17e8d5fe5083363e4168fdbde1452e8f1c8689df18b68bab52d4bd3a91509d11",
+    "0_1_1/hypotheses_final.txt": (
+        "17e8d5fe5083363e4168fdbde1452e8f1c8689df18b68bab52d4bd3a91509d11"
+    ),
+    "0_2_1/metrics.csv": "bfb0f320c1926d20b4e415b7df31cca9d943f20c65913435d46b598bc9e97646",
+    "0_2_1/ledger.csv": "4acc5deaadaea379dba0efa63f99f25364bbe8e11afafadd7f415999e5f1cb28",
+    "0_2_1/hypotheses.txt": "6824c2dfcda020772284421aeb6ce5f5cafac023277bb1783fca2597862e8abf",
+    "0_2_1/hypotheses_final.txt": (
+        "6824c2dfcda020772284421aeb6ce5f5cafac023277bb1783fca2597862e8abf"
+    ),
+    "0_3_1/metrics.csv": "d5c0c89492eff7cf1fe198178af2714851b64bccf9e3a234c270ad9553035922",
+    "0_3_1/ledger.csv": "a465c4e6c428fac456f27b18a57fda08da64743f80becb5909713389590a5bb4",
+    "0_3_1/hypotheses.txt": "b1cb2c7827249d0321c38059e930d6fc7d20a2266799a8434300b37009f069c8",
+    "0_3_1/hypotheses_final.txt": (
+        "b1cb2c7827249d0321c38059e930d6fc7d20a2266799a8434300b37009f069c8"
+    ),
+    "5_1_1/metrics.csv": "5761bb85ffdbb96da8591589481c71a7e1dc2a5d1cca33a4c52e57f063803e6b",
+    "5_1_1/ledger.csv": "744242bfb8ccfb6d57876e97876a4122ba6a220524a1a1f454e7a03c823f6aec",
+    "5_1_1/hypotheses.txt": "efcc119f963d8c735d9981908c7d748fed9a6e9d08d606ed56b5e1aa83b90be6",
+    "5_1_1/hypotheses_final.txt": (
+        "60a763a04e510ed88eae240e6249656a02e2d34cc0d2ce983a2a6f05035ca0cd"
+    ),
+    "5_2_1/metrics.csv": "6d77d0526304161f6c8f1b0c4f88eab2bf2ae818ab1cab8dfe0c6ef2c3d7c915",
+    "5_2_1/ledger.csv": "937cbef85583e934907855915265247a927b4d26530677fcdf11b60c5c9eb2b4",
+    "5_2_1/hypotheses.txt": "3d4de79065f4a70aebebe9b4d778652d201bd3bd6eda25640f75affe53269688",
+    "5_2_1/hypotheses_final.txt": (
+        "0332a5bc7fae7b7645f413df8468c227294fdfc894bb2c3971985b7426f4521f"
+    ),
+    "5_3_1/metrics.csv": "152de944e84bf9d0b4a0fa13c730306ed074bb03bd1a70392547e33e8198be60",
+    "5_3_1/ledger.csv": "11ebcdb732c8be06ff4011e6ecbfd847c2a04122af5a8bcd7fd3cdc98b7436fa",
+    "5_3_1/hypotheses.txt": "c9f74c90e5a1f37363c77a05ef4ad310957d4ef2466b5a425322eae3e91ff3ff",
+    "5_3_1/hypotheses_final.txt": (
+        "44ea7b9d167b755ed4f43220970bbeab786ba366bc426f9d128b7e84c852f061"
+    ),
+}
+
+
+def test_golden_digests_cells_stopping_in_different_rounds(tmp_path):
+    path = small_synthetic_config(
+        tmp_path,
+        federation={"T": 30, "U": 3, "E": 1, "s": 0.1, "B_s": 10,
+                    "validation_every": 1, "validation_patience": 2},
+        sweep={"nu": [0.0, 5.0], "k": [1, 2, 3], "seeds": [1]},
+    )
+    exp_dir = run_sweep(load_config(path), tmp_path / "out")
+    rounds = {
+        cell.name: len((cell / "metrics.csv").read_text().splitlines()) - 1
+        for cell in exp_dir.iterdir() if cell.is_dir()
+    }
+    assert len(set(rounds.values())) >= 3
+    assert rounds == {"0_1_1": 30, "0_2_1": 30, "0_3_1": 30, "5_1_1": 4, "5_2_1": 3, "5_3_1": 21}
+    digests = {
+        name: hashlib.sha256((exp_dir / name).read_bytes()).hexdigest()
+        for name in GOLDEN_STAGGERED
+    }
+    assert digests == GOLDEN_STAGGERED
+
+
 def test_import_and_config_load_leave_heavy_modules_unloaded():
     # perfbench's setup_s times exactly this path; numpy.random, numpy.ma and
     # scipy would add to it on every run, so nothing on it may import them.
@@ -592,6 +658,45 @@ class TestCli:
         assert done.returncode == 2
         assert len(done.stderr.splitlines()) == 1
         assert "run 0_5_0: round 0: " in done.stderr and "diverged" in done.stderr
+
+    @pytest.mark.parametrize(
+        "nu,failure",
+        [
+            ([1e160], "run 1e+160_2_0: round 0: a release overflowed (overflow encountered in"),
+            ([1e300], "run 1e+300_2_0: round 0: a release overflowed (overflow encountered in"),
+            ([0.0, 1e160], "run 1e+160_2_0: round 0: a release overflowed (overflow"),
+            ([1e155], "run 1e+155_2_0: round 0: a hypothesis overflowed (overflow"),
+            ([0.0, 1e155], "run 1e+155_2_0: round 0: a hypothesis overflowed (overflow"),
+            ([1e150], None),
+        ],
+    )
+    def test_huge_nu_exits_2_naming_the_overflowing_cell(
+        self, tmp_path, capsys, nu, failure
+    ):
+        # Noise at these nu overflows k-means' squared distances (1e160 and
+        # up) or, one step later, the validation loss of the new hypotheses
+        # (1e155).  The run stops in round 0 with one stderr line that names
+        # the noisy cell, not the group's first; at 1e150 nothing overflows.
+        # Warnings are recorded, not raised, so that a run that only warns
+        # and exits 0 fails here.
+        path = small_synthetic_config(
+            tmp_path,
+            federation={"T": 5, "U": 3, "E": 1, "s": 0.1, "B_s": 10,
+                        "validation_every": 1, "validation_patience": 6},
+            data={"n_clients": 20, "samples_per_client": 10, "validation_fraction": 0.3},
+            sweep={"nu": nu, "k": [2], "seeds": [0]},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        if failure is None:
+            assert (code, err) == (0, [])
+        else:
+            assert code == 2
+            assert len(err) == 1
+            assert failure in err[0]
 
     def test_divergence_in_a_group_names_the_cell_and_writes_none_of_it(
         self, tmp_path, capsys, monkeypatch

@@ -76,20 +76,22 @@ class Run:
         self.config = config
 
     def round(self, hyps, t):
+        """The (k, n) hypotheses after round t and the (1,) mean training loss."""
         pool = federation._eligible(self.ledger, self.spec, self.config)
-        (cell,) = server_round(
-            self.table, pool, [hyps], self.spec, [self.config], [self.ledger], t, self.streams
+        return server_round(
+            self.table, pool, hyps, self.spec, [self.config], [self.ledger], t, self.streams
         )
-        return cell
 
 
 def client_steps(spec, datasets, hyps, config, rngs, round_index=0):
-    """``_client_steps`` for a table of ``datasets``, every client sampled."""
+    """``_client_steps`` for a table of ``datasets``, every client sampled:
+    the one cell's row of each stacked field, its leakage as a float."""
     positions = np.arange(len(datasets))
-    (steps,) = federation._client_steps(
-        spec, table(spec, datasets), positions, [hyps], [config], rngs, round_index
+    steps = federation._client_steps(
+        spec, table(spec, datasets), positions, hyps, [config], rngs, round_index
     )
-    return steps
+    cell = federation._ClientSteps(*(field[0] for field in steps))
+    return cell._replace(leakage=float(cell.leakage[0]))
 
 
 def round_assignment(ledger, t):
@@ -98,8 +100,9 @@ def round_assignment(ledger, t):
 
 
 def lowest_loss(spec, hyps, dataset):
-    """The hypothesis a client holding ``dataset`` selects, recomputed with ``loss``."""
-    return hyps.vectors[np.argmin([loss(spec, v, dataset, "rmse") for v in hyps.vectors])]
+    """The row of the (k, n) ``hyps`` a client holding ``dataset`` selects,
+    recomputed with ``loss``."""
+    return hyps[np.argmin([loss(spec, v, dataset, "rmse") for v in hyps])]
 
 
 class TestConfig:
@@ -114,7 +117,7 @@ class TestConfig:
 class TestClientStep:
     def test_unsanitized_step_is_exact_sgd(self):
         dataset = make_dataset()
-        hyps = HypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        hyps = np.array([[1.0, 0.0], [0.0, 1.0]])
         config = make_config(nu=0.0)
         rngs = [substream(0, "client", 0, 0)]
         result = client_steps(LINEAR, [dataset], hyps, config, rngs)
@@ -126,7 +129,7 @@ class TestClientStep:
 
     def test_leakage_is_dimension_over_multiplier(self):
         dataset = make_dataset()
-        hyps = HypothesisSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        hyps = np.array([[1.0, 0.0], [0.0, 1.0]])
         config = make_config(nu=5.0)
         rngs = [substream(0, "client", 0, 0)]
         result = client_steps(LINEAR, [dataset], hyps, config, rngs)
@@ -138,13 +141,13 @@ class TestClientStep:
         dataset = make_dataset(theta=(5.0, 6.0))
         good = np.array([5.0, 6.0])
         bad = np.array([-5.0, 0.0])
-        hyps = HypothesisSet(np.stack([bad, good]))
+        hyps = np.stack([bad, good])
         config = make_config(nu=0.0)
         rngs = [substream(0, "client", 0, 0)]
         result = client_steps(LINEAR, [dataset], hyps, config, rngs)
         fresh = [substream(0, "client", 0, 0) for _ in range(2)]
         twice = table(LINEAR, [dataset] * 2)
-        trained = local_updates(LINEAR, hyps.vectors, twice, 0.1, 1, 10, fresh)
+        trained = local_updates(LINEAR, hyps, twice, 0.1, 1, 10, fresh)
         assert np.array_equal(result.sanitized[0], trained[1])
         assert not np.array_equal(result.sanitized[0], trained[0])
 
@@ -153,19 +156,19 @@ class TestClientStep:
         # update of hypothesis 0.
         dataset = Batch(np.random.default_rng(0).standard_normal((10, 2)), np.zeros(10))
         theta = np.array([1.0, 2.0])
-        hyps = HypothesisSet(np.stack([theta, -theta]))
+        hyps = np.stack([theta, -theta])
         assert loss(LINEAR, theta, dataset, "rmse") == loss(LINEAR, -theta, dataset, "rmse")
         config = make_config(nu=0.0)
         rngs = [substream(0, "client", 0, 0)]
         result = client_steps(LINEAR, [dataset], hyps, config, rngs)
         fresh = [substream(0, "client", 0, 0) for _ in range(2)]
         twice = table(LINEAR, [dataset] * 2)
-        trained = local_updates(LINEAR, hyps.vectors, twice, 0.1, 1, 10, fresh)
+        trained = local_updates(LINEAR, hyps, twice, 0.1, 1, 10, fresh)
         assert np.array_equal(result.sanitized[0], trained[0])
         assert not np.array_equal(result.sanitized[0], trained[1])
 
     def test_empty_dataset_rejected(self):
-        hyps = HypothesisSet(np.zeros((1, 2)))
+        hyps = np.zeros((1, 2))
         empty = Batch(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
             config = make_config(k=1)
@@ -178,7 +181,7 @@ class TestClientStep:
         gen = np.random.default_rng(3)
         x = gen.standard_normal((5, 2))
         dataset = Batch(x, x @ theta)
-        hyps = HypothesisSet(theta[None, :].copy())
+        hyps = theta[None, :].copy()
         config = make_config(k=1, nu=5.0)
         rngs = [substream(0, "client", 0, 0)]
         result = client_steps(LINEAR, [dataset], hyps, config, rngs)
@@ -190,23 +193,23 @@ class TestServerRound:
     def test_single_client_single_cluster(self):
         clients = {0: make_dataset()}
         config = make_config(k=1, U=1, nu=5.0)
-        hyps = HypothesisSet(np.array([[0.0, 0.0]]))
+        hyps = np.array([[0.0, 0.0]])
         run = Run(clients, config)
         new_hyps, _ = run.round(hyps, 0)
         rngs = [substream(0, "client", 0, 0)]
         step = client_steps(LINEAR, [clients[0]], hyps, config, rngs)
-        assert new_hyps.vectors[0] == pytest.approx(step.sanitized[0], rel=1e-12)
+        assert new_hyps[0] == pytest.approx(step.sanitized[0], rel=1e-12)
         assert round_assignment(run.ledger, 0) == {0: 0}
 
     def test_identical_vectors_average_to_themselves(self):
         dataset = make_dataset()
         clients = {i: dataset for i in range(4)}
         config = make_config(k=1, U=4, nu=0.0)
-        hyps = HypothesisSet(np.array([[1.0, -1.0]]))
+        hyps = np.array([[1.0, -1.0]])
         new_hyps, _ = Run(clients, config).round(hyps, 0)
         rngs = [substream(0, "client", 0, 0)]
         expected = client_steps(LINEAR, [dataset], hyps, config, rngs)
-        assert new_hyps.vectors[0] == pytest.approx(expected.sanitized[0], rel=1e-12)
+        assert new_hyps[0] == pytest.approx(expected.sanitized[0], rel=1e-12)
 
     def test_unsanitized_round_averages_per_cluster(self):
         # two well-separated groups; with nu=0 the new hypotheses must equal
@@ -217,7 +220,7 @@ class TestServerRound:
             theta = (5.0, 6.0) if i < 3 else (4.0, -4.5)
             clients[i] = make_dataset(seed=10 + i, theta=theta)
         config = make_config(k=2, U=6, nu=0.0)
-        hyps = HypothesisSet(np.array([[5.0, 6.0], [4.0, -4.5]]))
+        hyps = np.array([[5.0, 6.0], [4.0, -4.5]])
         run = Run(clients, config)
         new_hyps, _ = run.round(hyps, 0)
         assignment = round_assignment(run.ledger, 0)
@@ -231,12 +234,12 @@ class TestServerRound:
             members = [cid for cid, c in assignment.items() if c == j]
             assert members
             expected = np.mean([outputs[cid] for cid in members], axis=0)
-            assert new_hyps.vectors[j] == pytest.approx(expected, rel=1e-12)
+            assert new_hyps[j] == pytest.approx(expected, rel=1e-12)
 
     def test_one_leakage_event_per_sampled_client(self):
         clients, _ = split_views()
         config = make_config(U=5)
-        hyps = HypothesisSet(np.zeros((2, 2)))
+        hyps = np.zeros((2, 2))
         run = Run(clients, config)
         for t in range(3):
             hyps, _ = run.round(hyps, t)
@@ -249,7 +252,7 @@ class TestServerRound:
     def test_sampling_without_replacement(self):
         clients, _ = split_views()
         config = make_config(U=7)
-        hyps = HypothesisSet(np.zeros((2, 2)))
+        hyps = np.zeros((2, 2))
         run = Run(clients, config)
         run.round(hyps, 0)
         assert len(round_assignment(run.ledger, 0)) == 7
@@ -262,7 +265,7 @@ class TestServerRound:
         spec = ModelSpec("mlp", input_dim=2, hidden=(3,))
         clients = {i: make_dataset(seed=20 + i, m=m) for i, m in enumerate([1, 13, 4, 7, 2])}
         config = make_config(k=1, U=3, E=2, B_s=4, nu=5.0)
-        hyps = HypothesisSet(np.full((1, n_params(spec)), 0.3))
+        hyps = np.full((1, n_params(spec)), 0.3)
         run = Run(clients, config, spec)
         new_hyps, _ = run.round(hyps, 0)
         events = {cid: event for cid, event, _ in run.ledger.iter_rows() if event.round == 0}
@@ -271,17 +274,17 @@ class TestServerRound:
         for cid in sorted(events):
             rng = substream(0, "client", cid, 0)
             data = table(spec, [clients[cid]])
-            updated = local_updates(spec, hyps.vectors, data, 0.1, 2, 4, [rng])[0]
-            assert events[cid].radius == float(np.linalg.norm(updated - hyps.vectors[0]))
+            updated = local_updates(spec, hyps, data, 0.1, 2, 4, [rng])[0]
+            assert events[cid].radius == float(np.linalg.norm(updated - hyps[0]))
             releases.append(reference_sanitize(updated, events[cid].epsilon, rng))
-        assert np.array_equal(new_hyps.vectors[0], np.mean(releases, axis=0))
+        assert np.array_equal(new_hyps[0], np.mean(releases, axis=0))
 
     @pytest.mark.parametrize("nu", [0.0, 5.0])
     def test_stacked_steps_are_bit_identical_to_solo_steps(self, nu):
         spec = ModelSpec("mlp", input_dim=2, hidden=(3,))
         datasets = [make_dataset(seed=40 + i, m=m) for i, m in enumerate([1, 13, 4, 7, 2, 9])]
         config = make_config(k=3, U=6, E=2, B_s=4, nu=nu)
-        hyps = HypothesisSet(np.random.default_rng(4).standard_normal((3, n_params(spec))))
+        hyps = np.random.default_rng(4).standard_normal((3, n_params(spec)))
         rngs = [substream(0, "client", i, 2) for i in range(6)]
         stacked = client_steps(spec, datasets, hyps, config, rngs)
         for i, dataset in enumerate(datasets):
@@ -304,7 +307,7 @@ class TestServerRound:
         train, _ = split_views(n_clients=30)
         config = make_config(U=7, nu=5.0)
         run = Run(train, config)
-        hyps = HypothesisSet(np.zeros((2, 2)))
+        hyps = np.zeros((2, 2))
         built = []
 
         def counting(real):
@@ -327,55 +330,53 @@ class TestServerRound:
         # step puts 3.0 and 7.4 into cluster 1, the second moves them to
         # clusters 0 and 2.  k-means leaves centroid 1 at their mean 5.2, but no
         # release is recorded for cluster 1, so its hypothesis stays 5.0.
-        released = np.array([[3.0], [7.4], [1.0], [9.0]])
-        ones = np.ones(4)
-        monkeypatch.setattr(
-            federation, "_client_steps",
-            lambda *args: [federation._ClientSteps(released, ones, 0.2 * ones, 0.2, 0 * ones)],
-        )
+        released = np.array([[[3.0], [7.4], [1.0], [9.0]]])
+        ones = np.ones((1, 4))
+        steps = federation._ClientSteps(released, ones, 0.2 * ones, np.array([[0.2]]), 0 * ones)
+        monkeypatch.setattr(federation, "_client_steps", lambda *args: steps)
         spec = ModelSpec("linear", input_dim=1)
         clients = {i: Batch(np.ones((2, 1)), np.ones(2)) for i in range(4)}
         config = make_config(k=3, U=4, nu=5.0)
-        hyps = HypothesisSet(np.array([[0.0], [5.0], [10.0]]))
+        hyps = np.array([[0.0], [5.0], [10.0]])
         run = Run(clients, config, spec)
         new_hyps, _ = run.round(hyps, 0)
-        kmeans = kmeans_from_hypotheses(list(enumerate(released)), hyps.vectors)
+        kmeans = kmeans_from_hypotheses(list(enumerate(released[0])), hyps)
         assert kmeans.labels.tolist() == [0, 2, 0, 2]
         assert kmeans.centroids[1, 0] == pytest.approx(5.2, rel=1e-12)
-        assert new_hyps.vectors[1, 0] == 5.0
-        assert new_hyps.vectors[:, 0] == pytest.approx([2.0, 5.0, 8.2], rel=1e-12)
+        assert new_hyps[1, 0] == 5.0
+        assert new_hyps[:, 0] == pytest.approx([2.0, 5.0, 8.2], rel=1e-12)
         assert round_assignment(run.ledger, 0) == {0: 0, 1: 2, 2: 0, 3: 2}
         assert all(event.cluster_id != 1 for _, event, _ in run.ledger.iter_rows())
 
     def test_too_few_clients_rejected(self):
         clients = {0: make_dataset()}
         config = make_config(U=2)
-        hyps = HypothesisSet(np.zeros((2, 2)))
+        hyps = np.zeros((2, 2))
         with pytest.raises(RuntimeError):
             Run(clients, config).round(hyps, 0)
 
 
 class TestInformationHygiene:
     def test_server_round_returns_hypotheses_and_mean_loss_only(self):
-        # The server keeps the new hypotheses, one scalar loss and the ledger
+        # The server keeps the new hypotheses, one loss per cell and the ledger
         # events; nothing records the cluster a client chose for itself.
         clients, _ = split_views()
         config = make_config(U=5)
-        hyps = HypothesisSet(np.zeros((2, 2)))
+        hyps = np.zeros((2, 2))
         run = Run(clients, config)
         returned = run.round(hyps, 0)
         assert len(returned) == 2
         new_hyps, mean_train_loss = returned
-        assert isinstance(new_hyps, HypothesisSet)
+        assert type(new_hyps) is np.ndarray and new_hyps.shape == hyps.shape
+        assert type(mean_train_loss) is np.ndarray and mean_train_loss.shape == (1,)
         assert {f.name for f in dataclasses.fields(HypothesisSet)} == {"vectors"}
-        assert type(mean_train_loss) is float
         rngs = {cid: substream(0, "client", run.ids.index(cid), 0) for cid in run.ids}
         steps = [
             client_steps(LINEAR, [clients[cid]], hyps, config, [rngs[cid]])
             for cid in round_assignment(run.ledger, 0)
         ]
         solo_mean = np.mean([s.train_loss[0] for s in steps])
-        assert mean_train_loss == pytest.approx(solo_mean, rel=1e-12)
+        assert mean_train_loss[0] == pytest.approx(solo_mean, rel=1e-12)
         assert {f.name for f in dataclasses.fields(LeakageEvent)} == {
             "round",
             "epsilon",
@@ -386,7 +387,7 @@ class TestInformationHygiene:
 
     def test_client_result_has_no_raw_update(self):
         # Neither the raw update nor the cluster a client chose leaves the client phase.
-        fields = {f.name for f in dataclasses.fields(federation._ClientSteps)}
+        fields = set(federation._ClientSteps._fields)
         assert "delta" not in fields and "chosen" not in fields
         assert fields == {"sanitized", "epsilon", "radius", "leakage", "train_loss"}
 
@@ -407,7 +408,7 @@ class TestDivergence:
         clients, _ = split_views()
         run = Run(clients, make_config(U=5, nu=nu))
         with pytest.raises(FloatingPointError, match="round 3: .* diverged"):
-            run.round(HypothesisSet(np.zeros((2, 2))), 3)
+            run.round(np.zeros((2, 2)), 3)
         assert len(run.ledger) == 0
 
 
@@ -475,16 +476,19 @@ class TestRoundPath:
         train, _ = split_views()
         configs = [make_config(k=k, nu=nu) for k, nu in cells]
         gen = np.random.default_rng(8)
-        hyps = [HypothesisSet(gen.standard_normal((c.k, n_params(LINEAR)))) for c in configs]
+        hyps = [gen.standard_normal((c.k, n_params(LINEAR))) for c in configs]
 
         def one_round(cells):
+            # The cells' rows of the stacked result, cut at their cumulative k.
             runs = [Run(train, configs[c]) for c in cells]
             pool = np.arange(len(runs[0].ids))
-            rounds = server_round(runs[0].table, pool, [hyps[c] for c in cells], LINEAR,
-                                  [configs[c] for c in cells], [r.ledger for r in runs], 0,
-                                  runs[0].streams)
-            return [(h.vectors, loss, list(run.ledger.iter_rows()))
-                    for (h, loss), run in zip(rounds, runs)]
+            vectors, losses = server_round(
+                runs[0].table, pool, np.concatenate([hyps[c] for c in cells]), LINEAR,
+                [configs[c] for c in cells], [r.ledger for r in runs], 0, runs[0].streams,
+            )
+            ends = np.cumsum([configs[c].k for c in cells])
+            return [(vectors[end - configs[c].k:end], loss, list(run.ledger.iter_rows()))
+                    for c, end, loss, run in zip(cells, ends, losses.tolist(), runs)]
 
         grouped = one_round(range(len(cells)))
         for c in range(len(cells)):
@@ -494,12 +498,12 @@ class TestRoundPath:
 
     def test_a_mixed_k_round_matches_each_cell_alone(self):
         # Cells of k = 1, 2, 3 and one more k = 2 cell, one of them without
-        # noise: the noisy rows are released apart from the others.
+        # noise: only the noisy cells' blocks are gathered and released.
         self.assert_round_matches_each_cell_alone([(1, 5.0), (2, 0.5), (3, 5.0), (2, 0.0)])
 
     def test_an_all_noisy_round_matches_each_cell_alone(self):
-        # Every cell releases with noise, each at its own nu: the whole stack
-        # is released at once, with no gather of the noisy rows.
+        # Every cell releases with noise, each at its own nu: every cell's
+        # block is gathered into the one release.
         self.assert_round_matches_each_cell_alone([(1, 5.0), (2, 0.5), (3, 5.0), (2, 2.0)])
 
 
@@ -667,7 +671,7 @@ class TestReproducibilityAndReduction:
         # client-updated vectors, recomputed here from scratch.
         train, _ = split_views()
         config = make_config(k=1, nu=0.0, T=3, U=5)
-        hyps = HypothesisSet(np.zeros((1, 2)))
+        hyps = np.zeros((1, 2))
         run = Run(train, config)
         for t in range(3):
             new_hyps, _ = run.round(hyps, t)
@@ -675,8 +679,8 @@ class TestReproducibilityAndReduction:
             for cid in round_assignment(run.ledger, t):
                 rng = substream(config.master_seed, "client", run.ids.index(cid), t)
                 data = table(LINEAR, [train[cid]])
-                manual.append(local_updates(LINEAR, hyps.vectors, data, 0.1, 1, 10, [rng])[0])
-            assert new_hyps.vectors[0] == pytest.approx(np.mean(manual, axis=0), rel=1e-12)
+                manual.append(local_updates(LINEAR, hyps, data, 0.1, 1, 10, [rng])[0])
+            assert new_hyps[0] == pytest.approx(np.mean(manual, axis=0), rel=1e-12)
             hyps = new_hyps
 
 
@@ -685,7 +689,7 @@ class TestBudgetCap:
         train, _ = split_views(n_clients=13)  # 9 train clients after the 30% split
         # per-round cost 0.4; cap 0.5 allows exactly one participation
         config = make_config(U=3, nu=5.0, budget_cap=0.5, T=50)
-        hyps = HypothesisSet(np.zeros((2, 2)))
+        hyps = np.zeros((2, 2))
         run = Run(train, config)
         seen = set()
         for t in range(3):
@@ -702,7 +706,7 @@ class TestBudgetCap:
         # in floating point but must fit under a cap of 0.3, and a fourth must not
         clients = {i: make_dataset(seed=i) for i in range(3)}
         config = make_config(k=1, U=3, nu=20.0, budget_cap=0.3)
-        hyps = HypothesisSet(np.zeros((1, 2)))
+        hyps = np.zeros((1, 2))
         run = Run(clients, config)
         for t in range(3):
             hyps, _ = run.round(hyps, t)
