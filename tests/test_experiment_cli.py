@@ -17,7 +17,7 @@ import metricfl.experiment as experiment
 import metricfl.federation as federation
 from metricfl.accounting import PrivacyLedger, ledger_summary
 from metricfl.cli import main
-from metricfl.data import write_fixture
+from metricfl.data import CSV_COLUMNS, ingest_csv, write_fixture
 from metricfl.experiment import (
     ConfigError,
     format_value,
@@ -614,6 +614,77 @@ def test_golden_digests_cells_stopping_in_different_rounds(tmp_path):
         for name in GOLDEN_STAGGERED
     }
     assert digests == GOLDEN_STAGGERED
+
+
+# The same pin for clients of unequal size: ten providers of 1 to 34 rows, so
+# the selection and training losses pad each round's stack to its largest
+# client and local SGD masks the steps of the smaller ones.  The 3-2-1 MLP
+# with k = 1 and 3 runs all T = 8 rounds at nu 0 and 3.
+RAGGED_SIZES = (1, 2, 3, 5, 8, 13, 21, 34, 4, 6)
+GOLDEN_RAGGED = {
+    "0_1_0/metrics.csv": "f60708b4f29ddf6ec2632e14a5f21ecb67feed5b3572cfff766441faa982f9ee",
+    "0_1_0/ledger.csv": "40309160c420ec7f46c2c80ac8448d29c1db0c6f8e01697f39135fecf41edd74",
+    "0_1_0/hypotheses_final.txt": (
+        "e043e6cdc6dd6f2a4ace14443979f47076b91bb311fd5b28a6ca711096de6e7c"
+    ),
+    "0_3_0/metrics.csv": "60cfb1693f2f643c5555249598f68e5ba2251dca7564743c3b525c1daec52563",
+    "0_3_0/ledger.csv": "4e03def6cd08469436782da12424f8cb535d324137a55d8a6109cfe623d2d723",
+    "0_3_0/hypotheses_final.txt": (
+        "400ee7e227b7bec919ace27be03e815d51a99ee9b3ec8f5776c70a448c8d133b"
+    ),
+    "3_1_0/metrics.csv": "5a49d592b28af6c25b559ac075b0d154c1d9849d9c4402d32e48ef6fa0b93992",
+    "3_1_0/ledger.csv": "477378541367a8bcd453cfc96f9f458dacb9d0e3a77e3ef61ccb33c2a5544c60",
+    "3_1_0/hypotheses_final.txt": (
+        "199b8b657c4eec7cbc9d00ce93706b0f7cbee5a033fc05c000580a582f44fbf6"
+    ),
+    "3_3_0/metrics.csv": "5558a09878cc5eddcd319eaee5b79485b278bbdbafb4de87ad3eab777ceee9a5",
+    "3_3_0/ledger.csv": "1cd3be6f548ba41e6ef178c7dcda51a7aa7997a7b5d2479b4925519ea399baf0",
+    "3_3_0/hypotheses_final.txt": (
+        "beab7c7d16440e01fe09b3f5927b91d9632caf30ea0172b6fbbaa687b58a3fbb"
+    ),
+}
+
+
+def ragged_table(path):
+    """A provider table of ``RAGGED_SIZES`` rows per provider in three cost tiers."""
+    gen = np.random.default_rng(17)
+    lines = [",".join(CSV_COLUMNS)]
+    for p, size in enumerate(RAGGED_SIZES):
+        tier = p % 3
+        lon, lat = -120 + 20 * tier + gen.normal(), 30 + 6 * tier + gen.normal()
+        for row in range(size):
+            payment = 1 + 9 * tier + gen.random()
+            lines.append(f"P{p:04d},{row % 4 + 1},{float(lon)!r},{float(lat)!r},"
+                         f"{float(payment)!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_golden_digests_unequal_client_sizes(tmp_path):
+    ragged_table(tmp_path / "ragged.csv")
+    doc = {
+        "experiment": "tabular",
+        "name": "golden_ragged",
+        "federation": {"T": 8, "U": 5, "E": 2, "s": 0.05, "B_s": 4,
+                       "validation_every": 1, "validation_patience": 8},
+        "model": {"kind": "mlp", "input_dim": 3, "hidden": [2]},
+        "data": {"path": "ragged.csv",
+                 "scales": {"service_id": 1.0, "longitude": 100.0, "latitude": 100.0,
+                            "payment": 40.0},
+                 "validation_fraction": 0.3},
+        "sweep": {"nu": [0.0, 3.0], "k": [1, 3], "seeds": [0]},
+    }
+    path = tmp_path / "golden_ragged.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    exp_dir = run_sweep(load_config(path), tmp_path / "out")
+    clients = ingest_csv(tmp_path / "ragged.csv").clients
+    assert [len(client.data) for client in clients] == list(RAGGED_SIZES)
+    for cell in ("0_1_0", "0_3_0", "3_1_0", "3_3_0"):
+        assert len((exp_dir / cell / "metrics.csv").read_text().splitlines()) == 1 + 8
+    digests = {
+        name: hashlib.sha256((exp_dir / name).read_bytes()).hexdigest()
+        for name in GOLDEN_RAGGED
+    }
+    assert digests == GOLDEN_RAGGED
 
 
 def test_import_and_config_load_leave_heavy_modules_unloaded():
