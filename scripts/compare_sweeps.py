@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Check that another checkout writes the same sweep artifacts as this one.
+
+For each checkout, runs `metricfl run` on configs/tabular.yaml,
+configs/synthetic.yaml and perfbench/ragged.yaml into a temporary directory.
+The ragged table is written by that checkout's own perfbench/ragged.py
+(--seed 0 --split-seed 0) next to a copy of ragged.yaml, so nothing is
+written into either checkout.  The two trees are then compared byte for
+byte; the only line allowed to differ is the absolute data `path:` line of
+each config.yaml.  Given this checkout itself, it checks that two runs are
+identical.  Uses the standard library only; each checkout's metricfl runs
+on the current interpreter.
+
+Usage: python3 scripts/compare_sweeps.py OTHER_CHECKOUT
+
+Exit codes: 0 identical, 1 a difference or a failed run, 2 usage error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SWEEPS = ("tabular", "synthetic", "ragged")
+PATH_LINE = re.compile(rb"^\s*path: .*\n?", re.MULTILINE)
+
+
+def run_sweeps(checkout: Path, out: Path) -> list[str]:
+    """Run the three sweeps of ``checkout`` into ``out / "runs"``; returns
+    one message per command that failed."""
+    work = out / "ragged"
+    work.mkdir(parents=True)
+    shutil.copy(checkout / "perfbench" / "ragged.yaml", work / "ragged.yaml")
+    commands = [[str(checkout / "perfbench" / "ragged.py"), "--seed", "0", "--split-seed", "0",
+                 "--out", str(work / "ragged.csv")]]
+    for config in (checkout / "configs" / "tabular.yaml", checkout / "configs" / "synthetic.yaml",
+                   work / "ragged.yaml"):
+        commands.append(["-m", "metricfl", "run", "--config", str(config),
+                         "--out", str(out / "runs")])
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    errors = []
+    for command in commands:
+        done = subprocess.run([sys.executable, *command], cwd=out, env=env,
+                              capture_output=True, text=True)
+        if done.returncode:
+            errors.append(f"{checkout}: {' '.join(command)} exited {done.returncode}: "
+                          f"{done.stderr.strip()}")
+    return errors
+
+
+def artifacts(tree: Path) -> dict[str, bytes]:
+    """Every file under ``tree`` by relative path, config.yaml without its path: line."""
+    found = {}
+    for path in sorted(tree.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "config.yaml":
+                data = PATH_LINE.sub(b"", data)
+            found[path.relative_to(tree).as_posix()] = data
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other", type=Path, help="root of the checkout to compare with")
+    other = parser.parse_args(argv).other.resolve()
+    if not (other / "src" / "metricfl").is_dir():
+        parser.error(f"{other} holds no src/metricfl")
+    with tempfile.TemporaryDirectory(prefix="compare_sweeps_") as tmp:
+        errors, trees = [], []
+        for label, checkout in (("this", ROOT), ("other", other)):
+            errors += run_sweeps(checkout, Path(tmp) / label)
+            trees.append(artifacts(Path(tmp) / label / "runs"))
+    for error in errors:
+        print(error, file=sys.stderr)
+    mine, theirs = trees
+    differ = sorted(name for name in mine.keys() | theirs.keys()
+                    if mine.get(name) != theirs.get(name))
+    for name in differ:
+        where = "" if name in mine and name in theirs else (
+            " (only in this checkout)" if name in mine else " (only in the other)")
+        print(f"differs: {name}{where}")
+    for sweep in SWEEPS:
+        total = sum(name.startswith(f"{sweep}/") for name in mine.keys() | theirs.keys())
+        bad = sum(name.startswith(f"{sweep}/") for name in differ)
+        print(f"{sweep}: {total} files, " + (f"{bad} differ" if bad else "identical"))
+    return 1 if errors or differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

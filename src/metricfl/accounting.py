@@ -15,7 +15,7 @@ import csv
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Hashable, Iterator, NamedTuple, Sequence
+from typing import Hashable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -312,14 +312,6 @@ def ledger_summary(ledger: PrivacyLedger) -> LedgerSummary:
         return LedgerSummary(overall=None)
     overall = ClusterBudget(median=statistics.median(composed), maximum=max(composed))
     return LedgerSummary(overall=overall, max_trajectory=max_leakage_series(ledger))
-
-
-def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_ledger_csv(ledger: PrivacyLedger, path: str | Path) -> None:

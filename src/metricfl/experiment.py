@@ -27,7 +27,7 @@ from typing import Any, Hashable, Mapping
 
 import yaml
 
-from .accounting import _fmt, ledger_summary, write_ledger_csv
+from .accounting import ledger_summary, write_ledger_csv
 from .data import (
     DEFAULT_THETAS,
     ClientPopulation,
@@ -41,9 +41,9 @@ from .federation import (
     Diverged,
     ExperimentResult,
     FederationConfig,
+    HypothesisSet,
+    RoundMetrics,
     run_experiments,
-    write_hypotheses,
-    write_metrics_csv,
 )
 from .models import Batch, ModelSpec
 from .rng import substream
@@ -340,6 +340,53 @@ def format_value(value: float) -> str:
     return f"{value:g}"
 
 
+def _fmt(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def write_metrics_csv(
+    history: list[RoundMetrics],
+    leakage: Mapping[int | None, list[float]],
+    k: int,
+    path: str | Path,
+) -> None:
+    """Per-round series: losses, hypothesis norms and the per-cluster
+    running-max leakage used for privacy plots.
+
+    ``leakage`` is ``max_leakage_series`` of the run's ledger; a cluster
+    with no release yet reads 0.0.
+    """
+    no_release = [0.0] * len(history)
+    series = [leakage.get(j, no_release) for j in range(k)]
+    header = (
+        ["round", "mean_train_loss", "validation_loss"]
+        + [f"hypothesis_{j}_norm" for j in range(k)]
+        + [f"cluster_{j}_max_leakage" for j in range(k)]
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in history:
+            writer.writerow(
+                [row.round, _fmt(row.mean_train_loss), _fmt(row.validation_loss)]
+                + [_fmt(v) for v in row.hypothesis_norms]
+                + [_fmt(values[row.round]) for values in series]
+            )
+
+
+def write_hypotheses(hypotheses: HypothesisSet, path: str | Path) -> None:
+    """Flat text export: a `k=<k> n=<n>` header, then one vector per line."""
+    with open(path, "w") as fh:
+        k, n = hypotheses.vectors.shape
+        fh.write(f"k={k} n={n}\n")
+        for vec in hypotheses.vectors:
+            fh.write(" ".join(repr(float(v)) for v in vec) + "\n")
+
+
 def write_cell(
     config: ExperimentConfig,
     nu: float,
@@ -367,11 +414,10 @@ def write_cell(
 def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
     """Run every (nu, k, seed) combination and write the aggregate tables.
 
-    Cells run seed by seed, so one population is held at a time, as one
-    group in lockstep (``run_experiments``), or one per nu under a budget
-    cap; a cell is written as soon as it stops.  A table is ingested once
-    per sweep and checked against ``federation.U`` before anything is
-    written.
+    Each seed's cells go to one ``run_experiments`` call, which forms the
+    lockstep groups, so one population is held at a time; a cell is written
+    as soon as it stops.  A table is ingested once per sweep and checked
+    against ``federation.U`` before anything is written.
     """
     table = None
     if not isinstance(config.data, SyntheticDataConfig):
@@ -385,26 +431,21 @@ def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
 
     # write_cell's results per (nu, k), in sweep order.
     results = {(nu, k): [] for nu in config.sweep_nu for k in config.sweep_k}
-    groups = [list(results)]
-    if config.document["federation"]["budget_cap"] is not None:
-        groups = [[cell for cell in results if cell[0] == nu] for nu in config.sweep_nu]
+    grid = list(results)
     for seed in config.seeds:
-        views = None
-        for group in groups:
-            names = [f"{format_value(nu)}_{k}_{seed}" for nu, k in group]
-            at = 0  # the cell whose artifacts are being written
-            try:
-                if views is None:
-                    views = build_population(config, seed, table)
-                cells = [config.federation_config(nu, k, seed) for nu, k in group]
-                for at, result in run_experiments(*views, config.model, cells):
-                    results[group[at]].append(
-                        write_cell(config, *group[at], seed, exp_dir / names[at], result)
-                    )
-                    at = 0
-            except Exception as exc:
-                failed = cells.index(exc.config) if isinstance(exc, Diverged) else at
-                raise RuntimeError(f"run {names[failed]}: {exc}") from exc
+        names = [f"{format_value(nu)}_{k}_{seed}" for nu, k in grid]
+        cells = [config.federation_config(nu, k, seed) for nu, k in grid]
+        at = 0  # the cell whose artifacts are being written
+        try:
+            views = build_population(config, seed, table)
+            for at, result in run_experiments(*views, config.model, cells):
+                results[grid[at]].append(
+                    write_cell(config, *grid[at], seed, exp_dir / names[at], result)
+                )
+                at = 0
+        except Exception as exc:
+            failed = cells.index(exc.config) if isinstance(exc, Diverged) else at
+            raise RuntimeError(f"run {names[failed]}: {exc}") from exc
     _write_summaries(results, exp_dir)
     return exp_dir
 
@@ -419,7 +460,8 @@ def _write_summaries(results: dict[tuple[float, int], list], exp_dir: Path) -> N
         budget.writerow(["noise_multiplier", "hypotheses", "median_budget", "max_budget"])
         for (nu, k), cells in results.items():
             losses, medians, maxima = zip(*cells)
-            std = statistics.stdev(losses) if len(losses) > 1 else 0.0
+            finite = all(map(math.isfinite, losses))  # statistics.stdev raises on an inf
+            std = (statistics.stdev(losses) if finite else math.nan) if len(losses) > 1 else 0.0
             summary.writerow([format_value(nu), k, len(cells), repr(statistics.fmean(losses)),
                               repr(std)])
             # Unlike summary.csv, nu is written by _fmt (repr): 5.0, not 5.

@@ -10,41 +10,41 @@ averages within groups.
 
 A group maps client ids to positions once and builds one
 ``models.ClientTable`` (concatenated rows and targets, each client's row
-offset and size) of the training clients and one of the validation clients.  Only ``_client_steps``
-(one gather per round) and validation read them; the server half of
-``server_round`` sees positions, sanitized vectors and the ledger's columns,
-never a dataset size.  Ids appear only where the ledger is read and in CSVs.
+offset and size) of the training clients and one of the validation clients.
+Only ``_client_steps`` (one gather per round) and validation read them; the
+server half of ``server_round`` sees positions, sanitized vectors and the
+ledger's columns, never a dataset size.  Ids appear only where the ledger is
+read and in CSVs.
 
-The cells of one seed, or of one (seed, nu) under a budget cap, run as a
-group in lockstep (``run_experiments``): they sample the same clients and
-load the same streams every round, so a round is one stacked computation
-(selection, local SGD, training loss, release) over cells by clients, in
-ascending client-id order.  The state is one (sum of k, n) array of the
-running cells' hypotheses, cell by cell, and a stopped cell's rows leave it.
-A client draws its permutations and raw noise once, from its own stream, for
-all cells.  k-means, averaging and the ledger checks are shared too (one
-Lloyd run per k); early stopping and history stay per cell.  No operation
-mixes two rows or two cells, so each release and each cell's result is
-bit-identical to the one it gets alone: the outcome depends neither on a
-client's round-mates nor on a cell's group.  Only the reported training
-loss (``models.client_losses``) may move in the last ulp with the client's
-round-mates.  An overflow in local SGD, the release, k-means or validation
-raises; the cells then rerun alone, and ``Diverged`` names the first to fail.
+Cells that share one sampling draw (they differ only in k, and in nu without
+a budget cap) run as a group in lockstep; ``run_experiments`` forms the
+groups.  They sample the same clients and load the same streams every round,
+so a round is one stacked computation (selection, local SGD, training loss,
+release) over cells by clients, in ascending client-id order.  The state is
+one (sum of k, n) array of the running cells' hypotheses, cell by cell, and
+a stopped cell's rows leave it.  A client draws its permutations and raw
+noise once, from its own stream, for all cells.  k-means, averaging and the
+ledger checks are shared too (one Lloyd run per k); early stopping and
+history stay per cell.  No operation mixes two rows or two cells, so each
+release and each cell's result is bit-identical to the one it gets alone:
+the outcome depends neither on a client's round-mates nor on a cell's group.
+Only the reported training loss (``models.client_losses``) may move in the
+last ulp with the client's round-mates.  An overflow in local SGD, the
+release, k-means or validation raises; the cells then rerun alone, and
+``Diverged`` names the first to fail.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from pathlib import Path
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .accounting import _REL_TOL, RADIUS_FLOOR, PrivacyLedger, _fmt, heuristic_epsilons
+from .accounting import _REL_TOL, RADIUS_FLOOR, PrivacyLedger, heuristic_epsilons
 from .accounting import record_rounds
 from .clustering import lloyd
 from .mechanism import sanitize_rows
@@ -69,8 +69,6 @@ __all__ = [
     "server_round",
     "run_experiments",
     "run_experiment",
-    "write_metrics_csv",
-    "write_hypotheses",
 ]
 
 
@@ -362,16 +360,16 @@ def run_experiments(
     spec: ModelSpec,
     configs: Sequence[FederationConfig],
 ) -> Iterator[tuple[int, ExperimentResult]]:
-    """Drive a group of cells (``configs``) in lockstep, each for up to T
-    rounds with early stopping on its validation loss.
+    """Drive cells of one population (``configs``) in lockstep groups, each
+    cell for up to T rounds with early stopping on its validation loss.
 
-    The cells may differ in k, and in nu without a budget cap.  Their pools
-    are then equal, so they sample the same clients with the same streams:
-    each round is one ``server_round`` and one validation pass for all cells
-    still running, over one array of their hypotheses that no round writes
-    to.  A cell sees the float operations it sees alone, so its result does
-    not depend on its group.  Yields ``(c, result)`` for ``configs[c]`` when
-    that cell stops, and drops it.
+    A group is the cells that share one sampling draw: they differ only in
+    k, and in nu without a budget cap (under a cap the pool follows the
+    composed leakage, which nu sets).  Groups run one after another, in the
+    order of their first cell.  A group's round is one ``server_round`` and
+    one validation pass for its running cells, whose results do not depend
+    on the group.  Yields ``(c, result)`` for ``configs[c]`` when that cell
+    stops, and drops it.
 
     Every ``validation_every`` rounds the validation clients are scored at
     their per-client best hypothesis; a cell stops after
@@ -380,9 +378,15 @@ def run_experiments(
     leaves fewer than U eligible clients.  Either way the result's model is
     the hypothesis set of the best evaluation, not the last round.
     """
+    groups: dict[FederationConfig, list[int]] = {}
+    for c, cell in enumerate(configs):
+        groups.setdefault(replace(cell, k=1, nu=cell.nu if cell.budget_cap else 0.0), []).append(c)
+    if len(groups) > 1:
+        for cells in groups.values():
+            for at, result in run_experiments(train, validation, spec, [configs[c] for c in cells]):
+                yield cells[at], result
+        return
     config = configs[0]
-    if len({replace(c, k=1, nu=c.nu if c.budget_cap else 0.0) for c in configs}) > 1:
-        raise ValueError("the cells of a group may differ only in k, and in nu without a cap")
     if config.U > len(train):
         raise ValueError(f"U={config.U} exceeds the {len(train)} training clients")
     # Ids become positions here; the ledger maps them back when it is read.
@@ -446,42 +450,3 @@ def run_experiment(
     """The group of one cell: ``run_experiments`` for ``config`` alone."""
     ((_, result),) = run_experiments(train, validation, spec, [config])
     return result
-
-
-def write_metrics_csv(
-    history: list[RoundMetrics],
-    leakage: Mapping[int | None, list[float]],
-    k: int,
-    path: str | Path,
-) -> None:
-    """Per-round series: losses, hypothesis norms and the per-cluster
-    running-max leakage used for privacy plots.
-
-    ``leakage`` is ``max_leakage_series`` of the run's ledger; a cluster
-    with no release yet reads 0.0.
-    """
-    no_release = [0.0] * len(history)
-    series = [leakage.get(j, no_release) for j in range(k)]
-    header = (
-        ["round", "mean_train_loss", "validation_loss"]
-        + [f"hypothesis_{j}_norm" for j in range(k)]
-        + [f"cluster_{j}_max_leakage" for j in range(k)]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in history:
-            writer.writerow(
-                [row.round, _fmt(row.mean_train_loss), _fmt(row.validation_loss)]
-                + [_fmt(v) for v in row.hypothesis_norms]
-                + [_fmt(values[row.round]) for values in series]
-            )
-
-
-def write_hypotheses(hypotheses: HypothesisSet, path: str | Path) -> None:
-    """Flat text export: a `k=<k> n=<n>` header, then one vector per line."""
-    with open(path, "w") as fh:
-        k, n = hypotheses.vectors.shape
-        fh.write(f"k={k} n={n}\n")
-        for vec in hypotheses.vectors:
-            fh.write(" ".join(repr(float(v)) for v in vec) + "\n")

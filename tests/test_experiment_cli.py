@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -260,6 +261,39 @@ class TestRunSweep:
         assert set(rows[0]) == {"nu", "k", "runs", "mean_validation_loss", "std_validation_loss"}
         assert all(row["runs"] == "3" for row in rows)
 
+    @pytest.mark.parametrize("federation", [{"T": 0}, {"T": 3, "validation_every": 5}])
+    def test_seeds_without_an_evaluation_summarize_to_inf_and_nan(
+        self, tmp_path, capsys, federation
+    ):
+        # No cell is ever evaluated, so every best loss is inf: the summary
+        # reads mean inf and, over two seeds, a std of nan.
+        path = small_synthetic_config(
+            tmp_path,
+            federation={"U": 3, "E": 1, "s": 0.1, "B_s": 10, **federation},
+            data={"n_clients": 20, "samples_per_client": 10, "validation_fraction": 0.3},
+            sweep={"nu": [0.0, 5.0], "k": [2], "seeds": [0, 1]},
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        summary = (out / "mini" / "summary.csv").read_text().splitlines()
+        assert summary[1:] == ["0,2,2,inf,nan", "5,2,2,inf,nan"]
+
+    def test_summary_std_is_nan_only_where_a_loss_is_inf(self, tmp_path):
+        # A row of finite losses keeps statistics.stdev's bits; a row with
+        # one inf among finite losses gets nan; one seed's spread is 0.0.
+        results = {
+            (0.0, 1): [(0.25, 0.0, 0.0), (0.5, 0.0, 0.0), (2.0, 0.0, 0.0)],
+            (0.0, 2): [(1.0, 1.0, 1.0), (math.inf, 0.0, 0.0)],
+            (5.0, 1): [(math.inf, 0.0, 0.0)],
+        }
+        experiment._write_summaries(results, tmp_path)
+        with open(tmp_path / "summary.csv", newline="") as fh:
+            rows = [(row["mean_validation_loss"], row["std_validation_loss"])
+                    for row in csv.DictReader(fh)]
+        assert rows == [("0.9166666666666666", repr(statistics.stdev([0.25, 0.5, 2.0]))),
+                        ("inf", "nan"), ("inf", "0.0")]
+
     def test_ledger_rows_cost_two_fifths(self, tmp_path):
         path = small_synthetic_config(tmp_path)
         exp_dir = run_sweep(load_config(path), tmp_path / "out")
@@ -400,17 +434,19 @@ class TestPopulations:
         self, tmp_path, monkeypatch
     ):
         # Under a cap the pool follows the composed leakage, which nu sets: a
-        # group is one (seed, nu).  Cost 2/nu against a cap of 2 allows one
-        # to four releases per client, and a patience of 3 stops some cells
-        # earlier; each cell's artifacts are those of its own one-cell sweep.
+        # group is one (seed, nu), seen here in the cells of each group's
+        # first round.  Cost 2/nu against a cap of 2 allows one to four
+        # releases per client, and a patience of 3 stops some cells earlier;
+        # each cell's artifacts are those of its own one-cell sweep.
         groups = []
-        real = experiment.run_experiments
+        real = federation.server_round
 
-        def recording(train, val, spec, configs):
-            groups.append([(c.nu, c.k, c.master_seed) for c in configs])
-            return real(train, val, spec, configs)
+        def recording(table, pool, vectors, spec, configs, ledgers, round_index, streams):
+            if round_index == 0:
+                groups.append([(c.nu, c.k, c.master_seed) for c in configs])
+            return real(table, pool, vectors, spec, configs, ledgers, round_index, streams)
 
-        monkeypatch.setattr(experiment, "run_experiments", recording)
+        monkeypatch.setattr(federation, "server_round", recording)
         path = small_synthetic_config(
             tmp_path,
             federation={"T": 40, "U": 3, "E": 1, "s": 0.1, "B_s": 4, "validation_every": 1,
@@ -419,7 +455,7 @@ class TestPopulations:
             sweep={"nu": [1.0, 4.0], "k": [1, 2, 3], "seeds": [0, 1]},
         )
         exp_dir = run_sweep(load_config(path), tmp_path / "out")
-        assert groups[:4] == [
+        assert groups == [
             [(nu, k, seed) for k in (1, 2, 3)] for seed in (0, 1) for nu in (1.0, 4.0)
         ]
         rounds = set()

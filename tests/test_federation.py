@@ -10,14 +10,13 @@ import pytest
 
 import metricfl.federation as federation
 from metricfl.data import generate_synthetic, split_population
+from metricfl.experiment import write_hypotheses, write_metrics_csv
 from metricfl.federation import (
     FederationConfig,
     HypothesisSet,
     run_experiment,
     run_experiments,
     server_round,
-    write_hypotheses,
-    write_metrics_csv,
 )
 from metricfl.accounting import LeakageEvent, PrivacyLedger, ledger_summary, write_ledger_csv
 from metricfl.clustering import kmeans_from_hypotheses
@@ -551,13 +550,33 @@ class TestSeedGroups:
         assert stopped == sorted(stopped)
         assert len({rounds for rounds, _ in stopped}) > 2
 
-    def test_cells_must_share_all_but_k_and_nu(self):
+    def test_cells_that_cannot_share_a_draw_run_as_separate_groups(self, tmp_path, monkeypatch):
+        # A group is the cells that share one sampling draw: a different U is
+        # a different draw, and so is each nu under a cap, whose pool follows
+        # the composed leakage.  Groups run in the order of their first cell;
+        # each cell is yielded under its own index, as its solo run.
+        groups = []
+        real = federation.server_round
+
+        def recording(table, pool, vectors, spec, configs, ledgers, round_index, streams):
+            if round_index == 0:
+                groups.append([cell.k for cell in configs])
+            return real(table, pool, vectors, spec, configs, ledgers, round_index, streams)
+
+        monkeypatch.setattr(federation, "server_round", recording)
         train, val = split_views()
-        with pytest.raises(ValueError, match="differ only in k"):
-            list(run_experiments(train, val, LINEAR, [make_config(), make_config(U=5)]))
-        capped = [make_config(budget_cap=2.0), make_config(nu=2.5, budget_cap=2.0)]
-        with pytest.raises(ValueError, match="differ only in k"):
-            list(run_experiments(train, val, LINEAR, capped))
+        configs = [
+            make_config(T=4, budget_cap=2.0), make_config(T=4, k=3), make_config(T=4, U=5, k=4),
+            make_config(T=4, k=1, nu=0.0), make_config(T=4, k=5, nu=2.5, budget_cap=2.0),
+            make_config(T=4, k=6, budget_cap=2.0),
+        ]
+        yielded = dict(run_experiments(train, val, LINEAR, configs))
+        assert groups == [[2, 6], [3, 1], [4], [5]]
+        assert sorted(yielded) == list(range(len(configs)))
+        for c, config in enumerate(configs):
+            solo = run_experiment(train, val, LINEAR, config)
+            grouped = artifacts(yielded[c], config.k, tmp_path / f"group{c}")
+            assert grouped == artifacts(solo, config.k, tmp_path / f"solo{c}")
 
     def test_divergence_names_the_first_diverging_cell(self, monkeypatch):
         # Only cells 1 and 2 (k = 2) hold hypothesis 1; a stub turns every
@@ -741,7 +760,7 @@ class TestHypothesisExport:
     def test_flat_text_format(self, tmp_path):
         hyps = HypothesisSet(np.array([[1.5, -2.5], [0.0, 3.25]]))
         path = tmp_path / "hypotheses.txt"
-        federation.write_hypotheses(hyps, path)
+        write_hypotheses(hyps, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "k=2 n=2"
         assert [float(v) for v in lines[1].split()] == [1.5, -2.5]
