@@ -2,10 +2,12 @@
 """Check that another checkout writes the same sweep artifacts as this one.
 
 For each checkout, runs `metricfl run` on configs/tabular.yaml,
-configs/synthetic.yaml and perfbench/ragged.yaml into a temporary directory.
-The ragged table is written by that checkout's own perfbench/ragged.py
-(--seed 0 --split-seed 0) next to a copy of ragged.yaml, so nothing is
-written into either checkout.  The two trees are then compared byte for
+configs/synthetic.yaml, perfbench/ragged.yaml and a small "edge" sweep into
+a temporary directory.  The ragged table is written by that checkout's own
+perfbench/ragged.py (--seed 0 --split-seed 0) next to a copy of ragged.yaml,
+so nothing is written into either checkout.  The edge sweep (EDGE below) is
+written here; it covers shapes the shipped sweeps do not: a 1-D linear
+model, one-row clients, B_s above every client's size and k > U.  The two trees are then compared byte for
 byte; the only line allowed to differ is the absolute data `path:` line of
 each config.yaml.  Given this checkout itself, it checks that two runs are
 identical.  Uses the standard library only; each checkout's metricfl runs
@@ -28,20 +30,30 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SWEEPS = ("tabular", "synthetic", "ragged")
+SWEEPS = ("tabular", "synthetic", "ragged", "edge")
 PATH_LINE = re.compile(rb"^\s*path: .*\n?", re.MULTILINE)
+EDGE = """\
+experiment: synthetic
+name: edge
+federation: {T: 12, U: 3, E: 2, s: 0.1, B_s: 4, validation_every: 1, validation_patience: 4}
+model: {kind: linear, input_dim: 1}
+objective: rmse
+data: {n_clients: 12, samples_per_client: 1, thetas: [[2.0], [-3.0]], validation_fraction: 0.3}
+sweep: {nu: [0.0, 3.0], k: [1, 5], seeds: [0, 1]}
+"""
 
 
 def run_sweeps(checkout: Path, out: Path) -> list[str]:
-    """Run the three sweeps of ``checkout`` into ``out / "runs"``; returns
+    """Run the four sweeps of ``checkout`` into ``out / "runs"``; returns
     one message per command that failed."""
     work = out / "ragged"
     work.mkdir(parents=True)
     shutil.copy(checkout / "perfbench" / "ragged.yaml", work / "ragged.yaml")
+    (out / "edge.yaml").write_text(EDGE)
     commands = [[str(checkout / "perfbench" / "ragged.py"), "--seed", "0", "--split-seed", "0",
                  "--out", str(work / "ragged.csv")]]
     for config in (checkout / "configs" / "tabular.yaml", checkout / "configs" / "synthetic.yaml",
-                   work / "ragged.yaml"):
+                   work / "ragged.yaml", out / "edge.yaml"):
         commands.append(["-m", "metricfl", "run", "--config", str(config),
                          "--out", str(out / "runs")])
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}

@@ -78,8 +78,7 @@ def lloyd(points: np.ndarray, init: np.ndarray, max_iters: int = 100, tol: float
     """
     centroids = init.copy()
     labels = _nearest(points, centroids)
-    iterations, repeated = np.zeros(len(points), dtype=np.intp), np.zeros(len(points), dtype=bool)
-    running = np.arange(len(points))
+    iterations, running = np.zeros(len(points), dtype=np.intp), np.arange(len(points))
     for _ in range(max_iters):
         # All problems still running: basic slices, no copies.
         rows = slice(None) if len(running) == len(points) else running
@@ -87,18 +86,13 @@ def lloyd(points: np.ndarray, init: np.ndarray, max_iters: int = 100, tol: float
         means = cluster_means(points[rows], labels[rows], old)
         movement = np.linalg.norm(means - old, axis=-1).max(axis=-1)
         new_labels = _nearest(points[rows], means)
-        repeated[rows] = (new_labels == labels[rows]).all(axis=-1)
+        repeated = (new_labels == labels[rows]).all(axis=-1)
         centroids[rows], labels[rows] = means, new_labels
         iterations[rows] += 1
-        running = running[~(repeated[rows] | (movement < tol))]
+        running = running[~(repeated | (movement < tol))]
         if not len(running):
             break
-    # Where labels repeated, the last means are those of the final labels.
-    occupied = (labels[..., None] == np.arange(init.shape[-2])).any(axis=-2)
-    means = np.where(occupied[..., None], centroids, init)
-    if not repeated.all():
-        means[~repeated] = cluster_means(points[~repeated], labels[~repeated], init[~repeated])
-    return Lloyd(labels, centroids, iterations, means)
+    return Lloyd(labels, centroids, iterations, cluster_means(points, labels, init))
 
 
 def kmeans_from_hypotheses(

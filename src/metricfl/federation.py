@@ -20,10 +20,11 @@ Cells that share one sampling draw (they differ only in k, and in nu without
 a budget cap) run as a group in lockstep; ``run_experiments`` forms the
 groups.  They sample the same clients and load the same streams every round,
 so a round is one stacked computation (selection, local SGD, training loss,
-release) over cells by clients, in ascending client-id order.  The state is
-one (sum of k, n) array of the running cells' hypotheses, cell by cell, and
-a stopped cell's rows leave it.  A client draws its permutations and raw
-noise once, from its own stream, for all cells.  k-means, averaging and the
+release) over a (cells, clients, n) stack, clients in ascending id order;
+a solo run's stack has one cell.  The state is one (sum of k, n) array of
+the running cells' hypotheses, cell by cell, and a stopped cell's rows leave
+it.  A client's rows, and the permutations and raw noise it draws once from
+its own stream, are broadcast over the cells axis.  k-means, averaging and the
 ledger checks are shared too (one Lloyd run per k); early stopping and
 history stay per cell.  No operation mixes two rows or two cells, so each
 release and each cell's result is bit-identical to the one it gets alone:
@@ -187,9 +188,10 @@ def _offsets(configs: Sequence[FederationConfig]) -> list[int]:
 
 @contextmanager
 def _raising(round_index: int, what: str) -> Iterator[None]:
-    """Raise an overflow or invalid value as one naming the round and ``what``."""
+    """Raise an overflow, a division by zero or an invalid value as one naming
+    the round and ``what``."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {round_index}: {what} ({exc})") from None
@@ -211,8 +213,8 @@ def _alone(step: Callable, vectors: np.ndarray, configs: Sequence[FederationConf
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """sqrt(d.dot(d)) per row d, np.linalg.norm(d) to the bit, in one call."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    """sqrt(d.dot(d)) per row d (last axis), np.linalg.norm(d) to the bit, in one call."""
+    return np.sqrt(np.matmul(rows[..., None, :], rows[..., :, None])[..., 0, 0])
 
 
 def _client_steps(
@@ -228,34 +230,32 @@ def _client_steps(
     releases the updated vector with noise calibrated to the update norm
     (as-is, at infinite leakage, when nu = 0).  The rows are gathered once;
     selection, local SGD, the training loss and the release each run once
-    for the stack of cells by clients.  A client's stream draws its SGD
-    permutations, then its raw noise, once for all cells.  A zero update
-    norm is floored to ``RADIUS_FLOOR``; an overflow or invalid value, or a
-    non-finite update norm, raises.
+    for the (G, U, ...) stack of cells by clients.  A client's stream draws
+    its SGD permutations, then its raw noise, once for all cells.  A zero
+    update norm is floored to ``RADIUS_FLOOR``; an overflow, a division by
+    zero or an invalid value, or a non-finite update norm, raises.
     """
     local = table.take(positions)
     rows, config = _offsets(configs), configs[0]
     with _raising(round_index, "a local update diverged"):
         losses = loss_matrix(spec, vectors, local)
         chosen = [np.argmin(losses[:, a:b], axis=1) + a for a, b in zip(rows, rows[1:])]
-        received = vectors[np.concatenate(chosen)]
+        received = vectors[np.stack(chosen)]
         updated = local_updates(spec, received, local, config.s, config.E, config.B_s, rngs)
         train_losses = client_losses(spec, updated, local)
-        update_norms = _row_norms(updated - received)
-    if not np.isfinite(update_norms).all():
+        norms = _row_norms(updated - received)
+    if not np.isfinite(norms).all():
         raise FloatingPointError(f"round {round_index}: a local update diverged (non-finite norm)")
-    (G, U), dim = (len(configs), len(positions)), n_params(spec)
-    norms, nus = update_norms.reshape(G, U), np.array([[cell.nu] for cell in configs])
+    dim, nus = n_params(spec), np.array([[cell.nu] for cell in configs])
     radius = np.where((norms == 0) & (nus > 0), RADIUS_FLOOR, norms)
-    epsilon, released = np.full((G, U), math.inf), updated.reshape(G, U, dim)
+    epsilon, released = np.full(norms.shape, math.inf), updated
     if noisy := [c for c, cell in enumerate(configs) if cell.nu]:
         with _raising(round_index, "a release overflowed"):
             epsilon[noisy] = heuristic_epsilons(radius[noisy], dim, nus[noisy])
-            noised = sanitize_rows(released[noisy].reshape(-1, dim), epsilon[noisy].ravel(), rngs)
-            released[noisy] = noised.reshape(len(noisy), U, dim)
+            released[noisy] = sanitize_rows(released[noisy], epsilon[noisy], rngs)
     # One division, not epsilon*radius: keeps the recorded cost exact.
     leakage = np.array([[dim / cell.nu if cell.nu else math.inf] for cell in configs])
-    return _ClientSteps(released, epsilon, radius, leakage, train_losses.reshape(G, U))
+    return _ClientSteps(released, epsilon, radius, leakage, train_losses)
 
 
 def _round(

@@ -151,21 +151,20 @@ def sample_noise_batch(scale: NoiseScale, rng: np.random.Generator, size: int) -
 def sanitize_rows(
     vectors: np.ndarray, epsilons: np.ndarray, rngs: Sequence[np.random.Generator]
 ) -> np.ndarray:
-    """Row i of the (G*U, n) ``vectors`` plus one noise draw at ``epsilons[i]``
-    from ``rngs[i % U]``: a stream's one draw serves its row in all G blocks,
-    at each row's own epsilon.  Row i equals the release of that row alone."""
+    """The (U, n) or (G, U, n) ``vectors``, each row [..., i, :] plus one
+    noise draw at ``epsilons[..., i]`` from ``rngs[i]``: a stream draws once,
+    and its draw serves client i in every cell, at each row's own epsilon.
+    Each row equals the release of that row alone."""
     vectors = np.asarray(vectors, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
-    copies = len(vectors) // len(rngs) if len(rngs) else 0
-    if vectors.ndim != 2 or not copies or not len(vectors) == len(epsilons) == copies * len(rngs):
+    shape = vectors.shape
+    if not (vectors.ndim in (2, 3) and epsilons.shape == shape[:-1] and 0 < len(rngs) == shape[-2]):
         raise ValueError("need a (U, n) stack or G of them, one epsilon and one stream per row")
     bad = ~(np.isfinite(epsilons) & (epsilons > 0))
     if bad.any():
         raise ValueError(f"epsilon must be positive and finite, got {float(epsilons[bad][0])!r}")
-    raw, directions = _noise_rows(vectors.shape[1], rngs)
-    if copies > 1:
-        raw, directions = np.tile(raw, copies), np.tile(directions, (copies, 1))
-    return vectors + (raw / epsilons)[:, None] * directions
+    raw, directions = _noise_rows(vectors.shape[-1], rngs)
+    return vectors + (raw / epsilons)[..., None] * directions
 
 
 def moment_report(

@@ -6,8 +6,10 @@ of the row count, so every model predicts one value per row.  Parameters
 live in a single flat vector so that sanitization and clustering can treat a
 model as a point in R^n.  The packing order is fixed: per layer, weights
 row-major then biases, layers in forward order.  Every kernel runs one
-stacked forward (and backward) pass over per-layer views into a (G, n) stack
-of such vectors, built once per call; local SGD steps that stack in place.
+stacked forward (and backward) pass over per-layer views into a stack of
+such vectors, built once per call; local SGD steps that stack in place.  The
+per-client kernels take one vector per client of a ``ClientTable`` as a
+(U, n) stack, or G cells of them as (G, U, n), each client's rows broadcast.
 """
 
 from __future__ import annotations
@@ -212,6 +214,13 @@ def _check_stack(spec: ModelSpec, stack: np.ndarray, name: str) -> np.ndarray:
     return stack
 
 
+def _check_cells(spec: ModelSpec, params: np.ndarray, table: ClientTable) -> np.ndarray:
+    params, n = np.asarray(params, dtype=float), spec.n_params
+    if params.ndim not in (2, 3) or params.shape[-2:] != (len(table), n):
+        raise ValueError(f"params must be a (U, {n}) or (G, U, {n}) stack, U the table's clients")
+    return params
+
+
 def _check_features(spec: ModelSpec, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"features must have shape (m, {spec.input_dim})")
@@ -223,27 +232,28 @@ def _require_rmse(objective: str) -> None:
 
 
 def _layers(spec: ModelSpec, stack: np.ndarray) -> list[tuple]:
-    """Each layer's (weights (G, out, fin), their transpose (G, fin, out),
-    biases (G, 1, out)) as views into the (G, n) ``stack``, built once per
-    call; writing through them writes the stack.  A linear model is one
-    layer (None, theta as (G, n, 1), None)."""
+    """Each layer's (weights (..., out, fin), their transpose (..., fin, out),
+    biases (..., 1, out)) as views into the (..., n) ``stack``, built once
+    per call; writing through them writes the stack.  A linear model is one
+    layer (None, theta as (..., n, 1), None)."""
     if spec.kind == "linear":
-        return [(None, stack[:, :, None], None)]
+        return [(None, stack[..., None], None)]
     layers = []
     for out, fin, weights, biases in spec.layer_slices:
-        w = stack[:, weights].reshape(-1, out, fin)
-        layers.append((w, w.transpose(0, 2, 1), stack[:, None, biases]))
+        w = stack[..., weights].reshape(*stack.shape[:-1], out, fin)
+        layers.append((w, w.swapaxes(-1, -2), stack[..., None, biases]))
     return layers
 
 
 def _forward(layers: list[tuple], x: np.ndarray):
     """Stacked forward pass: (outputs, per-layer input cache for backprop).
 
-    ``layers`` holds the views (``_layers``) of G parameter vectors; ``x``
-    holds each vector's rows as a (G, rows, input_dim) array, or (1, rows,
-    input_dim) to run all G vectors on the same rows.  Outputs are (G, rows,
-    1).  Every product is one matmul per stacked vector, so a vector's
-    outputs do not depend on what else is stacked with it.
+    ``layers`` holds the views (``_layers``) of a (..., n) stack of parameter
+    vectors; ``x`` holds rows as (..., rows, input_dim), its leading axes
+    broadcast against the stack's (one client's rows serve it in every
+    cell).  Outputs are (..., rows, 1).  Every product is one matmul per
+    stacked vector, so a vector's outputs do not depend on what else is
+    stacked with it.
     """
     inputs = []
     a = x
@@ -262,32 +272,34 @@ def _output_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Derivative of each stacked block's RMSE w.r.t. its outputs.
 
-    ``out``, the targets ``y`` and ``mask`` (real rows) are (G, rows, 1);
-    ``root_counts`` (G, 1, 1) holds the square root of each block's real row
-    count.  Masked rows get an exactly zero derivative.  Also returns which
-    blocks take a step, as (G, 1): those with a nonzero residual.  At a zero
-    residual, and in a block without rows, the zero vector is the
-    subgradient, so the step is skipped rather than divided by the zero norm.
+    ``out`` is (..., rows, 1); the targets ``y`` and ``mask`` (real rows),
+    (..., rows, 1), and ``root_counts``, (..., 1, 1), the square root of each
+    block's real row count, broadcast against it.  Masked rows get an
+    exactly zero derivative.  Also returns which blocks take a step, as
+    (..., 1): those with a nonzero residual.  At a zero residual, and in a
+    block without rows, the zero vector is the subgradient, so the step is
+    skipped rather than divided by the zero norm.
     """
     residual = np.where(mask, y - out, 0.0)
-    res_norm = np.sqrt(np.add.reduce(residual * residual, axis=1, keepdims=True))
+    res_norm = np.sqrt(np.add.reduce(residual * residual, axis=-2, keepdims=True))
     moving = res_norm != 0.0
     scale = np.where(moving, root_counts * res_norm, 1.0)
-    return -residual / scale, moving[:, 0]
+    return -residual / scale, moving[..., 0]
 
 
 def _backward(
     layers: list[tuple], grads: list[tuple], inputs: list[np.ndarray], d_out: np.ndarray
 ) -> None:
     """Stacked backward pass from the output derivative: writes each layer's
-    gradient into its views in ``grads`` (``_layers`` of a (G, n) buffer)."""
+    gradient into its views in ``grads`` (``_layers`` of a buffer shaped as
+    the stack)."""
     for i in range(len(layers) - 1, -1, -1):
         (w, _, _), (g_w, g_wt, g_b), a_in = layers[i], grads[i], inputs[i]
         if w is None:  # linear: theta's gradient is x^T d_out
-            np.matmul(a_in.transpose(0, 2, 1), d_out, out=g_wt)
+            np.matmul(a_in.swapaxes(-1, -2), d_out, out=g_wt)
         else:
-            np.matmul(d_out.transpose(0, 2, 1), a_in, out=g_w)
-            np.add.reduce(d_out, axis=1, keepdims=True, out=g_b)
+            np.matmul(d_out.swapaxes(-1, -2), a_in, out=g_w)
+            np.add.reduce(d_out, axis=-2, keepdims=True, out=g_b)
         if i > 0:
             d_out = d_out @ w
             d_out *= a_in > 0
@@ -326,24 +338,20 @@ def loss_matrix(spec: ModelSpec, hypotheses: np.ndarray, table: ClientTable) -> 
 
 
 def client_losses(spec: ModelSpec, params: np.ndarray, table: ClientTable) -> np.ndarray:
-    """Loss of ``params[i]`` on client ``i % len(table)`` of ``table`` for
-    each i (G blocks of one vector per client), from one forward pass: the
-    clients are stacked, padded to the largest one, each under its own
-    vector.  A padded sum may round differently from the client's own, so on
-    ragged clients an entry can move in the last ulp with the other clients.
+    """Loss of each client's vector on that client's rows: entry [..., i] of
+    the result is ``params[..., i, :]``'s on client i of ``table``, for a
+    (U, n) or (G, U, n) ``params``.  One forward pass: the clients are
+    stacked, padded to the largest one, each under its own vector.  A padded
+    sum may round differently from the client's own, so on ragged clients an
+    entry can move in the last ulp with the other clients.
     """
-    stack = _check_stack(spec, params, "params")
-    copies = len(stack) // len(table)
-    if not copies or len(stack) % len(table):
-        raise ValueError("need one client per parameter vector of each of G >= 1 blocks")
+    stack = _check_cells(spec, params, table)
     sizes = table.sizes
     slot = np.arange(sizes.max())
     mask = slot < sizes[:, None]
     rows = table.offsets[:, None] + np.where(mask, slot, 0)
-    if copies > 1:
-        sizes, mask, rows = (np.concatenate([a] * copies) for a in (sizes, mask, rows))
     out, _ = _forward(_layers(spec, stack), table.x[rows])
-    totals = np.sum(np.where(mask, _squared_residuals(out, table.y[rows]), 0.0), axis=1)
+    totals = np.sum(np.where(mask, _squared_residuals(out, table.y[rows]), 0.0), axis=-1)
     return np.sqrt(totals) / np.sqrt(sizes)
 
 
@@ -383,39 +391,37 @@ def local_updates(
     batch_size: int,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Mini-batch SGD for G copies of U clients; row g*U + i of the result
-    is client i's in copy g.
+    """Mini-batch SGD of U clients, in each of G cells: entry [..., i, :] of
+    the result is client i's update of ``params[..., i, :]``.
 
-    ``params`` is a (G*U, n_params(spec)) array of starting vectors, ``table``
-    holds the U local datasets and ``rngs`` their streams; the input array
-    is untouched.  Each epoch every client reshuffles with its own stream, in
-    client order, for its rows in all G copies, and walks blocks of
-    ``batch_size`` rows (its last one may be smaller).  All rows step
-    together: step j of an epoch takes block j of every client, padded to
-    ``batch_size`` rows with copies of the client's first row.  A padded
-    row, and a step past a client's last block, leave that row's vector
-    exactly as it was.  Blocks are ``batch_size`` rows wide whatever the
-    stack, and no operation mixes rows, so row i is bit-identical to a stack
-    of that row alone; the price is that a ``batch_size`` above the largest
-    dataset computes padding rows.  ``params`` is copied once; each step
-    writes its gradient into one buffer and subtracts it from the copy in
-    place, through layer views of both built once per call.
+    ``params`` is a (U, n_params(spec)) or (G, U, n_params(spec)) stack of
+    starting vectors, ``table`` holds the U local datasets and ``rngs`` their
+    streams; the input array is untouched.  Each epoch every client
+    reshuffles once with its own stream, in client order, and the shuffled
+    rows serve it in every cell; it walks blocks of ``batch_size`` rows (its
+    last one may be smaller).  All vectors step together: step j of an epoch
+    takes block j of every client, padded to ``batch_size`` rows with copies
+    of the client's first row.  A padded row, and a step past a client's
+    last block, leave the vector exactly as it was.  Blocks are
+    ``batch_size`` rows wide whatever the stack, and no operation mixes
+    vectors, so each is bit-identical to a stack of it alone; the price is
+    that a ``batch_size`` above the largest dataset computes padding rows.
+    ``params`` is copied once; each step writes its gradient into one buffer
+    and subtracts it from the copy in place, through layer views of both
+    built once per call.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    stack = _check_stack(spec, params, "params").copy()
-    copies = len(stack) // len(table)
-    if len(rngs) != len(table) or not copies or len(stack) % len(table):
-        raise ValueError("need one dataset and one stream per parameter vector, or G such blocks")
+    stack = _check_cells(spec, params, table).copy()
+    if len(rngs) != len(table):
+        raise ValueError("need one stream per client of the table")
     x, y, sizes, starts = table.x, table.y, table.sizes, table.offsets
     n_clients = len(sizes)
     steps = -(-sizes.max() // batch_size)
     slots = steps * batch_size
     mask = (np.arange(slots) < sizes[:, None]).reshape(n_clients, steps, batch_size, 1)
-    if copies > 1:
-        mask = np.tile(mask, (copies, 1, 1, 1))
     masks = mask.swapaxes(0, 1)
     roots = np.sqrt(masks.sum(axis=2, keepdims=True))
     layers, grad = _layers(spec, stack), np.empty_like(stack)
@@ -424,10 +430,8 @@ def local_updates(
         rows = np.repeat(starts[:, None], slots, axis=1)
         for i, rng in enumerate(rngs):
             rows[i, : sizes[i]] += rng.permutation(sizes[i])
-        if copies > 1:
-            rows = np.tile(rows, (copies, 1))
-        xs = x[rows].reshape(len(stack), steps, batch_size, -1).swapaxes(0, 1)
-        ys = y[rows].reshape(len(stack), steps, batch_size, 1).swapaxes(0, 1)
+        xs = x[rows].reshape(n_clients, steps, batch_size, -1).swapaxes(0, 1)
+        ys = y[rows].reshape(n_clients, steps, batch_size, 1).swapaxes(0, 1)
         for x_j, y_j, mask_j, root_j in zip(xs, ys, masks, roots):
             out, inputs = _forward(layers, x_j)
             d_out, moving = _output_gradient(out, y_j, mask_j, root_j)

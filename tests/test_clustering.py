@@ -254,6 +254,23 @@ class TestStackedLloyd:
         for _ in range(30):
             self.assert_each_alone(*self.random_stack(gen, 3, 2), tol=0.5)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_capped_problem_takes_the_means_of_its_final_labels(self, n):
+        # Hypotheses 0, 5 and 10, releases 3.0, 7.4, 1.0 and 9.0 (padded with
+        # zeros to width n): the one step max_iters allows moves the labels
+        # from [1, 1, 0, 2] to [0, 2, 0, 2], so they never repeat, and empties
+        # cluster 1.  The means are those of the final labels, the hypothesis
+        # for the empty cluster, not the centroids of the last step.
+        points = np.zeros((1, 4, n))
+        points[0, :, 0] = [3.0, 7.4, 1.0, 9.0]
+        init = np.zeros((1, 3, n))
+        init[0, :, 0] = [0.0, 5.0, 10.0]
+        fit = lloyd(points, init, max_iters=1)
+        assert fit.labels.tolist() == [[0, 2, 0, 2]] and fit.n_iterations.tolist() == [1]
+        assert same_bits(fit.means, cluster_means(points, fit.labels, init))
+        assert fit.means[0, :, 0].tolist() == [2.0, 5.0, 8.2]
+        assert fit.centroids[0, :, 0] == pytest.approx([1.0, 5.2, 9.0], rel=1e-12)
+
     def test_a_cluster_emptied_by_lloyd_keeps_its_hypothesis_in_the_means(self):
         # Hypotheses 0, 5 and 10, releases 3.0, 7.4, 1.0 and 9.0: Lloyd's
         # second step empties cluster 1, whose centroid stays at 5.2; the

@@ -775,6 +775,7 @@ class TestCli:
             ([1e155], "run 1e+155_2_0: round 0: a hypothesis overflowed (overflow"),
             ([0.0, 1e155], "run 1e+155_2_0: round 0: a hypothesis overflowed (overflow"),
             ([1e150], None),
+            ([2.0, 5e-324], "run 4.94066e-324_2_0: round 0: a release overflowed (divide by zero"),
         ],
     )
     def test_huge_nu_exits_2_naming_the_overflowing_cell(
@@ -782,8 +783,10 @@ class TestCli:
     ):
         # Noise at these nu overflows k-means' squared distances (1e160 and
         # up) or, one step later, the validation loss of the new hypotheses
-        # (1e155).  The run stops in round 0 with one stderr line that names
-        # the noisy cell, not the group's first; at 1e150 nothing overflows.
+        # (1e155); at a subnormal nu, nu * radius underflows to 0 and the
+        # calibration divides by it.  The run stops in round 0 with one stderr
+        # line that names that cell, not the group's first; at 1e150 nothing
+        # overflows.
         # Warnings are recorded, not raised, so that a run that only warns
         # and exits 0 fails here.
         path = small_synthetic_config(
@@ -818,7 +821,7 @@ class TestCli:
 
         def from_second_diverges(spec, params, *rest):
             updated = real(spec, params, *rest)
-            updated[(params == second).all(axis=1)] = np.nan
+            updated[(params == second).all(axis=-1)] = np.nan
             return updated
 
         monkeypatch.setattr(federation, "local_updates", from_second_diverges)

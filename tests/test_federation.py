@@ -400,7 +400,7 @@ class TestDivergence:
 
         def one_nan_row(*args):
             updated = real(*args)
-            updated[1] = np.nan
+            updated[:, 1] = np.nan
             return updated
 
         monkeypatch.setattr(federation, "local_updates", one_nan_row)
@@ -587,7 +587,7 @@ class TestSeedGroups:
 
         def from_second_diverges(spec, params, *rest):
             updated = real(spec, params, *rest)
-            updated[(params == second).all(axis=1)] = np.nan
+            updated[(params == second).all(axis=-1)] = np.nan
             return updated
 
         monkeypatch.setattr(federation, "local_updates", from_second_diverges)

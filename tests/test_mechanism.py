@@ -321,26 +321,36 @@ class TestStackedRelease:
         assert np.array_equal(alone[0], stacked[1])
 
     def test_blocks_share_each_streams_draw(self):
-        # Three blocks of three rows on three streams, the middle stream's
+        # Three cells of three rows on three streams, the middle stream's
         # first normals all zero: its direction is redrawn once and serves
-        # row 1 of every block.  Each block equals its own call on fresh
+        # row 1 of every cell.  Each cell equals its own call on fresh
         # streams, each row its per-client reference.
         def fresh():
             return [substream(7, "client", 0, 0), ZeroFirstNormal(2), substream(7, "client", 2, 0)]
 
         gen = rng(7)
-        vectors = gen.standard_normal((9, 4))
-        epsilons = gen.uniform(0.05, 20.0, 9)
+        vectors = gen.standard_normal((9, 4)).reshape(3, 3, 4)
+        epsilons = gen.uniform(0.05, 20.0, 9).reshape(3, 3)
         streams = fresh()
         stacked = sanitize_rows(vectors, epsilons, streams)
         assert streams[1].zeroed
         for g in range(3):
-            rows = slice(3 * g, 3 * g + 3)
-            alone = sanitize_rows(vectors[rows], epsilons[rows], fresh())
-            assert np.array_equal(stacked[rows], alone)
+            alone = sanitize_rows(vectors[g], epsilons[g], fresh())
+            assert np.array_equal(stacked[g], alone)
             for i, stream in enumerate(fresh()):
-                expected = reference_sanitize(vectors[3 * g + i], epsilons[3 * g + i], stream)
-                assert np.array_equal(stacked[3 * g + i], expected)
+                expected = reference_sanitize(vectors[g, i], epsilons[g, i], stream)
+                assert np.array_equal(stacked[g, i], expected)
+
+    def test_a_one_cell_stack_matches_the_plain_stack(self):
+        def fresh():
+            return [substream(10, "client", i, 0) for i in range(4)]
+
+        gen = rng(10)
+        vectors = gen.standard_normal((4, 5))
+        epsilons = gen.uniform(0.05, 20.0, 4)
+        plain = sanitize_rows(vectors, epsilons, fresh())
+        cell = sanitize_rows(vectors[None], epsilons[None], fresh())
+        assert cell.shape == (1, 4, 5) and cell.tobytes() == plain.tobytes()
 
     def test_one_stream_repeated_draws_row_after_row(self):
         # [stream] * m is m rows of one stream: all m radii's exponentials,

@@ -456,12 +456,12 @@ class TestLocalUpdates:
 
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_stacked_call_leaves_params_untouched(self, epochs):
-        # G = 2 copies of three clients: the steps write through views of a
+        # G = 2 cells of three clients: the steps write through views of a
         # copy, never of ``params``, and the result owns its memory.
         spec = SMALL_MLP
         gen = np.random.default_rng(23)
         _, datasets, seeds = random_stack(gen, spec, [2, 7, 5])
-        params = gen.standard_normal((6, n_params(spec)))
+        params = gen.standard_normal((6, n_params(spec))).reshape(2, 3, -1)
         before = params.copy()
         out = local_updates(spec, params, table(spec, datasets), 0.05, epochs, 4, streams(seeds))
         assert params.tobytes() == before.tobytes()
@@ -484,21 +484,35 @@ class TestLocalUpdates:
 
     @pytest.mark.parametrize("case", sorted(STACK_CASES))
     def test_stacked_copies_share_each_clients_stream(self, case):
-        # G = 3 copies of four ragged clients, each under its own vectors, on
-        # one stream per client: each block is bit-identical to its own call
+        # G = 3 cells of four ragged clients, each under its own vectors, on
+        # one stream per client: each cell is bit-identical to its own call
         # on fresh streams, and so is its training loss.
         spec = STACK_CASES[case]
         gen = np.random.default_rng(21)
         _, datasets, seeds = random_stack(gen, spec, [1, 13, 4, 7])
-        params = gen.standard_normal((12, n_params(spec)))
+        params = gen.standard_normal((12, n_params(spec))).reshape(3, 4, -1)
         data = table(spec, datasets)
         stacked = local_updates(spec, params, data, 0.05, 2, 4, streams(seeds))
         losses = client_losses(spec, stacked, data)
         for g in range(3):
-            block = slice(4 * g, 4 * g + 4)
-            alone = local_updates(spec, params[block], data, 0.05, 2, 4, streams(seeds))
-            assert np.array_equal(stacked[block], alone)
-            assert np.array_equal(losses[block], client_losses(spec, alone, data))
+            alone = local_updates(spec, params[g], data, 0.05, 2, 4, streams(seeds))
+            assert np.array_equal(stacked[g], alone)
+            assert np.array_equal(losses[g], client_losses(spec, alone, data))
+
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_a_one_cell_stack_matches_the_plain_stack(self, case):
+        # A solo run passes its U ragged clients as a (1, U, n) stack: updates
+        # and training losses are the (U, n) call's, bit for bit.
+        spec = STACK_CASES[case]
+        gen = np.random.default_rng(24)
+        params, datasets, seeds = random_stack(gen, spec, [1, 13, 4, 7])
+        data = table(spec, datasets)
+        plain = local_updates(spec, params, data, 0.05, 2, 4, streams(seeds))
+        cell = local_updates(spec, params[None], data, 0.05, 2, 4, streams(seeds))
+        assert cell.shape == (1, *plain.shape) and cell.tobytes() == plain.tobytes()
+        losses = client_losses(spec, cell, data)
+        assert losses.shape == (1, 4)
+        assert losses.tobytes() == client_losses(spec, plain, data).tobytes()
 
     def test_one_stream_repeated_serves_the_clients_in_order(self):
         # [stream] * m gives m clients one stream: in a one-epoch run, client
@@ -519,7 +533,7 @@ class TestLocalUpdates:
         spec = STACK_CASES["linear"]
         dataset = Batch(np.ones((3, 3)), np.ones(3))
         gen = np.random.default_rng(0)
-        # Two vectors on one client are two stacked copies of it; three on two are not.
+        # Three vectors on two clients are no (U, n) stack of them.
         pair = table(spec, [dataset, dataset])
         with pytest.raises(ValueError):
             local_updates(spec, np.zeros((3, 3)), pair, 0.1, 1, 2, [gen, gen])
