@@ -2,16 +2,19 @@
 """Check that another checkout writes the same sweep artifacts as this one.
 
 For each checkout, runs `metricfl run` on configs/tabular.yaml,
-configs/synthetic.yaml, perfbench/ragged.yaml and a small "edge" sweep into
-a temporary directory.  The ragged table is written by that checkout's own
-perfbench/ragged.py (--seed 0 --split-seed 0) next to a copy of ragged.yaml,
-so nothing is written into either checkout.  The edge sweep (EDGE below) is
-written here; it covers shapes the shipped sweeps do not: a 1-D linear
-model, one-row clients, B_s above every client's size and k > U.  The two trees are then compared byte for
-byte; the only line allowed to differ is the absolute data `path:` line of
-each config.yaml.  Given this checkout itself, it checks that two runs are
-identical.  Uses the standard library only; each checkout's metricfl runs
-on the current interpreter.
+configs/synthetic.yaml, perfbench/ragged.yaml and two small sweeps, "edge"
+and "capped", into a temporary directory.  The ragged table is written by
+that checkout's own perfbench/ragged.py (--seed 0 --split-seed 0) next to a
+copy of ragged.yaml, so nothing is written into either checkout.  The small
+sweeps (EDGE and CAPPED below) are written here and cover what the shipped
+sweeps do not.  EDGE has a 1-D linear model, one-row clients, B_s above
+every client's size and k > U.  CAPPED sets a budget cap, so the eligible
+pool shrinks, cells stop when it runs dry (at nu 1 after 8 rounds, at nu 2
+after 16) and each population runs as several groups.  The two trees are
+then compared byte for byte; the only line allowed to differ is the absolute
+data `path:` line of each config.yaml.  Given this checkout itself, it checks
+that two runs are identical.  Uses the standard library only; each
+checkout's metricfl runs on the current interpreter.
 
 Usage: python3 scripts/compare_sweeps.py OTHER_CHECKOUT
 
@@ -30,7 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SWEEPS = ("tabular", "synthetic", "ragged", "edge")
+SWEEPS = ("tabular", "synthetic", "ragged", "edge", "capped")
 PATH_LINE = re.compile(rb"^\s*path: .*\n?", re.MULTILINE)
 EDGE = """\
 experiment: synthetic
@@ -41,19 +44,29 @@ objective: rmse
 data: {n_clients: 12, samples_per_client: 1, thetas: [[2.0], [-3.0]], validation_fraction: 0.3}
 sweep: {nu: [0.0, 3.0], k: [1, 5], seeds: [0, 1]}
 """
+CAPPED = """\
+experiment: synthetic
+name: capped
+federation: {T: 40, U: 5, E: 1, s: 0.1, B_s: 10, validation_every: 2, validation_patience: 4,
+             budget_cap: 4.0}
+model: {kind: linear, input_dim: 2}
+data: {n_clients: 30, samples_per_client: 6, validation_fraction: 0.3}
+sweep: {nu: [1.0, 2.0, 5.0], k: [1, 2, 3], seeds: [0, 1]}
+"""
 
 
 def run_sweeps(checkout: Path, out: Path) -> list[str]:
-    """Run the four sweeps of ``checkout`` into ``out / "runs"``; returns
+    """Run the five sweeps of ``checkout`` into ``out / "runs"``; returns
     one message per command that failed."""
     work = out / "ragged"
     work.mkdir(parents=True)
     shutil.copy(checkout / "perfbench" / "ragged.yaml", work / "ragged.yaml")
     (out / "edge.yaml").write_text(EDGE)
+    (out / "capped.yaml").write_text(CAPPED)
     commands = [[str(checkout / "perfbench" / "ragged.py"), "--seed", "0", "--split-seed", "0",
                  "--out", str(work / "ragged.csv")]]
     for config in (checkout / "configs" / "tabular.yaml", checkout / "configs" / "synthetic.yaml",
-                   work / "ragged.yaml", out / "edge.yaml"):
+                   work / "ragged.yaml", out / "edge.yaml", out / "capped.yaml"):
         commands.append(["-m", "metricfl", "run", "--config", str(config),
                          "--out", str(out / "runs")])
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}

@@ -8,12 +8,7 @@ sanitized vectors and averages within clusters, while a ledger composes the
 per-client leakage over rounds.
 """
 
-from .accounting import (
-    LeakageEvent,
-    PrivacyLedger,
-    heuristic_epsilon,
-    ledger_summary,
-)
+from .accounting import PrivacyLedger, heuristic_epsilon, ledger_summary
 from .clustering import ClusterAssignment, kmeans_from_hypotheses
 from .data import (
     Client,

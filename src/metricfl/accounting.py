@@ -5,8 +5,9 @@ Each release of a sanitized parameter vector costs the releasing client
 ball of that radius around its update.  Choosing
 ``epsilon = n / (noise_multiplier * radius)`` makes the per-release cost the
 constant ``n / noise_multiplier`` whatever the update norm was.  Independent
-releases compose additively, so a ledger of events per client is a complete
-account of its exposure.
+releases compose additively, so a ledger holding one row per release (round,
+client, cluster, epsilon, radius, leakage), kept as columns, is a complete
+account of each client's exposure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import csv
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Hashable, Iterator, NamedTuple, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,7 +24,6 @@ __all__ = [
     "RADIUS_FLOOR",
     "heuristic_epsilon",
     "heuristic_epsilons",
-    "LeakageEvent",
     "PrivacyLedger",
     "record_rounds",
     "LedgerSummary",
@@ -37,6 +37,8 @@ __all__ = [
 RADIUS_FLOOR = 1e-9
 
 _REL_TOL = 1e-12
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def heuristic_epsilons(
@@ -64,14 +66,16 @@ def heuristic_epsilon(update_norm: float, dimension: int, noise_multiplier: floa
     return float(heuristic_epsilons(np.array([update_norm]), dimension, noise_multiplier)[0])
 
 
-def _check_events(
-    round: int, epsilon: np.ndarray, radius: np.ndarray, leakage: np.ndarray
-) -> None:
-    """Reject rows (float columns) that no release can have: a negative radius,
-    a finite epsilon that is not positive or whose leakage is not ``math.isclose``
-    to epsilon * radius at ``_REL_TOL``, or a non-finite one at finite leakage."""
-    if round < 0:
-        raise ValueError(f"round must be nonnegative, got {round}")
+def _check_events(round: int, clusters: np.ndarray, epsilon: np.ndarray, radius: np.ndarray,
+                  leakage: np.ndarray) -> None:
+    """Reject rows that no release can have: a round or a cluster that is not
+    a nonnegative int64, a negative radius, a finite epsilon that is not
+    positive or whose leakage is not ``math.isclose`` to epsilon * radius at
+    ``_REL_TOL``, or a non-finite one at finite leakage."""
+    if not isinstance(round, (int, np.integer)) or not 0 <= round <= _INT64_MAX:
+        raise ValueError(f"round must be a nonnegative integer, got {round!r}")
+    if clusters.dtype.kind not in "iu" or not ((clusters >= 0) & (clusters <= _INT64_MAX)).all():
+        raise ValueError(f"clusters must be nonnegative integers, got {clusters.ravel()!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         expected = epsilon * radius
         gap = abs(leakage - expected)
@@ -89,31 +93,12 @@ def _check_events(
         )
 
 
-@dataclass(frozen=True)
-class LeakageEvent:
-    """One participation: the released vector's epsilon, radius and cost.
-
-    ``cluster_id`` is the server-side cluster the release was aggregated
-    into; it is bookkeeping for summaries, not part of the guarantee.
-    """
-
-    round: int
-    epsilon: float
-    radius: float
-    leakage: float
-    cluster_id: int | None = None
-
-    def __post_init__(self) -> None:
-        values = (np.array([v], dtype=float) for v in (self.epsilon, self.radius, self.leakage))
-        _check_events(self.round, *values)
-
-
-# The cluster column's stand-in for a release recorded without a cluster.
-_NO_CLUSTER = np.iinfo(np.int64).min
-
-
 class _Columns(NamedTuple):
-    """Ledger rows as columns; ``composed`` is the client's total after its row."""
+    """Ledger rows as columns; ``composed`` is the client's total after its row.
+
+    ``cluster`` is the server-side cluster the release was aggregated into;
+    it is bookkeeping for summaries, not part of the guarantee.
+    """
 
     round: np.ndarray
     position: np.ndarray
@@ -125,7 +110,7 @@ class _Columns(NamedTuple):
 
 
 class PrivacyLedger:
-    """Per-client record of leakage events and their running sums, as columns.
+    """Per-client record of releases and their running sums, as columns.
 
     Clients are held by position: ``client_ids`` (a run passes its sorted
     training ids) take the first ones, and ``record_participation`` appends
@@ -150,10 +135,10 @@ class PrivacyLedger:
         round: int,
         epsilon: float,
         radius: float,
-        cluster_id: int | None = None,
+        cluster_id: int,
         leakage: float | None = None,
-    ) -> LeakageEvent:
-        """Append one event: the one-row case of ``record_rounds``.
+    ) -> None:
+        """Append one row: the one-row case of ``record_rounds``.
 
         ``leakage`` defaults to epsilon * radius.  Callers using the
         heuristic pass the algebraically cancelled n / noise_multiplier so
@@ -162,17 +147,16 @@ class PrivacyLedger:
         """
         if leakage is None:
             leakage = epsilon * radius
-        event = LeakageEvent(round, epsilon, radius, leakage, cluster_id)  # checks the values
+        clusters = np.array([cluster_id])
+        values = np.array([[epsilon], [radius], [leakage]], dtype=float)
+        _check_events(round, clusters, *values)
         if client_id not in self._position:
             self._position[client_id] = len(self._ids)
             self._ids.append(client_id)
             self._composed = np.append(self._composed, 0.0)
         positions = np.array([self._position[client_id]])
         self._check_room(round, positions)
-        cluster = _NO_CLUSTER if cluster_id is None else cluster_id
-        values = np.array([[epsilon], [radius], [leakage]], dtype=float)
-        self._append(round, positions, np.array([cluster], dtype=np.int64), *values)
-        return event
+        self._append(round, positions, clusters.astype(np.int64), *values)
 
     def _check_room(self, round: int, positions: np.ndarray) -> None:
         """Reject ascending positions out of range or with a row in ``round``."""
@@ -180,13 +164,13 @@ class PrivacyLedger:
             raise ValueError(f"client positions must lie in [0, {len(self._ids)})")
         if again := self._rounds.get(round, set()).intersection(positions.tolist()):
             cid = self._ids[min(again)]
-            raise ValueError(f"client {cid!r} already has an event for round {round}")
+            raise ValueError(f"client {cid!r} already has a row for round {round}")
 
     def _append(self, round, positions, clusters, epsilon, radius, leakage) -> None:
         """Append rows whose values and positions passed the checks."""
         self._rounds.setdefault(round, set()).update(positions.tolist())
         self._composed[positions] += leakage
-        rounds = np.full(len(positions), round)
+        rounds = np.full(len(positions), round, dtype=np.int64)
         row = (rounds, positions, clusters, epsilon, radius, leakage, self._composed[positions])
         self._chunks.append(_Columns(*row))
 
@@ -196,14 +180,9 @@ class PrivacyLedger:
         return self._composed
 
     def clients(self) -> list[Hashable]:
-        """Ids of the clients with at least one event, sorted."""
-        return sorted({self._ids[p] for chunk in self._chunks for p in chunk.position.tolist()})
-
-    def events(self, client_id: Hashable) -> list[LeakageEvent]:
-        """The client's events in round order."""
-        rows = self._columns()
-        mine = rows.position == self._position.get(client_id, -1)
-        return [event for _, event, _ in self._rows(_Columns(*(c[mine] for c in rows)))]
+        """Ids of the clients with at least one row, sorted."""
+        held = np.bincount(self._columns().position, minlength=len(self._ids)) > 0
+        return sorted(self._ids[p] for p in np.flatnonzero(held).tolist())
 
     def composed_leakage(self, client_id: Hashable) -> float:
         position = self._position.get(client_id)
@@ -231,15 +210,6 @@ class PrivacyLedger:
             rows.composed[i] = running[p]
         return rows
 
-    def _rows(self, rows: _Columns) -> Iterator[tuple[Hashable, LeakageEvent, float]]:
-        for t, p, cluster, *values, composed in zip(*(c.tolist() for c in rows)):
-            cluster_id = None if cluster == _NO_CLUSTER else cluster
-            yield self._ids[p], LeakageEvent(t, *values, cluster_id), composed
-
-    def iter_rows(self) -> Iterator[tuple[Hashable, LeakageEvent, float]]:
-        """All events in (round, client_id) order with the running composed value."""
-        return self._rows(self._columns())
-
 
 def record_rounds(
     ledgers: Sequence[PrivacyLedger], round: int, positions: Sequence[int],
@@ -248,20 +218,20 @@ def record_rounds(
     """Append row c of the (G, U) ``epsilon``, ``radius``, ``clusters`` and
     ``leakage`` (a (G, 1) column is one cost per ledger) to the distinct
     ``ledgers[c]``, column i for the client at ascending ``positions[i]``.
-    The values are checked as ``LeakageEvent`` checks them, in one pass, and
-    every ledger's positions before any is appended to: a rejected call
-    leaves every ledger as it was."""
+    The values are checked by ``_check_events`` in one pass, and every
+    ledger's positions before any is appended to: a rejected call leaves
+    every ledger as it was."""
     epsilon, radius = np.array(epsilon, dtype=float), np.array(radius, dtype=float)
-    clusters, positions = np.array(clusters, dtype=np.int64), np.array(positions, dtype=np.intp)
+    clusters, positions = np.asarray(clusters), np.array(positions, dtype=np.intp)
     if not epsilon.shape == radius.shape == clusters.shape == (len(ledgers), len(positions)):
         raise ValueError("need one row of values per ledger and one column per position")
     leakage = np.full(epsilon.shape, leakage, dtype=float)
-    _check_events(round, epsilon.ravel(), radius.ravel(), leakage.ravel())
+    _check_events(round, clusters, epsilon.ravel(), radius.ravel(), leakage.ravel())
     if not len(positions) or (positions[1:] <= positions[:-1]).any():
         raise ValueError("a round's client positions must be nonempty and ascend")
     for ledger in ledgers:
         ledger._check_room(round, positions)
-    for ledger, *rows in zip(ledgers, clusters, epsilon, radius, leakage):
+    for ledger, *rows in zip(ledgers, clusters.astype(np.int64), epsilon, radius, leakage):
         ledger._append(round, positions, *rows)
 
 
@@ -273,17 +243,14 @@ class ClusterBudget:
 
 @dataclass
 class LedgerSummary:
-    """Median/max composed leakage over all clients, plus the per-cluster
-    leakage series used for plotting.
-
-    ``max_trajectory`` is ``max_leakage_series`` of the ledger.
-    """
+    """Median/max composed leakage over the clients with rows, and the
+    per-cluster series for plotting: ``max_leakage_series`` of the ledger."""
 
     overall: ClusterBudget | None
-    max_trajectory: dict[int | None, list[float]] = field(default_factory=dict)
+    max_trajectory: dict[int, list[float]] = field(default_factory=dict)
 
 
-def max_leakage_series(ledger: PrivacyLedger) -> dict[int | None, list[float]]:
+def max_leakage_series(ledger: PrivacyLedger) -> dict[int, list[float]]:
     """Running-max leakage per cluster, one value per round 0..last round.
 
     For cluster c at round t the value is the largest composed leakage any
@@ -292,30 +259,27 @@ def max_leakage_series(ledger: PrivacyLedger) -> dict[int | None, list[float]]:
     when clients move between clusters.  Clusters without any release are
     absent.
     """
-    rows = ledger._columns()
-    if not len(rows.round):
-        return {}
-    clusters, index = np.unique(rows.cluster, return_inverse=True)
-    peaks = np.zeros((len(clusters), rows.round[-1] + 1))
-    np.maximum.at(peaks, (index, rows.round), rows.composed)
-    series = np.maximum.accumulate(peaks, axis=1).tolist()
-    return {
-        None if cluster == _NO_CLUSTER else cluster: values
-        for cluster, values in zip(clusters.tolist(), series)
-    }
+    return ledger_summary(ledger).max_trajectory
 
 
 def ledger_summary(ledger: PrivacyLedger) -> LedgerSummary:
     """Summarize a ledger; empty ledgers give an empty summary."""
-    composed = [ledger.composed_leakage(cid) for cid in ledger.clients()]
-    if not composed:
+    rows = ledger._columns()
+    if not len(rows.round):
         return LedgerSummary(overall=None)
+    # bincount, not np.unique, which imports numpy.ma (1.2 MB) on first use.
+    held = np.bincount(rows.position, minlength=len(ledger.composed)) > 0
+    composed = ledger.composed[held].tolist()
     overall = ClusterBudget(median=statistics.median(composed), maximum=max(composed))
-    return LedgerSummary(overall=overall, max_trajectory=max_leakage_series(ledger))
+    clusters, index = np.unique(rows.cluster, return_inverse=True)
+    peaks = np.zeros((len(clusters), rows.round[-1] + 1))
+    np.maximum.at(peaks, (index, rows.round), rows.composed)
+    series = np.maximum.accumulate(peaks, axis=1).tolist()
+    return LedgerSummary(overall=overall, max_trajectory=dict(zip(clusters.tolist(), series)))
 
 
 def write_ledger_csv(ledger: PrivacyLedger, path: str | Path) -> None:
-    """One row per event, chronological, with the running composed total."""
+    """One row per release, chronological, with the running composed total."""
     rows = ledger._columns()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -325,7 +289,7 @@ def write_ledger_csv(ledger: PrivacyLedger, path: str | Path) -> None:
         writer.writerows(
             zip(
                 [ledger._ids[p] for p in rows.position.tolist()],
-                ["" if c == _NO_CLUSTER else c for c in rows.cluster.tolist()],
+                rows.cluster.tolist(),
                 rows.round.tolist(),
                 *(map(repr, column.tolist()) for column in rows[3:]),
             )

@@ -1,7 +1,9 @@
 """Ledger arithmetic: the constant-cost heuristic, additive composition and
 the per-cluster summaries."""
 
+import collections
 import math
+import statistics
 import sys
 
 import numpy as np
@@ -12,7 +14,6 @@ from hypothesis import strategies as st
 from metricfl import accounting
 from metricfl.accounting import (
     RADIUS_FLOOR,
-    LeakageEvent,
     PrivacyLedger,
     heuristic_epsilon,
     heuristic_epsilons,
@@ -57,15 +58,32 @@ class TestHeuristicEpsilon:
             heuristic_epsilon(1.0, 2, 0.0)
 
 
+def check_row(round, epsilon, radius, leakage, cluster=0):
+    """``_check_events`` on one row."""
+    values = (np.array([v], dtype=float) for v in (epsilon, radius, leakage))
+    accounting._check_events(round, np.array([cluster]), *values)
+
+
+Row = collections.namedtuple("Row", "client round cluster epsilon radius leakage composed")
+
+
+def ledger_rows(ledger):
+    """Every row in (round, client id) order, read from the ledger's columns
+    with the client's id in place of its position."""
+    rows = ledger._columns()
+    ids = [ledger._ids[p] for p in rows.position.tolist()]
+    return [Row(*row) for row in zip(ids, rows.round.tolist(), *(c.tolist() for c in rows[2:]))]
+
+
 class TestLeakageEvent:
     def test_consistency_enforced(self):
         with pytest.raises(ValueError):
-            LeakageEvent(round=0, epsilon=1.0, radius=2.0, leakage=1.0)
+            check_row(round=0, epsilon=1.0, radius=2.0, leakage=1.0)
 
     def test_infinite_epsilon_needs_infinite_leakage(self):
-        LeakageEvent(round=0, epsilon=math.inf, radius=0.3, leakage=math.inf)
+        check_row(round=0, epsilon=math.inf, radius=0.3, leakage=math.inf)
         with pytest.raises(ValueError):
-            LeakageEvent(round=0, epsilon=math.inf, radius=0.3, leakage=1.0)
+            check_row(round=0, epsilon=math.inf, radius=0.3, leakage=1.0)
 
 
 class TestOneMultiplierPerUpdate:
@@ -122,7 +140,7 @@ class TestColumnCheck:
             with np.errstate(all="ignore"):
                 leakage = float(np.float64(epsilon) * radius * (1 + drift))
         try:
-            LeakageEvent(round, epsilon, radius, leakage)
+            check_row(round, epsilon, radius, leakage)
         except ValueError:
             assert not isclose_rule(round, epsilon, radius, leakage)
         else:
@@ -130,7 +148,7 @@ class TestColumnCheck:
 
 
 class TestLedger:
-    def record_constant(self, ledger, client, rounds, cluster=None):
+    def record_constant(self, ledger, client, rounds, cluster=0):
         for t in rounds:
             radius = 0.1 + 0.01 * t
             ledger.record_participation(
@@ -157,9 +175,9 @@ class TestLedger:
 
     def test_duplicate_round_rejected(self):
         ledger = PrivacyLedger()
-        ledger.record_participation(0, round=1, epsilon=1.0, radius=0.5)
+        ledger.record_participation(0, round=1, epsilon=1.0, radius=0.5, cluster_id=0)
         with pytest.raises(ValueError):
-            ledger.record_participation(0, round=1, epsilon=2.0, radius=0.25)
+            ledger.record_participation(0, round=1, epsilon=2.0, radius=0.25, cluster_id=0)
 
     def test_rejected_call_leaves_the_ledger_unchanged(self):
         ledger = PrivacyLedger()
@@ -185,12 +203,12 @@ class TestLedger:
         ledger = PrivacyLedger()
         self.record_constant(ledger, "a", [0, 1], cluster=0)
         self.record_constant(ledger, "b", [1], cluster=1)
-        first = [(cid, event.round, composed) for cid, event, composed in ledger.iter_rows()]
+        first = [(row.client, row.round, row.composed) for row in ledger_rows(ledger)]
         assert first == [("a", 0, 0.4), ("a", 1, 0.4 + 0.4), ("b", 1, 0.4)]
-        assert list(ledger.iter_rows()) == list(ledger.iter_rows())
+        assert ledger_rows(ledger) == ledger_rows(ledger)
         self.record_constant(ledger, "a", [2], cluster=1)
         self.record_constant(ledger, "b", [0], cluster=1)
-        rows = [(cid, event.round, composed) for cid, event, composed in ledger.iter_rows()]
+        rows = [(row.client, row.round, row.composed) for row in ledger_rows(ledger)]
         assert rows == [
             ("a", 0, 0.4),
             ("b", 0, 0.4),
@@ -203,7 +221,8 @@ class TestLedger:
         ledger = PrivacyLedger()
         previous = 0.0
         for t in range(10):
-            ledger.record_participation(0, round=t, epsilon=1.0, radius=0.1 * t + 0.01)
+            ledger.record_participation(0, round=t, epsilon=1.0, radius=0.1 * t + 0.01,
+                                        cluster_id=0)
             current = ledger.composed_leakage(0)
             assert current >= previous
             previous = current
@@ -215,9 +234,11 @@ class TestLedger:
         shuffled = PrivacyLedger()
         leakages = [0.1 * (t + 1) for t in range(8)]
         for t in range(8):
-            reference.record_participation(0, round=t, epsilon=leakages[t] / 0.5, radius=0.5)
+            reference.record_participation(0, round=t, epsilon=leakages[t] / 0.5, radius=0.5,
+                                           cluster_id=0)
         for t in order:
-            shuffled.record_participation(0, round=t, epsilon=leakages[t] / 0.5, radius=0.5)
+            shuffled.record_participation(0, round=t, epsilon=leakages[t] / 0.5, radius=0.5,
+                                          cluster_id=0)
         assert shuffled.composed_leakage(0) == pytest.approx(
             reference.composed_leakage(0), rel=1e-12
         )
@@ -260,6 +281,19 @@ class TestSummary:
         summary = ledger_summary(ledger)
         assert summary.max_trajectory[0] == pytest.approx([0.4, 0.8, 1.2], abs=1e-12)
         assert summary.max_trajectory[1] == pytest.approx([0.4, 0.4, 0.4], abs=1e-12)
+
+    def test_overall_counts_only_the_clients_with_rows(self):
+        # c0, c2 and c4 never release; the rows arrive out of (round, client) order.
+        ledger = PrivacyLedger([f"c{i}" for i in range(7)])
+        for cid, t, cost in [("c5", 2, 0.4), ("c1", 0, 0.3), ("c5", 0, 0.4), ("c3", 1, 0.25),
+                             ("c1", 3, 0.3), ("c6", 2, 0.1)]:
+            ledger.record_participation(cid, round=t, epsilon=cost / 0.5, radius=0.5,
+                                        cluster_id=t % 2)
+        composed = [ledger.composed_leakage(cid) for cid in ["c1", "c3", "c5", "c6"]]
+        overall = ledger_summary(ledger).overall
+        assert overall.median == statistics.median(composed)
+        assert overall.maximum == max(composed)
+        assert overall.median > max(ledger.composed_leakage(f"c{i}") for i in [0, 2, 4])
 
     def test_empty_summary(self):
         summary = ledger_summary(PrivacyLedger())
@@ -348,7 +382,7 @@ def ledger_state(ledger, tmp_path):
     path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger, path)
     composed = [ledger.composed_leakage(cid) for cid in ledger.clients()]
-    return list(ledger.iter_rows()), composed, max_leakage_series(ledger), path.read_bytes()
+    return ledger_rows(ledger), composed, max_leakage_series(ledger), path.read_bytes()
 
 
 class TestColumnarLedger:
@@ -406,7 +440,7 @@ class TestColumnarLedger:
 
         short, long = calls_to_record(10), calls_to_record(10_000)
         assert short == long
-        # No sort and no per-release LeakageEvent (its check runs in __post_init__).
+        # No sort and no per-release object built (no __post_init__).
         assert not {"sorted", "sort", "argsort", "lexsort", "__post_init__"} & set(long)
 
     def test_one_row_recording_checks_its_values_once(self, monkeypatch):
@@ -414,21 +448,25 @@ class TestColumnarLedger:
         check = accounting._check_events
         monkeypatch.setattr(accounting, "_check_events", lambda *a: checks.append(check(*a)))
         ledger = PrivacyLedger()
-        event = ledger.record_participation("a", round=0, epsilon=2.0, radius=0.5, cluster_id=1)
+        ledger.record_participation("a", round=0, epsilon=2.0, radius=0.5, cluster_id=1)
         assert len(checks) == 1
-        assert ledger.events("a") == [event]
+        assert ledger_rows(ledger) == [Row("a", 0, 1, 2.0, 0.5, 1.0, 1.0)]
 
-    def test_events_builds_only_the_clients_own_rows(self, monkeypatch):
-        ledger = PrivacyLedger(self.IDS)
-        for t in range(20):
-            record_rounds([ledger], t, *group_of_one(round_columns(t)), 0.4)
-        expected = [event for cid, event, _ in ledger.iter_rows() if cid == "c3"]
-        built = []
-        check = LeakageEvent.__post_init__
-        monkeypatch.setattr(LeakageEvent, "__post_init__", lambda e: built.append(check(e)))
-        assert ledger.events("c3") == expected
-        assert len(built) == len(expected) > 0
-        assert ledger.events("absent") == []
+    # A round or cluster no release can have: too large for int64, negative or fractional.
+    @pytest.mark.parametrize("round, cluster", [
+        (0, 2**63), (0, -2**63), (0, -3), (0, 1.7), (1.5, 0), (2**63, 0), (-1, 0),
+    ])
+    def test_rows_need_a_nonnegative_integer_round_and_cluster(self, round, cluster):
+        one_row = PrivacyLedger()
+        one_row.record_participation("a", round=0, epsilon=2.0, radius=0.5, cluster_id=0)
+        group = PrivacyLedger(self.IDS)
+        with pytest.raises(ValueError):
+            one_row.record_participation("b", round=round, epsilon=2.0, radius=0.5,
+                                         cluster_id=cluster)
+        with pytest.raises(ValueError):
+            record_rounds([group], round, [0, 1], [[2.0, 2.0]], [[0.5, 0.5]], [[0, cluster]], 1.0)
+        assert (one_row.composed.tolist(), len(one_row), one_row.clients()) == ([1.0], 1, ["a"])
+        assert (group.composed.tolist(), len(group)) == ([0.0] * len(self.IDS), 0)
 
     def test_rejected_round_leaves_the_ledger_unchanged(self, tmp_path):
         ledger = PrivacyLedger(self.IDS)

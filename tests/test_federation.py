@@ -18,7 +18,7 @@ from metricfl.federation import (
     run_experiments,
     server_round,
 )
-from metricfl.accounting import LeakageEvent, PrivacyLedger, ledger_summary, write_ledger_csv
+from metricfl.accounting import _Columns, PrivacyLedger, ledger_summary, write_ledger_csv
 from metricfl.clustering import kmeans_from_hypotheses
 from metricfl.models import (
     Batch,
@@ -35,6 +35,7 @@ from metricfl.rng import RoundStreams, substream
 from test_mechanism import reference_sanitize
 from test_clustering import same_bits
 from test_models import table
+from test_accounting import ledger_rows
 
 LINEAR = ModelSpec("linear", input_dim=2)
 
@@ -94,8 +95,8 @@ def client_steps(spec, datasets, hyps, config, rngs, round_index=0):
 
 
 def round_assignment(ledger, t):
-    """Sampled client -> server-side cluster, read from the round-t ledger events."""
-    return {cid: event.cluster_id for cid, event, _ in ledger.iter_rows() if event.round == t}
+    """Sampled client -> server-side cluster, read from the round-t ledger rows."""
+    return {row.client: row.cluster for row in ledger_rows(ledger) if row.round == t}
 
 
 def lowest_loss(spec, hyps, dataset):
@@ -245,7 +246,7 @@ class TestServerRound:
             sampled = round_assignment(run.ledger, t)
             assert len(sampled) == 5
             for cid in sampled:
-                events = [e for e in run.ledger.events(cid) if e.round == t]
+                events = [r for r in ledger_rows(run.ledger) if (r.client, r.round) == (cid, t)]
                 assert len(events) == 1
 
     def test_sampling_without_replacement(self):
@@ -267,7 +268,7 @@ class TestServerRound:
         hyps = np.full((1, n_params(spec)), 0.3)
         run = Run(clients, config, spec)
         new_hyps, _ = run.round(hyps, 0)
-        events = {cid: event for cid, event, _ in run.ledger.iter_rows() if event.round == 0}
+        events = {row.client: row for row in ledger_rows(run.ledger) if row.round == 0}
         assert len(events) == 3
         releases = []
         for cid in sorted(events):
@@ -345,7 +346,7 @@ class TestServerRound:
         assert new_hyps[1, 0] == 5.0
         assert new_hyps[:, 0] == pytest.approx([2.0, 5.0, 8.2], rel=1e-12)
         assert round_assignment(run.ledger, 0) == {0: 0, 1: 2, 2: 0, 3: 2}
-        assert all(event.cluster_id != 1 for _, event, _ in run.ledger.iter_rows())
+        assert all(row.cluster != 1 for row in ledger_rows(run.ledger))
 
     def test_too_few_clients_rejected(self):
         clients = {0: make_dataset()}
@@ -358,7 +359,7 @@ class TestServerRound:
 class TestInformationHygiene:
     def test_server_round_returns_hypotheses_and_mean_loss_only(self):
         # The server keeps the new hypotheses, one loss per cell and the ledger
-        # events; nothing records the cluster a client chose for itself.
+        # rows; nothing records the cluster a client chose for itself.
         clients, _ = split_views()
         config = make_config(U=5)
         hyps = np.zeros((2, 2))
@@ -376,12 +377,14 @@ class TestInformationHygiene:
         ]
         solo_mean = np.mean([s.train_loss[0] for s in steps])
         assert mean_train_loss[0] == pytest.approx(solo_mean, rel=1e-12)
-        assert {f.name for f in dataclasses.fields(LeakageEvent)} == {
+        assert set(_Columns._fields) == {
             "round",
+            "position",
+            "cluster",
             "epsilon",
             "radius",
             "leakage",
-            "cluster_id",
+            "composed",
         }
 
     def test_client_result_has_no_raw_update(self):
@@ -414,7 +417,7 @@ class TestDivergence:
 class TestRoundPath:
     def test_rows_are_concatenated_once_and_no_event_is_built(self, monkeypatch):
         # After run_experiment's two tables (training, validation), no round
-        # builds one, and recording the rounds creates no LeakageEvent.
+        # builds one; the ledger holds its rows as columns, not as objects.
         built = []
         real = ClientTable.from_batches.__func__
 
@@ -424,11 +427,7 @@ class TestRoundPath:
             built.append(len(batches))
             return real(cls, spec, batches)
 
-        def no_event(self):
-            raise AssertionError("a LeakageEvent was built on the round path")
-
         monkeypatch.setattr(ClientTable, "from_batches", classmethod(from_batches))
-        monkeypatch.setattr(LeakageEvent, "__post_init__", no_event)
         train, val = split_views()
         result = run_experiment(train, val, LINEAR, make_config(T=12, validation_patience=12))
         assert len(result.history) == 12
@@ -486,7 +485,7 @@ class TestRoundPath:
                 [configs[c] for c in cells], [r.ledger for r in runs], 0, runs[0].streams,
             )
             ends = np.cumsum([configs[c].k for c in cells])
-            return [(vectors[end - configs[c].k:end], loss, list(run.ledger.iter_rows()))
+            return [(vectors[end - configs[c].k:end], loss, ledger_rows(run.ledger))
                     for c, end, loss, run in zip(cells, ends, losses.tolist(), runs)]
 
         grouped = one_round(range(len(cells)))
@@ -681,8 +680,8 @@ class TestReproducibilityAndReduction:
         for ra, rb in zip(a.history, b.history):
             assert ra == rb
         assert np.array_equal(a.best_hypotheses.vectors, b.best_hypotheses.vectors)
-        rows_a = list(a.ledger.iter_rows())
-        rows_b = list(b.ledger.iter_rows())
+        rows_a = ledger_rows(a.ledger)
+        rows_b = ledger_rows(b.ledger)
         assert rows_a == rows_b
 
     def test_plain_averaging_reduction(self):
@@ -729,7 +728,8 @@ class TestBudgetCap:
         run = Run(clients, config)
         for t in range(3):
             hyps, _ = run.round(hyps, t)
-        assert all(len(run.ledger.events(cid)) == 3 for cid in clients)
+        rows = ledger_rows(run.ledger)
+        assert all(sum(row.client == cid for row in rows) == 3 for cid in clients)
         with pytest.raises(RuntimeError):
             run.round(hyps, 3)
 
