@@ -200,10 +200,10 @@ class PrivacyLedger:
         rows = _Columns(*(np.concatenate(column) for column in zip(*self._chunks)))
         rank = np.empty(len(self._ids), dtype=np.int64)
         rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = range(len(self._ids))
-        key = rows.round * len(self._ids) + rank[rows.position]
-        if (key[1:] > key[:-1]).all():
+        ranks, step = rank[rows.position], np.diff(rows.round)  # no wrap: rounds are >= 0
+        if ((step > 0) | (step == 0) & (np.diff(ranks) > 0)).all():
             return rows
-        rows = _Columns(*(column[np.argsort(key)] for column in rows))
+        rows = _Columns(*(column[np.lexsort((ranks, rows.round))] for column in rows))
         running = np.zeros(len(self._ids))
         for i, (p, amount) in enumerate(zip(rows.position.tolist(), rows.leakage.tolist())):
             running[p] += amount

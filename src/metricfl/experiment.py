@@ -41,8 +41,8 @@ from .federation import (
     Diverged,
     ExperimentResult,
     FederationConfig,
+    History,
     HypothesisSet,
-    RoundMetrics,
     run_experiments,
 )
 from .models import Batch, ModelSpec
@@ -340,42 +340,35 @@ def format_value(value: float) -> str:
     return f"{value:g}"
 
 
-def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_metrics_csv(
-    history: list[RoundMetrics],
-    leakage: Mapping[int | None, list[float]],
+    history: History,
+    leakage: Mapping[int, list[float]],
     k: int,
     path: str | Path,
 ) -> None:
-    """Per-round series: losses, hypothesis norms and the per-cluster
-    running-max leakage used for privacy plots.
+    """Per-round series: losses (no validation loss where a round was not
+    evaluated), hypothesis norms and the per-cluster running-max leakage
+    used for privacy plots.
 
     ``leakage`` is ``max_leakage_series`` of the run's ledger; a cluster
     with no release yet reads 0.0.
     """
-    no_release = [0.0] * len(history)
-    series = [leakage.get(j, no_release) for j in range(k)]
+    rounds = len(history.train_loss)
+    series = [leakage.get(j, [0.0] * rounds) for j in range(k)]
     header = (
         ["round", "mean_train_loss", "validation_loss"]
         + [f"hypothesis_{j}_norm" for j in range(k)]
         + [f"cluster_{j}_max_leakage" for j in range(k)]
     )
+    validation = ["" if math.isnan(v) else repr(v) for v in history.validation_loss.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in history:
-            writer.writerow(
-                [row.round, _fmt(row.mean_train_loss), _fmt(row.validation_loss)]
-                + [_fmt(v) for v in row.hypothesis_norms]
-                + [_fmt(values[row.round]) for values in series]
-            )
+        writer.writerows(zip(
+            range(rounds), map(repr, history.train_loss.tolist()), validation,
+            *(map(repr, column) for column in history.hypothesis_norms.T.tolist() + series),
+            strict=True,
+        ))
 
 
 def write_hypotheses(hypotheses: HypothesisSet, path: str | Path) -> None:
@@ -464,6 +457,6 @@ def _write_summaries(results: dict[tuple[float, int], list], exp_dir: Path) -> N
             std = (statistics.stdev(losses) if finite else math.nan) if len(losses) > 1 else 0.0
             summary.writerow([format_value(nu), k, len(cells), repr(statistics.fmean(losses)),
                               repr(std)])
-            # Unlike summary.csv, nu is written by _fmt (repr): 5.0, not 5.
-            budget.writerow([_fmt(nu), k, _fmt(statistics.fmean(medians)),
-                             _fmt(statistics.fmean(maxima))])
+            # Unlike summary.csv, nu is written by repr: 5.0, not 5.
+            budget.writerow([repr(nu), k, repr(statistics.fmean(medians)),
+                             repr(statistics.fmean(maxima))])

@@ -25,14 +25,15 @@ a solo run's stack has one cell.  The state is one (sum of k, n) array of
 the running cells' hypotheses, cell by cell, and a stopped cell's rows leave
 it.  A client's rows, and the permutations and raw noise it draws once from
 its own stream, are broadcast over the cells axis.  k-means, averaging and the
-ledger checks are shared too (one Lloyd run per k); early stopping and
-history stay per cell.  No operation mixes two rows or two cells, so each
-release and each cell's result is bit-identical to the one it gets alone:
-the outcome depends neither on a client's round-mates nor on a cell's group.
-Only the reported training loss (``models.client_losses``) may move in the
-last ulp with the client's round-mates.  An overflow in local SGD, the
-release, k-means or validation raises; the cells then rerun alone, and
-``Diverged`` names the first to fail.
+ledger checks are shared too (one Lloyd run per k), and so are early stopping
+(one step over arrays by cell) and the history (a column per cell, grown with
+the rounds run); a cell's result is built once, when it stops.  No operation
+mixes two rows or two cells, so each release and each cell's result is
+bit-identical to the one it gets alone: the outcome depends neither on a
+client's round-mates nor on a cell's group.  Only the reported training loss
+(``models.client_losses``) may move in the last ulp with the client's
+round-mates.  An overflow in local SGD, the release, k-means or validation
+raises; the cells then rerun alone, and ``Diverged`` names the first to fail.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -64,7 +65,7 @@ from .rng import RoundStreams, substream
 __all__ = [
     "FederationConfig",
     "HypothesisSet",
-    "RoundMetrics",
+    "History",
     "ExperimentResult",
     "Diverged",
     "server_round",
@@ -155,12 +156,14 @@ class _ClientSteps(NamedTuple):
     train_loss: np.ndarray
 
 
-@dataclass
-class RoundMetrics:
-    round: int
-    mean_train_loss: float
-    validation_loss: float | None
-    hypothesis_norms: list[float]
+class History(NamedTuple):
+    """A cell's rounds 0..R-1 as columns: the sampled clients' mean training
+    loss (R,), the validation loss (R,), NaN where the round was not
+    evaluated, and the norm of each hypothesis (R, k)."""
+
+    train_loss: np.ndarray
+    validation_loss: np.ndarray
+    hypothesis_norms: np.ndarray
 
 
 @dataclass
@@ -169,7 +172,7 @@ class ExperimentResult:
     final_hypotheses: HypothesisSet
     best_validation_loss: float
     best_round: int | None
-    history: list[RoundMetrics]
+    history: History
     ledger: PrivacyLedger
 
 
@@ -325,33 +328,25 @@ def server_round(
     return means, steps.train_loss.mean(axis=1)
 
 
-def _validation_loss(losses: np.ndarray, starts: Sequence[int]) -> list[float]:
+def _validation_loss(losses: np.ndarray, starts: Sequence[int]) -> np.ndarray:
     """Each cell's mean over validation clients of the loss at their best-fitting
     hypothesis (no single global model exists); cell c's columns start at
     ``starts[c]``.  A cell's minima are one contiguous row, summed as alone."""
     best = np.ascontiguousarray(np.minimum.reduceat(losses, starts, axis=1).T)
-    return best.mean(axis=1).tolist()
+    return best.mean(axis=1)
 
 
 def _evaluate(
     vectors: np.ndarray, configs: Sequence[FederationConfig], spec: ModelSpec,
     table: ClientTable | None, round_index: int,
-) -> tuple[list[float], list[float | None]]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The norm of each stacked hypothesis and, given a validation ``table``,
-    each cell's ``_validation_loss`` (else None); an overflow raises."""
+    each cell's ``_validation_loss``; an overflow raises."""
     with _raising(round_index, "a hypothesis overflowed"):
-        norms = _row_norms(vectors).tolist()
+        norms = _row_norms(vectors)
         if table is None:
-            return norms, [None] * len(configs)
+            return norms, None
         return norms, _validation_loss(loss_matrix(spec, vectors, table), _offsets(configs)[:-1])
-
-
-def _finished(result: ExperimentResult, final: np.ndarray) -> ExperimentResult:
-    """``result`` with its final hypotheses, also its best if no evaluation improved on inf."""
-    result.final_hypotheses = HypothesisSet(final)
-    if result.best_round is None:
-        result.best_hypotheses = result.final_hypotheses
-    return result
 
 
 def run_experiments(
@@ -374,9 +369,9 @@ def run_experiments(
     Every ``validation_every`` rounds the validation clients are scored at
     their per-client best hypothesis; a cell stops after
     ``validation_patience`` consecutive evaluations without a strict
-    round-over-round improvement, or before a round in which the budget cap
-    leaves fewer than U eligible clients.  Either way the result's model is
-    the hypothesis set of the best evaluation, not the last round.
+    round-over-round improvement, before a round in which the budget cap
+    leaves fewer than U eligible clients, or after round T - 1; its model is
+    the hypothesis set of the best evaluation, not of the last round.
     """
     groups: dict[FederationConfig, list[int]] = {}
     for c, cell in enumerate(configs):
@@ -397,48 +392,59 @@ def run_experiments(
         val_table = ClientTable.from_batches(spec, [validation[cid] for cid in sorted(validation)])
     streams = RoundStreams(config.master_seed, len(ids), config.T)
 
-    running: dict[int, ExperimentResult] = {}  # by index in configs
-    for c, cell in enumerate(configs):
-        rng_hyp = substream(cell.master_seed, "hypotheses")
-        start = HypothesisSet(np.stack([init_params(spec, rng_hyp) for _ in range(cell.k)]))
-        running[c] = ExperimentResult(start, start, math.inf, None, [], PrivacyLedger(ids))
-    vectors = np.concatenate([result.final_hypotheses.vectors for result in running.values()])
-    stale_evaluations = [0] * len(configs)
-    previous_val = [math.inf] * len(configs)
-    for t in range(config.T):
-        cells, group = list(running), [configs[c] for c in running]
-        ledgers = [result.ledger for result in running.values()]
-        if not cells or len(pool := _eligible(ledgers[0], spec, config)) < config.U:
-            break
-        vectors, train_losses = server_round(table, pool, vectors, spec, group, ledgers, t, streams)
-        validated = val_table if (t + 1) % config.validation_every == 0 else None
-        norms, val_losses = _alone(_evaluate, vectors, group, spec, validated, t)
-
-        rows = _offsets(group)
-        for c, mean_train_loss, val_loss, a, b in zip(
-            cells, train_losses.tolist(), val_losses, rows, rows[1:]
-        ):
-            result = running[c]
-            if val_loss is not None:
-                if val_loss < result.best_validation_loss:
-                    result.best_validation_loss = val_loss
-                    result.best_hypotheses = HypothesisSet(vectors[a:b])
-                    result.best_round = t
+    cells, group = list(range(len(configs))), list(configs)  # the running cells
+    ledgers = [PrivacyLedger(ids) for _ in group]
+    # Each cell starts from the first k draws of the group's one hypotheses stream.
+    rng_hyp = substream(config.master_seed, "hypotheses")
+    initial = np.stack([init_params(spec, rng_hyp) for _ in range(max(cell.k for cell in group))])
+    vectors = np.concatenate([initial[:cell.k] for cell in group])
+    best, rows = vectors.copy(), _offsets(group)  # the best hypotheses; each cell's rows
+    # By running cell: best loss, its round (-1: none yet), last loss, evaluations since it fell.
+    best_loss, previous = np.full(len(group), math.inf), np.full(len(group), math.inf)
+    best_round, stale = np.full(len(group), -1), np.zeros(len(group), dtype=int)
+    columns = History(*(np.full((1, n), np.nan) for n in (len(group), len(group), len(vectors))))
+    t = 0  # the next round
+    while cells:
+        if t == config.T or len(pool := _eligible(ledgers[0], spec, config)) < config.U:
+            stops = np.ones(len(cells), dtype=bool)
+        else:
+            vectors, train_loss = server_round(table, pool, vectors, spec, group, ledgers, t,
+                                               streams)
+            validated = val_table if (t + 1) % config.validation_every == 0 else None
+            norms, losses = _alone(_evaluate, vectors, group, spec, validated, t)
+            if t == len(columns.train_loss):  # doubled as needed: T may be far off
+                columns = History(*(np.concatenate([c, np.full_like(c, np.nan)]) for c in columns))
+            columns.train_loss[t], columns.hypothesis_norms[t] = train_loss, norms
+            if losses is not None:
+                columns.validation_loss[t] = losses
+                improved = losses < best_loss
+                if np.count_nonzero(improved):  # a C call; .any() goes through Python
+                    best_loss, best_round[improved] = np.where(improved, losses, best_loss), t
+                    at = np.repeat(improved, np.diff(rows))
+                    best[at] = vectors[at]
                 # Convergence means no round-over-round decrease anymore; a noisy
                 # but still-descending loss sequence must not trigger the stop.
-                if val_loss < previous_val[c]:
-                    stale_evaluations[c] = 0
-                else:
-                    stale_evaluations[c] += 1
-                previous_val[c] = val_loss
-            result.history.append(RoundMetrics(t, mean_train_loss, val_loss, norms[a:b]))
-            if stale_evaluations[c] >= configs[c].validation_patience:
-                yield c, _finished(running.pop(c), vectors[a:b])
-        if len(running) < len(cells):
-            vectors = vectors[np.repeat([c in running for c in cells], np.diff(rows))]
-    rows = _offsets([configs[c] for c in running])
-    for c, a, b in zip(list(running), rows, rows[1:]):
-        yield c, _finished(running.pop(c), vectors[a:b])
+                stale, previous = np.where(losses < previous, 0, stale + 1), losses
+            t += 1
+            stops = stale >= config.validation_patience  # one value per group
+        if not np.count_nonzero(stops):
+            continue
+        for i in np.flatnonzero(stops).tolist():
+            a, b, found = rows[i], rows[i + 1], best_round[i] >= 0
+            yield cells[i], ExperimentResult(
+                HypothesisSet(best[a:b] if found else vectors[a:b]), HypothesisSet(vectors[a:b]),
+                float(best_loss[i]), int(best_round[i]) if found else None,
+                History(columns.train_loss[:t, i].copy(), columns.validation_loss[:t, i].copy(),
+                        columns.hypothesis_norms[:t, a:b].copy()),
+                ledgers[i],
+            )
+        keep, kept_rows = ~stops, np.repeat(~stops, np.diff(rows))
+        cells, group, ledgers = (list(compress(seq, keep)) for seq in (cells, group, ledgers))
+        vectors, best, rows = vectors[kept_rows], best[kept_rows], _offsets(group)
+        columns = History(columns.train_loss[:, keep], columns.validation_loss[:, keep],
+                          columns.hypothesis_norms[:, kept_rows])
+        best_loss, best_round, previous, stale = (
+            state[keep] for state in (best_loss, best_round, previous, stale))
 
 
 def run_experiment(

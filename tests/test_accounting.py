@@ -217,6 +217,18 @@ class TestLedger:
             ("a", 2, 0.4 + 0.4 + 0.4),
         ]
 
+    @pytest.mark.parametrize("b_first", [True, False])
+    def test_rows_sort_by_round_up_to_the_largest_round(self, b_first):
+        # Rows read back in (round, id) order at any int64 round, in either
+        # recording order: a key of round * len(ids) + rank would wrap here.
+        ledger = PrivacyLedger(["a", "b", "c"])
+        rows = [("b", 0), ("a", 2**62)]
+        for client, t in rows if b_first else rows[::-1]:
+            ledger.record_participation(client, round=t, epsilon=2.0, radius=0.5, cluster_id=0)
+        assert [(row.client, row.round, row.composed) for row in ledger_rows(ledger)] == [
+            ("b", 0, 1.0), ("a", 2**62, 1.0)
+        ]
+
     def test_composed_is_monotone_in_rounds(self):
         ledger = PrivacyLedger()
         previous = 0.0

@@ -278,6 +278,18 @@ class TestRunSweep:
         assert capsys.readouterr().err == ""
         summary = (out / "mini" / "summary.csv").read_text().splitlines()
         assert summary[1:] == ["0,2,2,inf,nan", "5,2,2,inf,nan"]
+        # metrics.csv: the header alone at T 0, else a row per round, each
+        # with an empty validation_loss.
+        cells = sorted(p for p in (out / "mini").iterdir() if p.is_dir())
+        assert [cell.name for cell in cells] == ["0_2_0", "0_2_1", "5_2_0", "5_2_1"]
+        for cell in cells:
+            with open(cell / "metrics.csv", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header[:3] == ["round", "mean_train_loss", "validation_loss"]
+            assert len(header) == 3 + 2 * 2
+            assert [row[0] for row in rows] == [str(t) for t in range(federation["T"])]
+            assert all(len(row) == len(header) and row[2] == "" for row in rows)
+            assert all(float(value) >= 0 for row in rows for value in row[3:])
 
     def test_summary_std_is_nan_only_where_a_loss_is_inf(self, tmp_path):
         # A row of finite losses keeps statistics.stdev's bits; a row with

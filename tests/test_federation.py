@@ -430,7 +430,7 @@ class TestRoundPath:
         monkeypatch.setattr(ClientTable, "from_batches", classmethod(from_batches))
         train, val = split_views()
         result = run_experiment(train, val, LINEAR, make_config(T=12, validation_patience=12))
-        assert len(result.history) == 12
+        assert len(result.history.train_loss) == 12
         assert built == [len(train), len(val)]
         assert len(result.ledger) == 12 * 7
 
@@ -461,7 +461,7 @@ class TestRoundPath:
         configs = [make_config(k=k, nu=nu, T=8, validation_patience=8) for k, nu in cells]
         results = dict(run_experiments(train, val, LINEAR, configs))
         assert sorted(results) == list(range(n_cells))
-        assert all(len(result.history) == 8 for result in results.values())
+        assert all(len(result.history.train_loss) == 8 for result in results.values())
         # loss_matrix twice a round: selection and validation.
         assert calls == {"sampling": 8, "clients": 8, "take": 8, "local_updates": 8,
                          "loss_matrix": 16, "lloyd": 8 * len({k for k, _ in cells}),
@@ -541,7 +541,7 @@ class TestSeedGroups:
         ]
         stopped = []
         for c, result in run_experiments(train, val, LINEAR, configs):
-            stopped.append((len(result.history), c))
+            stopped.append((len(result.history.train_loss), c))
             grouped = artifacts(result, configs[c].k, tmp_path / f"group{c}")
             solo = run_experiment(train, val, LINEAR, configs[c])
             assert grouped == artifacts(solo, configs[c].k, tmp_path / f"solo{c}")
@@ -626,32 +626,44 @@ class TestEarlyStopping:
         train, val = split_views()
         config = make_config(T=0)
         result = run_experiment(train, val, LINEAR, config)
-        assert result.history == []
+        assert [column.shape for column in result.history] == [(0,), (0,), (0, config.k)]
         assert result.best_round is None
         assert np.array_equal(result.best_hypotheses.vectors, result.final_hypotheses.vectors)
 
     def test_flat_sequence_stops_after_patience_evaluations(self, monkeypatch):
         train, val = split_views()
-        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: [1.0])
+        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: np.array([1.0]))
         config = make_config(T=50, validation_patience=6)
         result = run_experiment(train, val, LINEAR, config)
         # first evaluation sets the best; six more exhaust the patience
-        assert len(result.history) == 7
+        assert len(result.history.train_loss) == 7
         assert result.best_round == 0
 
     def test_decreasing_sequence_never_stops(self, monkeypatch):
         train, val = split_views()
         losses = iter(float(x) for x in range(1000, 0, -1))
-        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: [next(losses)])
+        monkeypatch.setattr(federation, "_validation_loss",
+                            lambda *a, **k: np.array([next(losses)]))
         config = make_config(T=20)
         result = run_experiment(train, val, LINEAR, config)
-        assert len(result.history) == 20
+        assert len(result.history.train_loss) == 20
         assert result.best_round == 19
+
+    def test_a_large_T_costs_nothing_until_it_is_reached(self):
+        # T bounds the rounds, it is not a size: a run that stops early holds
+        # and allocates only the rounds it ran.
+        train, val = split_views()
+        result = run_experiment(train, val, LINEAR, make_config(T=10**12, validation_patience=2))
+        rounds = len(result.ledger) // 7
+        assert 2 < rounds < 1000
+        assert len(result.history.train_loss) == rounds
+        assert result.best_round is not None and result.best_round < rounds - 2
 
     def test_best_hypotheses_come_from_best_round(self, monkeypatch):
         train, val = split_views()
         sequence = iter([5.0, 1.0, 3.0, 4.0, 4.5, 4.6, 4.7, 4.8, 4.9])
-        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: [next(sequence)])
+        monkeypatch.setattr(federation, "_validation_loss",
+                            lambda *a, **k: np.array([next(sequence)]))
         config = make_config(T=9, validation_patience=50)
         result = run_experiment(train, val, LINEAR, config)
         assert result.best_round == 1
@@ -661,12 +673,12 @@ class TestEarlyStopping:
         train, val = split_views()
         calls = []
         monkeypatch.setattr(
-            federation, "_validation_loss", lambda *a, **k: calls.append(0) or [1.0]
+            federation, "_validation_loss", lambda *a, **k: calls.append(0) or np.array([1.0])
         )
         config = make_config(T=10, validation_every=3, validation_patience=100)
         result = run_experiment(train, val, LINEAR, config)
         assert len(calls) == 3  # rounds 2, 5, 8
-        evaluated = [m.round for m in result.history if m.validation_loss is not None]
+        evaluated = np.flatnonzero(~np.isnan(result.history.validation_loss)).tolist()
         assert evaluated == [2, 5, 8]
 
 
@@ -676,9 +688,10 @@ class TestReproducibilityAndReduction:
         config = make_config(T=8)
         a = run_experiment(train, val, LINEAR, config)
         b = run_experiment(train, val, LINEAR, config)
-        assert len(a.history) == len(b.history)
-        for ra, rb in zip(a.history, b.history):
-            assert ra == rb
+        assert len(a.history.train_loss) == len(b.history.train_loss)
+        for ca, cb in zip(a.history, b.history):
+            assert ca.shape == cb.shape
+            assert np.array_equal(ca, cb, equal_nan=True)
         assert np.array_equal(a.best_hypotheses.vectors, b.best_hypotheses.vectors)
         rows_a = ledger_rows(a.ledger)
         rows_b = ledger_rows(b.ledger)
@@ -738,16 +751,17 @@ class TestBudgetCap:
         # run stops and returns the best evaluation instead of raising
         train, val = split_views(n_clients=13)
         sequence = iter([3.0, 1.0, 2.0])
-        monkeypatch.setattr(federation, "_validation_loss", lambda *a, **k: [next(sequence)])
+        monkeypatch.setattr(federation, "_validation_loss",
+                            lambda *a, **k: np.array([next(sequence)]))
         config = make_config(U=3, nu=5.0, budget_cap=0.5, T=50, validation_patience=50)
         result = run_experiment(train, val, LINEAR, config)
-        assert [m.round for m in result.history] == [0, 1, 2]
+        assert len(result.history.train_loss) == 3  # rounds 0, 1 and 2
         assert result.best_round == 1
         assert result.best_validation_loss == 1.0
         # The best set is the one after round 1, the final set the one after round 2.
         norms = [[float(np.linalg.norm(v)) for v in hyps.vectors]
                  for hyps in (result.best_hypotheses, result.final_hypotheses)]
-        assert norms == [result.history[1].hypothesis_norms, result.history[2].hypothesis_norms]
+        assert norms == result.history.hypothesis_norms[1:3].tolist()
         assert norms[0] != norms[1]
         assert max(result.ledger.composed_leakage(cid) for cid in train) <= 0.5
 
