@@ -28,7 +28,6 @@ __all__ = [
     "record_rounds",
     "LedgerSummary",
     "ledger_summary",
-    "max_leakage_series",
     "write_ledger_csv",
 ]
 
@@ -244,22 +243,18 @@ class ClusterBudget:
 @dataclass
 class LedgerSummary:
     """Median/max composed leakage over the clients with rows, and the
-    per-cluster series for plotting: ``max_leakage_series`` of the ledger."""
+    per-cluster series for plotting.
+
+    ``max_trajectory`` holds the running-max leakage per cluster, one value
+    per round 0..last round.  For cluster c at round t the value is the
+    largest composed leakage any client held right after a release
+    aggregated into c, over rounds 0..t; it is 0.0 before c's first
+    release.  The series never decreases, also when clients move between
+    clusters.  Clusters without any release are absent.
+    """
 
     overall: ClusterBudget | None
     max_trajectory: dict[int, list[float]] = field(default_factory=dict)
-
-
-def max_leakage_series(ledger: PrivacyLedger) -> dict[int, list[float]]:
-    """Running-max leakage per cluster, one value per round 0..last round.
-
-    For cluster c at round t the value is the largest composed leakage any
-    client held right after a release aggregated into c, over rounds 0..t;
-    it is 0.0 before c's first release.  The series never decreases, also
-    when clients move between clusters.  Clusters without any release are
-    absent.
-    """
-    return ledger_summary(ledger).max_trajectory
 
 
 def ledger_summary(ledger: PrivacyLedger) -> LedgerSummary:

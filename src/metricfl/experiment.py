@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
 import statistics
 from dataclasses import MISSING, dataclass, fields
@@ -181,6 +182,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if experiment not in ("synthetic", "tabular"):
         raise ConfigError(f"experiment: must be 'synthetic' or 'tabular', got {experiment!r}")
     name = root.take("name", str, default=experiment)
+    if name in ("", ".", "..") or any(c and c in name for c in ("/", "\0", os.sep, os.altsep)):
+        raise ConfigError(f"name: must be one directory name inside --out, got {name!r}")
 
     fed = root.child("federation")
     for f in fields(FederationConfig):
@@ -350,8 +353,8 @@ def write_metrics_csv(
     evaluated), hypothesis norms and the per-cluster running-max leakage
     used for privacy plots.
 
-    ``leakage`` is ``max_leakage_series`` of the run's ledger; a cluster
-    with no release yet reads 0.0.
+    ``leakage`` is ``ledger_summary(ledger).max_trajectory`` of the run's
+    ledger; a cluster with no release yet reads 0.0.
     """
     rounds = len(history.train_loss)
     series = [leakage.get(j, [0.0] * rounds) for j in range(k)]

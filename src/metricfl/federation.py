@@ -33,7 +33,8 @@ bit-identical to the one it gets alone: the outcome depends neither on a
 client's round-mates nor on a cell's group.  Only the reported training loss
 (``models.client_losses``) may move in the last ulp with the client's
 round-mates.  An overflow in local SGD, the release, k-means or validation
-raises; the cells then rerun alone, and ``Diverged`` names the first to fail.
+raises; each cell then reruns the whole round alone, and ``Diverged`` names
+the first to fail.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import accumulate, compress
-from typing import Callable, Hashable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -177,7 +178,8 @@ class ExperimentResult:
 
 
 class Diverged(FloatingPointError):
-    """A round of the cell of ``config`` overflowed or diverged, as named."""
+    """Raised by ``run_experiments``: a round of the cell of ``config``, rerun
+    alone, overflowed or diverged, as named."""
 
     def __init__(self, message: str, config: FederationConfig):
         super().__init__(message)
@@ -198,21 +200,6 @@ def _raising(round_index: int, what: str) -> Iterator[None]:
             yield
     except FloatingPointError as exc:
         raise FloatingPointError(f"round {round_index}: {what} ({exc})") from None
-
-
-def _alone(step: Callable, vectors: np.ndarray, configs: Sequence[FederationConfig], *args):
-    """``step(vectors, configs, *args)`` for a group; on a FloatingPointError each cell
-    reruns it alone, and ``Diverged`` names the first that fails (else the first)."""
-    try:
-        return step(vectors, configs, *args)
-    except FloatingPointError as exc:
-        rows = _offsets(configs)
-        for c, config in enumerate(configs):
-            try:
-                step(vectors[rows[c]:rows[c + 1]], [config], *args)
-            except FloatingPointError as alone:
-                raise Diverged(str(alone), config) from None
-        raise Diverged(str(exc), configs[0]) from None
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:
@@ -261,26 +248,6 @@ def _client_steps(
     return _ClientSteps(released, epsilon, radius, leakage, train_losses)
 
 
-def _round(
-    vectors: np.ndarray, configs: Sequence[FederationConfig], spec: ModelSpec,
-    table: ClientTable, sampled: np.ndarray, streams: RoundStreams, round_index: int,
-) -> tuple[_ClientSteps, np.ndarray, np.ndarray]:
-    """A group's client steps on fresh copies of the sampled clients' streams, then
-    one Lloyd run per k: returns the steps, each release's (G, U) cluster and the
-    new hypotheses (the means of the final labels), stacked as ``vectors``."""
-    rngs = streams.clients(round_index, sampled.tolist())
-    steps = _client_steps(spec, table, sampled, vectors, configs, rngs, round_index)
-    rows = _offsets(configs)
-    labels, means = np.empty(steps.epsilon.shape, dtype=np.intp), np.empty_like(vectors)
-    with _raising(round_index, "a release overflowed"):
-        for k in dict.fromkeys(config.k for config in configs):
-            cells = [c for c, config in enumerate(configs) if config.k == k]
-            at = [row for c in cells for row in range(rows[c], rows[c + 1])]
-            fit = lloyd(steps.sanitized[cells], vectors[at].reshape(len(cells), k, -1))
-            labels[cells], means[at] = fit.labels, fit.means.reshape(len(at), -1)
-    return steps, labels, means
-
-
 def _eligible(ledger: PrivacyLedger, spec: ModelSpec, config: FederationConfig) -> np.ndarray:
     """Positions of the clients that can afford one more release under the
     budget cap, ascending: one comparison over the ledger's composed vector."""
@@ -315,15 +282,24 @@ def server_round(
     and which cluster each release was aggregated into is recorded in the
     cell's ledger as one round of rows; the cluster a client chose for
     itself is never kept.  Raises RuntimeError when the pool holds fewer
-    than U clients, and ``Diverged`` when a round overflows or diverges.
+    than U clients, and a FloatingPointError naming the round and the step
+    when the round overflows or diverges; then nothing is recorded.
     """
     U = configs[0].U
     if len(pool) < U:
         raise RuntimeError(f"round {round_index}: only {len(pool)} eligible clients, need U={U}")
     picked = streams.sampling(round_index).choice(len(pool), size=U, replace=False)
     sampled = np.sort(pool[picked])
-    steps, labels, means = _alone(_round, vectors, configs, spec, table, sampled, streams,
-                                  round_index)
+    rngs = streams.clients(round_index, sampled.tolist())
+    steps = _client_steps(spec, table, sampled, vectors, configs, rngs, round_index)
+    rows = _offsets(configs)
+    labels, means = np.empty(steps.epsilon.shape, dtype=np.intp), np.empty_like(vectors)
+    with _raising(round_index, "a release overflowed"):
+        for k in dict.fromkeys(config.k for config in configs):
+            cells = [c for c, config in enumerate(configs) if config.k == k]
+            at = [row for c in cells for row in range(rows[c], rows[c + 1])]
+            fit = lloyd(steps.sanitized[cells], vectors[at].reshape(len(cells), k, -1))
+            labels[cells], means[at] = fit.labels, fit.means.reshape(len(at), -1)
     record_rounds(ledgers, round_index, sampled, steps.epsilon, steps.radius, labels, steps.leakage)
     return means, steps.train_loss.mean(axis=1)
 
@@ -364,7 +340,9 @@ def run_experiments(
     order of their first cell.  A group's round is one ``server_round`` and
     one validation pass for its running cells, whose results do not depend
     on the group.  Yields ``(c, result)`` for ``configs[c]`` when that cell
-    stops, and drops it.
+    stops, and drops it.  A round that overflows or diverges is rerun whole
+    by each running cell alone, on the group's pool and a scratch ledger;
+    ``Diverged`` names the first cell that fails (else the group's first).
 
     Every ``validation_every`` rounds the validation clients are scored at
     their per-client best hypothesis; a cell stops after
@@ -408,10 +386,21 @@ def run_experiments(
         if t == config.T or len(pool := _eligible(ledgers[0], spec, config)) < config.U:
             stops = np.ones(len(cells), dtype=bool)
         else:
-            vectors, train_loss = server_round(table, pool, vectors, spec, group, ledgers, t,
-                                               streams)
             validated = val_table if (t + 1) % config.validation_every == 0 else None
-            norms, losses = _alone(_evaluate, vectors, group, spec, validated, t)
+            try:
+                new, train_loss = server_round(table, pool, vectors, spec, group, ledgers, t,
+                                               streams)
+                norms, losses = _evaluate(new, group, spec, validated, t)
+            except FloatingPointError as exc:
+                for c, cell in enumerate(group):
+                    try:
+                        alone, _ = server_round(table, pool, vectors[rows[c]:rows[c + 1]], spec,
+                                                [cell], [PrivacyLedger(ids)], t, streams)
+                        _evaluate(alone, [cell], spec, validated, t)
+                    except FloatingPointError as failure:
+                        raise Diverged(str(failure), cell) from None
+                raise Diverged(str(exc), group[0]) from None
+            vectors = new
             if t == len(columns.train_loss):  # doubled as needed: T may be far off
                 columns = History(*(np.concatenate([c, np.full_like(c, np.nan)]) for c in columns))
             columns.train_loss[t], columns.hypothesis_norms[t] = train_loss, norms

@@ -18,7 +18,6 @@ from metricfl.accounting import (
     heuristic_epsilon,
     heuristic_epsilons,
     ledger_summary,
-    max_leakage_series,
     record_rounds,
     write_ledger_csv,
 )
@@ -394,7 +393,7 @@ def ledger_state(ledger, tmp_path):
     path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger, path)
     composed = [ledger.composed_leakage(cid) for cid in ledger.clients()]
-    return ledger_rows(ledger), composed, max_leakage_series(ledger), path.read_bytes()
+    return ledger_rows(ledger), composed, ledger_summary(ledger).max_trajectory, path.read_bytes()
 
 
 class TestColumnarLedger:

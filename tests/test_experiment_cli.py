@@ -125,6 +125,10 @@ class TestLoadConfig:
             # strings that are not an exponent float stay strings
             ({"federation.s": "5e-"}, "federation.s: expected float"),
             ({"federation.s": "inf"}, "federation.s: expected float"),
+            # names that would leave --out or write straight into it
+            ({"name": "../escaped"}, "name: "),
+            ({"name": ""}, "name: "),
+            ({"name": "a\0b"}, "name: "),
         ],
     )
     def test_errors_carry_field_paths(self, tmp_path, override, needle):
@@ -788,6 +792,7 @@ class TestCli:
             ([0.0, 1e155], "run 1e+155_2_0: round 0: a hypothesis overflowed (overflow"),
             ([1e150], None),
             ([2.0, 5e-324], "run 4.94066e-324_2_0: round 0: a release overflowed (divide by zero"),
+            ([1e155, 1e160], "run 1e+155_2_0: round 0: a hypothesis overflowed (overflow"),
         ],
     )
     def test_huge_nu_exits_2_naming_the_overflowing_cell(
@@ -797,8 +802,9 @@ class TestCli:
         # up) or, one step later, the validation loss of the new hypotheses
         # (1e155); at a subnormal nu, nu * radius underflows to 0 and the
         # calibration divides by it.  The run stops in round 0 with one stderr
-        # line that names that cell, not the group's first; at 1e150 nothing
-        # overflows.
+        # line that names the first cell in sweep order that fails the round
+        # alone, not the group's first, even when a later cell's release
+        # overflows before its validation does; at 1e150 nothing overflows.
         # Warnings are recorded, not raised, so that a run that only warns
         # and exits 0 fails here.
         path = small_synthetic_config(
