@@ -113,10 +113,11 @@ class PrivacyLedger:
 
     Clients are held by position: ``client_ids`` (a run passes its sorted
     training ids) take the first ones, and ``record_participation`` appends
-    an id it has not seen; ids appear again only where rows are read.  Each
-    round is one chunk of columns, and the positions each round has seen are
-    one set.  Composed leakage is one vector by position, grown by one
-    ``+=`` per round, so each client's sum keeps its order.  Single writer.
+    an id it has not seen; ids appear again only where rows are read.  The
+    rows are columns that grow by doubling; each recorded round is a chunk
+    of them whose round is kept once.  Composed leakage is one vector by
+    position, grown by one ``+=`` per round, so each client's sum keeps its
+    order.  Single writer.
     """
 
     def __init__(self, client_ids: Sequence[Hashable] = ()) -> None:
@@ -125,8 +126,9 @@ class PrivacyLedger:
         if len(self._position) != len(self._ids):
             raise ValueError("duplicate client ids")
         self._composed = np.zeros(len(self._ids))
-        self._chunks: list[_Columns] = []
-        self._rounds: dict[int, set[int]] = {}
+        # Columns but the round, kept per chunk with its first row: _n rows, _m chunks.
+        self._rows = (np.empty(0, np.intp), np.empty(0, np.int64), *np.empty((4, 0)))
+        self._chunks, self._n, self._m, self._last = np.empty((0, 2), np.int64), 0, 0, -1
 
     def record_participation(
         self,
@@ -161,17 +163,29 @@ class PrivacyLedger:
         """Reject ascending positions out of range or with a row in ``round``."""
         if positions[0] < 0 or positions[-1] >= len(self._ids):
             raise ValueError(f"client positions must lie in [0, {len(self._ids)})")
-        if again := self._rounds.get(round, set()).intersection(positions.tolist()):
-            cid = self._ids[min(again)]
+        if round > self._last:  # past every recorded round
+            return
+        held, rows = np.zeros(len(self._ids), dtype=bool), self._columns(sort=False)
+        held[rows.position[rows.round == round]] = True
+        if len(again := positions[held[positions]]):
+            cid = self._ids[int(again[0])]
             raise ValueError(f"client {cid!r} already has a row for round {round}")
 
     def _append(self, round, positions, clusters, epsilon, radius, leakage) -> None:
         """Append rows whose values and positions passed the checks."""
-        self._rounds.setdefault(round, set()).update(positions.tolist())
+        start, end = self._n, self._n + len(positions)
+        if end > len(self._rows[0]):
+            size = max(2 * len(self._rows[0]), end)
+            self._rows = tuple(np.concatenate([c, np.empty(size - len(c), c.dtype)])
+                               for c in self._rows)
+        if self._m == len(self._chunks):
+            self._chunks = np.concatenate([self._chunks, np.empty((self._m + 1, 2), np.int64)])
         self._composed[positions] += leakage
-        rounds = np.full(len(positions), round, dtype=np.int64)
-        row = (rounds, positions, clusters, epsilon, radius, leakage, self._composed[positions])
-        self._chunks.append(_Columns(*row))
+        values = (positions, clusters, epsilon, radius, leakage, self._composed[positions])
+        for column, value in zip(self._rows, values):
+            column[start:end] = value
+        self._chunks[self._m] = round, start
+        self._n, self._m, self._last = end, self._m + 1, max(self._last, round)
 
     @property
     def composed(self) -> np.ndarray:
@@ -188,15 +202,17 @@ class PrivacyLedger:
         return 0.0 if position is None else float(self._composed[position])
 
     def __len__(self) -> int:
-        return sum(len(chunk.position) for chunk in self._chunks)
+        return self._n
 
-    def _columns(self) -> _Columns:
-        """All rows in (round, client id) order, ``composed`` being the
-        running total in that order.  Rows recorded in that order, as a run
-        records them, are not sorted."""
-        if not self._chunks:
-            return _Columns(*np.zeros((7, 0), dtype=np.int64))
-        rows = _Columns(*(np.concatenate(column) for column in zip(*self._chunks)))
+    def _columns(self, sort: bool = True) -> _Columns:
+        """All rows in (round, client id) order (or, without ``sort``, as
+        recorded), ``composed`` being the running total in that order.  Rows
+        recorded in that order, as a run records them, are views, not sorted."""
+        chunks = self._chunks[: self._m]
+        rounds = np.repeat(chunks[:, 0], np.diff(chunks[:, 1], append=self._n))
+        rows = _Columns(rounds, *(column[: self._n] for column in self._rows))
+        if not sort:
+            return rows
         rank = np.empty(len(self._ids), dtype=np.int64)
         rank[sorted(range(len(self._ids)), key=self._ids.__getitem__)] = range(len(self._ids))
         ranks, step = rank[rows.position], np.diff(rows.round)  # no wrap: rounds are >= 0
@@ -211,27 +227,31 @@ class PrivacyLedger:
 
 
 def record_rounds(
-    ledgers: Sequence[PrivacyLedger], round: int, positions: Sequence[int],
+    ledgers: Sequence[PrivacyLedger], round: int, positions: Sequence[int] | np.ndarray,
     epsilon: np.ndarray, radius: np.ndarray, clusters: np.ndarray, leakage: np.ndarray,
 ) -> None:
     """Append row c of the (G, U) ``epsilon``, ``radius``, ``clusters`` and
     ``leakage`` (a (G, 1) column is one cost per ledger) to the distinct
-    ``ledgers[c]``, column i for the client at ascending ``positions[i]``.
-    The values are checked by ``_check_events`` in one pass, and every
-    ledger's positions before any is appended to: a rejected call leaves
-    every ledger as it was."""
+    ``ledgers[c]``, column i for the client at ascending ``positions[c, i]``
+    (or ``positions[i]``).  The values are checked by ``_check_events`` in
+    one pass, and every ledger's positions before any is appended to: a
+    rejected call leaves every ledger as it was."""
     epsilon, radius = np.array(epsilon, dtype=float), np.array(radius, dtype=float)
     clusters, positions = np.asarray(clusters), np.array(positions, dtype=np.intp)
-    if not epsilon.shape == radius.shape == clusters.shape == (len(ledgers), len(positions)):
+    if not (epsilon.shape == radius.shape == clusters.shape == (len(ledgers), positions.shape[-1])
+            and positions.shape in (epsilon.shape, epsilon.shape[1:])):
         raise ValueError("need one row of values per ledger and one column per position")
     leakage = np.full(epsilon.shape, leakage, dtype=float)
     _check_events(round, clusters, epsilon.ravel(), radius.ravel(), leakage.ravel())
-    if not len(positions) or (positions[1:] <= positions[:-1]).any():
+    if not positions.shape[-1] or (positions[..., 1:] <= positions[..., :-1]).any():
         raise ValueError("a round's client positions must be nonempty and ascend")
-    for ledger in ledgers:
-        ledger._check_room(round, positions)
-    for ledger, *rows in zip(ledgers, clusters.astype(np.int64), epsilon, radius, leakage):
-        ledger._append(round, positions, *rows)
+    if positions.ndim == 1:
+        positions = [positions] * len(ledgers)
+    for ledger, held in zip(ledgers, positions):
+        ledger._check_room(round, held)
+    for ledger, *rows in zip(ledgers, positions, clusters.astype(np.int64), epsilon, radius,
+                             leakage):
+        ledger._append(round, *rows)
 
 
 @dataclass

@@ -74,11 +74,13 @@ def lloyd(points: np.ndarray, init: np.ndarray, max_iters: int = 100, tol: float
     moved more than ``tol``, or after ``max_iters``; it then does no more
     arithmetic, so it sees the float operations it sees alone.  A cluster
     that loses all its points keeps its previous centroid.  Distance ties
-    break toward the lowest cluster index.
+    break toward the lowest cluster index.  A problem whose labels repeat at
+    once returns its first iteration's means, the means of those labels.
     """
     centroids = init.copy()
     labels = _nearest(points, centroids)
     iterations, running = np.zeros(len(points), dtype=np.intp), np.arange(len(points))
+    final, settled = np.empty_like(init), np.zeros(len(points), dtype=bool)
     for _ in range(max_iters):
         # All problems still running: basic slices, no copies.
         rows = slice(None) if len(running) == len(points) else running
@@ -87,12 +89,17 @@ def lloyd(points: np.ndarray, init: np.ndarray, max_iters: int = 100, tol: float
         movement = np.linalg.norm(means - old, axis=-1).max(axis=-1)
         new_labels = _nearest(points[rows], means)
         repeated = (new_labels == labels[rows]).all(axis=-1)
+        if not iterations.any():  # the first iteration, over every problem
+            final, settled = means, repeated
         centroids[rows], labels[rows] = means, new_labels
         iterations[rows] += 1
         running = running[~(repeated | (movement < tol))]
         if not len(running):
             break
-    return Lloyd(labels, centroids, iterations, cluster_means(points, labels, init))
+    if not settled.all():  # the other problems' means of their final labels
+        redo = np.flatnonzero(~settled)
+        final[redo] = cluster_means(points[redo], labels[redo], init[redo])
+    return Lloyd(labels, centroids, iterations, final)
 
 
 def kmeans_from_hypotheses(

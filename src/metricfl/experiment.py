@@ -384,7 +384,7 @@ def write_hypotheses(hypotheses: HypothesisSet, path: str | Path) -> None:
 
 
 def write_cell(
-    config: ExperimentConfig,
+    head: str,
     nu: float,
     k: int,
     seed: int,
@@ -392,10 +392,12 @@ def write_cell(
     result: ExperimentResult,
 ) -> tuple[float, float, float]:
     """Write one sweep cell's artifacts from its ``run_experiments`` result;
-    returns the best validation loss and the median and largest leakage."""
+    returns the best validation loss and the median and largest leakage.
+    ``head`` is the sorted dump of the sweep document but its last key,
+    ``sweep``, which the cell's own completes."""
     run_dir.mkdir(parents=True, exist_ok=True)
-    document = {**config.document, "sweep": {"nu": [nu], "k": [k], "seeds": [seed]}}
-    (run_dir / "config.yaml").write_text(yaml.safe_dump(document, sort_keys=True))
+    sweep = {"sweep": {"nu": [nu], "k": [k], "seeds": [seed]}}
+    (run_dir / "config.yaml").write_text(head + yaml.safe_dump(sweep, sort_keys=True))
     summary = ledger_summary(result.ledger)
     write_metrics_csv(result.history, summary.max_trajectory, k, run_dir / "metrics.csv")
     write_ledger_csv(result.ledger, run_dir / "ledger.csv")
@@ -410,10 +412,11 @@ def write_cell(
 def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
     """Run every (nu, k, seed) combination and write the aggregate tables.
 
-    Each seed's cells go to one ``run_experiments`` call, which forms the
-    lockstep groups, so one population is held at a time; a cell is written
-    as soon as it stops.  A table is ingested once per sweep and checked
-    against ``federation.U`` before anything is written.
+    Each seed's views are built once, and all cells, seed by seed, go to one
+    ``run_experiments`` call, which runs every seed's groups in lockstep; a
+    cell is written as soon as it stops.  A table is ingested once per sweep
+    and checked against ``federation.U`` before anything is written.  A
+    failure names its cell by its index in that order.
     """
     table = None
     if not isinstance(config.data, SyntheticDataConfig):
@@ -423,25 +426,30 @@ def run_sweep(config: ExperimentConfig, out_root: str | Path) -> Path:
 
     exp_dir = Path(out_root) / config.name
     exp_dir.mkdir(parents=True, exist_ok=True)
-    (exp_dir / "config.yaml").write_text(yaml.safe_dump(config.document, sort_keys=True))
+    # Every other key sorts before "sweep": one dump of them serves every config.yaml.
+    head = yaml.safe_dump({key: value for key, value in config.document.items() if key != "sweep"},
+                          sort_keys=True)
+    (exp_dir / "config.yaml").write_text(
+        head + yaml.safe_dump({"sweep": config.document["sweep"]}, sort_keys=True))
 
-    # write_cell's results per (nu, k), in sweep order.
-    results = {(nu, k): [] for nu in config.sweep_nu for k in config.sweep_k}
-    grid = list(results)
-    for seed in config.seeds:
-        names = [f"{format_value(nu)}_{k}_{seed}" for nu, k in grid]
-        cells = [config.federation_config(nu, k, seed) for nu, k in grid]
-        at = 0  # the cell whose artifacts are being written
-        try:
-            views = build_population(config, seed, table)
-            for at, result in run_experiments(*views, config.model, cells):
-                results[grid[at]].append(
-                    write_cell(config, *grid[at], seed, exp_dir / names[at], result)
-                )
-                at = 0
-        except Exception as exc:
-            failed = cells.index(exc.config) if isinstance(exc, Diverged) else at
-            raise RuntimeError(f"run {names[failed]}: {exc}") from exc
+    # write_cell's results per (nu, k), in seed order.
+    grid = [(nu, k) for nu in config.sweep_nu for k in config.sweep_k]
+    results = {(nu, k): [None] * len(config.seeds) for nu, k in grid}
+    sweep = [(nu, k, seed) for seed in config.seeds for nu, k in grid]  # seed by seed
+    names = [f"{format_value(nu)}_{k}_{seed}" for nu, k, seed in sweep]
+    cells = [config.federation_config(*cell) for cell in sweep]
+    at, views = 0, []  # the cell whose views or artifacts are being made
+    try:
+        for at in range(0, len(sweep), len(grid)):
+            views += [build_population(config, sweep[at][2], table)] * len(grid)
+        at = 0
+        for at, result in run_experiments(views, config.model, cells):
+            results[sweep[at][:2]][at // len(grid)] = write_cell(
+                head, *sweep[at], exp_dir / names[at], result)
+            at = 0
+    except Exception as exc:
+        failed = cells.index(exc.config) if isinstance(exc, Diverged) else at
+        raise RuntimeError(f"run {names[failed]}: {exc}") from exc
     _write_summaries(results, exp_dir)
     return exp_dir
 

@@ -8,33 +8,28 @@ local dataset size and the client's own idea of its cluster never do.  The
 server groups the received vectors with k-means seeded at the hypotheses and
 averages within groups.
 
-A group maps client ids to positions once and builds one
-``models.ClientTable`` (concatenated rows and targets, each client's row
-offset and size) of the training clients and one of the validation clients.
-Only ``_client_steps`` (one gather per round) and validation read them; the
-server half of ``server_round`` sees positions, sanitized vectors and the
-ledger's columns, never a dataset size.  Ids appear only where the ledger is
-read and in CSVs.
-
-Cells that share one sampling draw (they differ only in k, and in nu without
-a budget cap) run as a group in lockstep; ``run_experiments`` forms the
-groups.  They sample the same clients and load the same streams every round,
-so a round is one stacked computation (selection, local SGD, training loss,
-release) over a (cells, clients, n) stack, clients in ascending id order;
-a solo run's stack has one cell.  The state is one (sum of k, n) array of
-the running cells' hypotheses, cell by cell, and a stopped cell's rows leave
-it.  A client's rows, and the permutations and raw noise it draws once from
-its own stream, are broadcast over the cells axis.  k-means, averaging and the
-ledger checks are shared too (one Lloyd run per k), and so are early stopping
-(one step over arrays by cell) and the history (a column per cell, grown with
-the rounds run); a cell's result is built once, when it stops.  No operation
-mixes two rows or two cells, so each release and each cell's result is
-bit-identical to the one it gets alone: the outcome depends neither on a
-client's round-mates nor on a cell's group.  Only the reported training loss
-(``models.client_losses``) may move in the last ulp with the client's
-round-mates.  An overflow in local SGD, the release, k-means or validation
-raises; each cell then reruns the whole round alone, and ``Diverged`` names
-the first to fail.
+Cells that share one sampling draw (one population and seed; they differ
+only in k, and in nu without a budget cap) form a group with its own pool,
+streams and ledgers, and all groups of a call run in lockstep.  Each group's
+ids map to positions once; one ``models.ClientTable`` holds the groups'
+training clients, group by group, and one their validation clients.  A round
+samples per group; the sampled clients form one table of blocks, and the
+rest of the round is one stacked computation (selection, local SGD,
+training loss, release) over a (cells, clients, n) stack in which each cell
+reads its group's block, clients in ascending id order.  The state is one
+(sum of k, n) array of the running cells' hypotheses, cell by cell.  A
+client's rows, permutations and raw noise serve every cell of its group.
+k-means (one Lloyd run per k), the ledger record, validation, early
+stopping and the history (a column per cell) are shared too; a stopped
+cell's result is built once and its rows leave the stack.  Only
+``_client_steps`` and validation read a table: the server half of
+``server_round`` sees positions, sanitized vectors and the ledgers, never
+a dataset size.  No operation mixes two rows, cells or blocks, so each
+release and each cell's result is bit-identical to the one it gets alone;
+only the reported training loss (``models.client_losses``) may move in the
+last ulp with the client's round-mates.  An overflow in local SGD, the
+release, k-means or validation stops the stacked round; each running cell
+reruns it alone, and ``Diverged`` names the first to fail.
 """
 
 from __future__ import annotations
@@ -146,7 +141,7 @@ class HypothesisSet:
 
 
 class _ClientSteps(NamedTuple):
-    """The outcome of a group's client steps by cell, then client:
+    """The outcome of a round's client steps by cell, then client:
     ``sanitized`` (G, U, n); ``epsilon``, ``radius`` and ``train_loss``
     (G, U); ``leakage`` (G, 1), one cost per cell."""
 
@@ -208,31 +203,30 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _client_steps(
-    spec: ModelSpec, table: ClientTable, positions: np.ndarray, vectors: np.ndarray,
+    spec: ModelSpec, table: ClientTable, blocks: np.ndarray, vectors: np.ndarray,
     configs: Sequence[FederationConfig], rngs: list[np.random.Generator], round_index: int,
 ) -> _ClientSteps:
-    """Select, train and release for the clients at ``positions`` of
-    ``table`` in each cell c of a group (``configs[c]``, with its rows of
-    the stacked ``vectors``, see ``_offsets``).
+    """Select, train and release for the round's clients, ``table``, in
+    each cell c (``configs[c]``, with its rows of the stacked ``vectors``,
+    see ``_offsets``) on block ``blocks[c]`` of the table.
 
     In each cell, each client picks the hypothesis with the lowest loss on
     its full local dataset (ties to the lowest index), trains it, and
     releases the updated vector with noise calibrated to the update norm
-    (as-is, at infinite leakage, when nu = 0).  The rows are gathered once;
-    selection, local SGD, the training loss and the release each run once
-    for the (G, U, ...) stack of cells by clients.  A client's stream draws
+    (as-is, at infinite leakage, when nu = 0), each step once for the
+    (G, U, ...) stack.  A client's stream (``rngs`` by table client) draws
     its SGD permutations, then its raw noise, once for all cells.  A zero
     update norm is floored to ``RADIUS_FLOOR``; an overflow, a division by
     zero or an invalid value, or a non-finite update norm, raises.
     """
-    local = table.take(positions)
     rows, config = _offsets(configs), configs[0]
     with _raising(round_index, "a local update diverged"):
-        losses = loss_matrix(spec, vectors, local)
+        losses = loss_matrix(spec, vectors, table, np.repeat(blocks, [cell.k for cell in configs]))
         chosen = [np.argmin(losses[:, a:b], axis=1) + a for a, b in zip(rows, rows[1:])]
         received = vectors[np.stack(chosen)]
-        updated = local_updates(spec, received, local, config.s, config.E, config.B_s, rngs)
-        train_losses = client_losses(spec, updated, local)
+        updated = local_updates(spec, received, table, config.s, config.E, config.B_s, rngs,
+                                blocks)
+        train_losses = client_losses(spec, updated, table, blocks)
         norms = _row_norms(updated - received)
     if not np.isfinite(norms).all():
         raise FloatingPointError(f"round {round_index}: a local update diverged (non-finite norm)")
@@ -242,7 +236,7 @@ def _client_steps(
     if noisy := [c for c, cell in enumerate(configs) if cell.nu]:
         with _raising(round_index, "a release overflowed"):
             epsilon[noisy] = heuristic_epsilons(radius[noisy], dim, nus[noisy])
-            released[noisy] = sanitize_rows(released[noisy], epsilon[noisy], rngs)
+            released[noisy] = sanitize_rows(released[noisy], epsilon[noisy], rngs, blocks[noisy])
     # One division, not epsilon*radius: keeps the recorded cost exact.
     leakage = np.array([[dim / cell.nu if cell.nu else math.inf] for cell in configs])
     return _ClientSteps(released, epsilon, radius, leakage, train_losses)
@@ -262,36 +256,37 @@ def _eligible(ledger: PrivacyLedger, spec: ModelSpec, config: FederationConfig) 
 
 def server_round(
     table: ClientTable,
-    pool: np.ndarray,
+    draws: Sequence[tuple[np.ndarray, int, RoundStreams]],
+    blocks: np.ndarray,
     vectors: np.ndarray,
     spec: ModelSpec,
     configs: Sequence[FederationConfig],
     ledgers: Sequence[PrivacyLedger],
     round_index: int,
-    streams: RoundStreams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One full round of each cell c of a group (``configs[c]``,
-    ``ledgers[c]``, its rows of the stacked ``vectors``): sample, collect
-    sanitized vectors, cluster, average.  The cells share the sample and the
-    client streams.
-
-    ``table`` holds the run's training clients by position, ``pool`` the
-    ascending positions eligible this round, and ``streams`` is the run's
-    stream table.  Returns the new hypotheses, stacked as ``vectors``, and
-    the (G,) sampled clients' mean training loss by cell.  Who was sampled
-    and which cluster each release was aggregated into is recorded in the
-    cell's ledger as one round of rows; the cluster a client chose for
-    itself is never kept.  Raises RuntimeError when the pool holds fewer
-    than U clients, and a FloatingPointError naming the round and the step
-    when the round overflows or diverges; then nothing is recorded.
+    """One full round of each cell c (``configs[c]``, ``ledgers[c]``, its
+    rows of the stacked ``vectors``) of group ``draws[blocks[c]]``: each
+    group's ``(pool, base, streams)`` samples U of its eligible positions
+    (clients ``base`` on of ``table``); then collect sanitized vectors,
+    cluster, average.  Returns the new hypotheses, stacked as ``vectors``,
+    and the (G,) sampled clients' mean training loss.  Who was sampled and
+    which cluster each release was aggregated into is recorded in the cell's
+    ledger as one round of rows; the cluster a client chose for itself is
+    never kept.  Raises RuntimeError when a pool holds fewer than U clients,
+    and a FloatingPointError naming the round and the step when the round
+    overflows or diverges; then nothing is recorded.
     """
-    U = configs[0].U
-    if len(pool) < U:
-        raise RuntimeError(f"round {round_index}: only {len(pool)} eligible clients, need U={U}")
-    picked = streams.sampling(round_index).choice(len(pool), size=U, replace=False)
-    sampled = np.sort(pool[picked])
-    rngs = streams.clients(round_index, sampled.tolist())
-    steps = _client_steps(spec, table, sampled, vectors, configs, rngs, round_index)
+    U, sampled, rngs = configs[0].U, [], []
+    for pool, _, streams in draws:
+        if len(pool) < U:
+            raise RuntimeError(
+                f"round {round_index}: only {len(pool)} eligible clients, need U={U}")
+        picked = streams.sampling(round_index).choice(len(pool), size=U, replace=False)
+        sampled.append(np.sort(pool[picked]))
+        rngs += streams.clients(round_index, sampled[-1].tolist())
+    sampled = np.stack(sampled)  # (groups, U): positions in each group's population
+    local = table.take(sampled + np.array([[base] for _, base, _ in draws]))
+    steps = _client_steps(spec, local, blocks, vectors, configs, rngs, round_index)
     rows = _offsets(configs)
     labels, means = np.empty(steps.epsilon.shape, dtype=np.intp), np.empty_like(vectors)
     with _raising(round_index, "a release overflowed"):
@@ -300,7 +295,8 @@ def server_round(
             at = [row for c in cells for row in range(rows[c], rows[c + 1])]
             fit = lloyd(steps.sanitized[cells], vectors[at].reshape(len(cells), k, -1))
             labels[cells], means[at] = fit.labels, fit.means.reshape(len(at), -1)
-    record_rounds(ledgers, round_index, sampled, steps.epsilon, steps.radius, labels, steps.leakage)
+    record_rounds(ledgers, round_index, sampled[blocks], steps.epsilon, steps.radius, labels,
+                  steps.leakage)
     return means, steps.train_loss.mean(axis=1)
 
 
@@ -314,35 +310,38 @@ def _validation_loss(losses: np.ndarray, starts: Sequence[int]) -> np.ndarray:
 
 def _evaluate(
     vectors: np.ndarray, configs: Sequence[FederationConfig], spec: ModelSpec,
-    table: ClientTable | None, round_index: int,
+    table: ClientTable | None, blocks: np.ndarray, round_index: int,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The norm of each stacked hypothesis and, given a validation ``table``,
-    each cell's ``_validation_loss``; an overflow raises."""
+    each cell's ``_validation_loss`` on its block ``blocks[c]``; an overflow
+    raises."""
     with _raising(round_index, "a hypothesis overflowed"):
         norms = _row_norms(vectors)
         if table is None:
             return norms, None
-        return norms, _validation_loss(loss_matrix(spec, vectors, table), _offsets(configs)[:-1])
+        losses = loss_matrix(spec, vectors, table, np.repeat(blocks, [cell.k for cell in configs]))
+        return norms, _validation_loss(losses, _offsets(configs)[:-1])
 
 
 def run_experiments(
-    train: Mapping[Hashable, Batch],
-    validation: Mapping[Hashable, Batch],
+    views: Sequence[tuple[Mapping[Hashable, Batch], Mapping[Hashable, Batch]]],
     spec: ModelSpec,
     configs: Sequence[FederationConfig],
 ) -> Iterator[tuple[int, ExperimentResult]]:
-    """Drive cells of one population (``configs``) in lockstep groups, each
-    cell for up to T rounds with early stopping on its validation loss.
+    """Drive cells (``configs[c]`` on ``views[c]``, its training and
+    validation clients) in lockstep, each for up to T rounds with early
+    stopping on its validation loss.
 
-    A group is the cells that share one sampling draw: they differ only in
-    k, and in nu without a budget cap (under a cap the pool follows the
-    composed leakage, which nu sets).  Groups run one after another, in the
-    order of their first cell.  A group's round is one ``server_round`` and
-    one validation pass for its running cells, whose results do not depend
-    on the group.  Yields ``(c, result)`` for ``configs[c]`` when that cell
-    stops, and drops it.  A round that overflows or diverges is rerun whole
-    by each running cell alone, on the group's pool and a scratch ledger;
-    ``Diverged`` names the first cell that fails (else the group's first).
+    A group is the cells that share one sampling draw: one population (the
+    same two mappings) and seed, differing only in k, and in nu without a
+    budget cap (under a cap the pool follows the composed leakage, which nu
+    sets).  A round is one ``server_round`` and one validation pass for
+    every running cell; groups that differ in U, E, s, B_s, T, the
+    validation settings or the number of validation clients run in separate
+    passes.  Yields ``(c, result)`` for ``configs[c]`` when that cell stops.
+    A round that overflows or diverges is rerun whole by each running cell
+    alone, on its group's pool and streams and a scratch ledger; ``Diverged``
+    names the first that fails (else the first running one).
 
     Every ``validation_every`` rounds the validation clients are scored at
     their per-client best hypothesis; a cell stops after
@@ -351,52 +350,69 @@ def run_experiments(
     leaves fewer than U eligible clients, or after round T - 1; its model is
     the hypothesis set of the best evaluation, not of the last round.
     """
-    groups: dict[FederationConfig, list[int]] = {}
-    for c, cell in enumerate(configs):
-        groups.setdefault(replace(cell, k=1, nu=cell.nu if cell.budget_cap else 0.0), []).append(c)
-    if len(groups) > 1:
-        for cells in groups.values():
-            for at, result in run_experiments(train, validation, spec, [configs[c] for c in cells]):
-                yield cells[at], result
-        return
-    config = configs[0]
-    if config.U > len(train):
-        raise ValueError(f"U={config.U} exceeds the {len(train)} training clients")
-    # Ids become positions here; the ledger maps them back when it is read.
-    ids = sorted(train)
-    table = ClientTable.from_batches(spec, [train[cid] for cid in ids])
-    val_table = None
-    if validation:
-        val_table = ClientTable.from_batches(spec, [validation[cid] for cid in sorted(validation)])
-    streams = RoundStreams(config.master_seed, len(ids), config.T)
+    passes: dict[tuple, dict[tuple, list[int]]] = {}
+    for c, (cell, (train, validation)) in enumerate(zip(configs, views, strict=True)):
+        draw = replace(cell, k=1, nu=cell.nu if cell.budget_cap else 0.0)
+        shared = (replace(draw, nu=0.0, budget_cap=None, master_seed=0), len(validation))
+        passes.setdefault(shared, {}).setdefault((draw, id(train), id(validation)), []).append(c)
+    for groups in passes.values():
+        yield from _lockstep(views, spec, configs, list(groups.values()))
 
-    cells, group = list(range(len(configs))), list(configs)  # the running cells
-    ledgers = [PrivacyLedger(ids) for _ in group]
-    # Each cell starts from the first k draws of the group's one hypotheses stream.
-    rng_hyp = substream(config.master_seed, "hypotheses")
-    initial = np.stack([init_params(spec, rng_hyp) for _ in range(max(cell.k for cell in group))])
-    vectors = np.concatenate([initial[:cell.k] for cell in group])
+
+def _lockstep(
+    views: Sequence[tuple[Mapping[Hashable, Batch], Mapping[Hashable, Batch]]],
+    spec: ModelSpec, configs: Sequence[FederationConfig], groups: list[list[int]],
+) -> Iterator[tuple[int, ExperimentResult]]:
+    """A pass of ``run_experiments``: ``groups[g]`` lists group g's cells."""
+    cells = sorted((c, g) for g, members in enumerate(groups) for c in members)
+    cells, owner = [c for c, _ in cells], np.array([g for _, g in cells])  # and each one's group
+    config, group, leads = configs[cells[0]], [configs[c] for c in cells], [m[0] for m in groups]
+    # Each group is one block of both tables; its population's ids become positions here.
+    trains, validations = zip(*(views[c] for c in leads))
+    ids = [sorted(train) for train in trains]
+    if config.U > min(map(len, ids)):
+        raise ValueError(f"U={config.U} exceeds the {min(map(len, ids))} training clients")
+    table = ClientTable.from_batches(spec, [t[i] for t, cids in zip(trains, ids) for i in cids])
+    val_table = None
+    if validations[0]:
+        batches = [v[i] for v in validations for i in sorted(v)]
+        val_table = replace(ClientTable.from_batches(spec, batches), n_blocks=len(leads))
+    bases = np.cumsum([0] + [len(cids) for cids in ids]).tolist()
+    streams = [RoundStreams(configs[c].master_seed, len(cids), config.T)
+               for c, cids in zip(leads, ids)]
+    ledgers = [PrivacyLedger(ids[g]) for g in owner.tolist()]
+    # Each cell starts from the first k draws of its group's one hypotheses stream.
+    rngs = [substream(configs[c].master_seed, "hypotheses") for c in leads]
+    most = max(cell.k for cell in group)
+    initial = [np.stack([init_params(spec, rng) for _ in range(most)]) for rng in rngs]
+    vectors = np.concatenate([initial[g][:cell.k] for cell, g in zip(group, owner.tolist())])
     best, rows = vectors.copy(), _offsets(group)  # the best hypotheses; each cell's rows
     # By running cell: best loss, its round (-1: none yet), last loss, evaluations since it fell.
     best_loss, previous = np.full(len(group), math.inf), np.full(len(group), math.inf)
     best_round, stale = np.full(len(group), -1), np.zeros(len(group), dtype=int)
     columns = History(*(np.full((1, n), np.nan) for n in (len(group), len(group), len(vectors))))
-    t = 0  # the next round
+    t, blocks = 0, owner[:0]  # the next round; each running cell's among the running groups
     while cells:
-        if t == config.T or len(pool := _eligible(ledgers[0], spec, config)) < config.U:
-            stops = np.ones(len(cells), dtype=bool)
+        if len(blocks) != len(cells):  # cells stopped: the running groups and their first cells
+            live, first, blocks = np.unique(owner, return_index=True, return_inverse=True)
+        pools = [_eligible(ledgers[i], spec, group[i]) for i in first.tolist()]
+        short = np.array([len(pool) < config.U for pool in pools])
+        if t == config.T or short.any():
+            stops = short[blocks] | (t == config.T)
         else:
+            draws = [(pool, bases[g], streams[g]) for pool, g in zip(pools, live.tolist())]
             validated = val_table if (t + 1) % config.validation_every == 0 else None
             try:
-                new, train_loss = server_round(table, pool, vectors, spec, group, ledgers, t,
-                                               streams)
-                norms, losses = _evaluate(new, group, spec, validated, t)
+                new, train_loss = server_round(table, draws, blocks, vectors, spec, group,
+                                               ledgers, t)
+                norms, losses = _evaluate(new, group, spec, validated, owner, t)
             except FloatingPointError as exc:
-                for c, cell in enumerate(group):
+                for c, (cell, g) in enumerate(zip(group, owner.tolist())):
                     try:
-                        alone, _ = server_round(table, pool, vectors[rows[c]:rows[c + 1]], spec,
-                                                [cell], [PrivacyLedger(ids)], t, streams)
-                        _evaluate(alone, [cell], spec, validated, t)
+                        alone, _ = server_round(table, [draws[blocks[c]]], np.zeros(1, np.intp),
+                                                vectors[rows[c]:rows[c + 1]], spec, [cell],
+                                                [PrivacyLedger(ids[g])], t)
+                        _evaluate(alone, [cell], spec, validated, owner[c:c + 1], t)
                     except FloatingPointError as failure:
                         raise Diverged(str(failure), cell) from None
                 raise Diverged(str(exc), group[0]) from None
@@ -415,7 +431,7 @@ def run_experiments(
                 # but still-descending loss sequence must not trigger the stop.
                 stale, previous = np.where(losses < previous, 0, stale + 1), losses
             t += 1
-            stops = stale >= config.validation_patience  # one value per group
+            stops = stale >= config.validation_patience  # one value per pass
         if not np.count_nonzero(stops):
             continue
         for i in np.flatnonzero(stops).tolist():
@@ -429,7 +445,8 @@ def run_experiments(
             )
         keep, kept_rows = ~stops, np.repeat(~stops, np.diff(rows))
         cells, group, ledgers = (list(compress(seq, keep)) for seq in (cells, group, ledgers))
-        vectors, best, rows = vectors[kept_rows], best[kept_rows], _offsets(group)
+        owner, vectors, best = owner[keep], vectors[kept_rows], best[kept_rows]
+        rows = _offsets(group)
         columns = History(columns.train_loss[:, keep], columns.validation_loss[:, keep],
                           columns.hypothesis_norms[:, kept_rows])
         best_loss, best_round, previous, stale = (
@@ -443,5 +460,5 @@ def run_experiment(
     config: FederationConfig,
 ) -> ExperimentResult:
     """The group of one cell: ``run_experiments`` for ``config`` alone."""
-    ((_, result),) = run_experiments(train, validation, spec, [config])
+    ((_, result),) = run_experiments([(train, validation)], spec, [config])
     return result

@@ -149,21 +149,27 @@ def sample_noise_batch(scale: NoiseScale, rng: np.random.Generator, size: int) -
 
 
 def sanitize_rows(
-    vectors: np.ndarray, epsilons: np.ndarray, rngs: Sequence[np.random.Generator]
+    vectors: np.ndarray, epsilons: np.ndarray, rngs: Sequence[np.random.Generator],
+    blocks: np.ndarray | None = None,
 ) -> np.ndarray:
     """The (U, n) or (G, U, n) ``vectors``, each row [..., i, :] plus one
     noise draw at ``epsilons[..., i]`` from ``rngs[i]``: a stream draws once,
     and its draw serves client i in every cell, at each row's own epsilon.
-    Each row equals the release of that row alone."""
+    Given ``blocks``, cell c's row i takes stream i of block ``blocks[c]``
+    of U streams.  Each row equals the release of that row alone."""
     vectors = np.asarray(vectors, dtype=float)
     epsilons = np.asarray(epsilons, dtype=float)
     shape = vectors.shape
-    if not (vectors.ndim in (2, 3) and epsilons.shape == shape[:-1] and 0 < len(rngs) == shape[-2]):
+    if not (vectors.ndim in (2, 3) and epsilons.shape == shape[:-1] and len(rngs)
+            and len(rngs) % shape[-2] == 0 and (blocks is not None or len(rngs) == shape[-2])):
         raise ValueError("need a (U, n) stack or G of them, one epsilon and one stream per row")
     bad = ~(np.isfinite(epsilons) & (epsilons > 0))
     if bad.any():
         raise ValueError(f"epsilon must be positive and finite, got {float(epsilons[bad][0])!r}")
     raw, directions = _noise_rows(vectors.shape[-1], rngs)
+    if blocks is not None:
+        raw = raw.reshape(-1, shape[-2])[blocks]
+        directions = directions.reshape(-1, *shape[-2:])[blocks]
     return vectors + (raw / epsilons)[..., None] * directions
 
 

@@ -10,6 +10,7 @@ stacked forward (and backward) pass over per-layer views into a stack of
 such vectors, built once per call; local SGD steps that stack in place.  The
 per-client kernels take one vector per client of a ``ClientTable`` as a
 (U, n) stack, or G cells of them as (G, U, n), each client's rows broadcast.
+Cell (or hypothesis) c may read block ``blocks[c]`` of a table of several.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ class ClientTable:
     y: np.ndarray
     sizes: np.ndarray
     offsets: np.ndarray
+    n_blocks: int = 1  # the clients form this many equal runs, the blocks
 
     @classmethod
     def from_batches(cls, spec: ModelSpec, batches: Sequence[Batch]) -> "ClientTable":
@@ -154,11 +156,13 @@ class ClientTable:
         return len(self.sizes)
 
     def take(self, positions: np.ndarray) -> "ClientTable":
-        """The table of the clients at ``positions``, in that order: one gather."""
+        """The clients at ``positions`` ((B, U): B blocks), in order: one gather."""
+        blocks, positions = len(np.atleast_2d(positions)), np.ravel(positions)
         sizes = self.sizes[positions]
         offsets = np.cumsum(sizes) - sizes
         rows = np.repeat(self.offsets[positions] - offsets, sizes) + np.arange(sizes.sum())
-        return ClientTable(self.x[rows], self.y[rows], sizes, offsets)
+        return ClientTable(self.x.take(rows, axis=0), self.y[rows], sizes, offsets, blocks)
+
 
 
 def n_params(spec: ModelSpec) -> int:
@@ -214,11 +218,14 @@ def _check_stack(spec: ModelSpec, stack: np.ndarray, name: str) -> np.ndarray:
     return stack
 
 
-def _check_cells(spec: ModelSpec, params: np.ndarray, table: ClientTable) -> np.ndarray:
-    params, n = np.asarray(params, dtype=float), spec.n_params
-    if params.ndim not in (2, 3) or params.shape[-2:] != (len(table), n):
-        raise ValueError(f"params must be a (U, {n}) or (G, U, {n}) stack, U the table's clients")
-    return params
+def _check_cells(spec: ModelSpec, params: np.ndarray, table: ClientTable,
+                 blocks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The stack, and the clients its (..., U) vectors run on: a one-block
+    table's, broadcast over the cells, or the (G, U) of cell c's block."""
+    params, n, per = np.asarray(params, dtype=float), spec.n_params, len(table) // table.n_blocks
+    if params.ndim not in (2, 3) or params.shape[-2:] != (per, n):
+        raise ValueError(f"params must be a (U, {n}) or (G, U, {n}) stack, U a block's clients")
+    return params, slice(None) if table.n_blocks == 1 else blocks[:, None] * per + np.arange(per)
 
 
 def _check_features(spec: ModelSpec, x: np.ndarray) -> None:
@@ -322,36 +329,59 @@ def loss(spec: ModelSpec, params: np.ndarray, batch: Batch, objective: str) -> f
     return float(loss_matrix(spec, _check_params(spec, params)[None], table)[0, 0])
 
 
-def loss_matrix(spec: ModelSpec, hypotheses: np.ndarray, table: ClientTable) -> np.ndarray:
-    """Loss of every hypothesis on every client of ``table``, from one forward pass.
+def loss_matrix(spec: ModelSpec, hypotheses: np.ndarray, table: ClientTable,
+                blocks: np.ndarray | None = None) -> np.ndarray:
+    """Loss of every hypothesis on every client of ``table`` (of its block
+    ``blocks[j]`` for hypothesis j), from one forward pass.
 
     ``hypotheses`` is a (k, n_params(spec)) array with k >= 1.  Returns a
-    float array of shape (len(table), k) whose entry [i, j] is the loss of
-    ``hypotheses[j]`` on client i.  All k hypotheses run over the table's
-    rows as (k, rows, width) matmuls; per-row losses are then summed per
-    client.
+    float array of shape (clients per block, k) whose entry [i, j] is the
+    loss of ``hypotheses[j]`` on client i.  All k hypotheses run over the
+    rows (each over its block's, padded with its first row to the longest
+    block and one more) as (k, rows, width) matmuls; per-row losses are
+    then summed per client, over its own rows only.  (A block of one one-row
+    client is no 1-row matmul then, so it may move in the last ulp.)
     """
     h = _check_stack(spec, hypotheses, "hypotheses")
-    out, _ = _forward(_layers(spec, h), table.x[None])
-    totals = np.add.reduceat(_squared_residuals(out, table.y), table.offsets, axis=1)
-    return (np.sqrt(totals) / np.sqrt(table.sizes)).T
+    if table.n_blocks == 1:  # measured: a gather costs a ragged run about 6%
+        out, _ = _forward(_layers(spec, h), table.x[None])
+        totals = np.add.reduceat(_squared_residuals(out, table.y), table.offsets, axis=1)
+        return (np.sqrt(totals) / np.sqrt(table.sizes)).T
+    sizes, first = (column.reshape(table.n_blocks, -1) for column in (table.sizes, table.offsets))
+    local = first - first[:, :1]  # each client's first row among its block's
+    reach = (local[:, -1:] + sizes[:, -1:])[blocks]
+    slot = np.arange(reach.max() + 1)
+    rows = first[blocks, :1] + np.where(slot < reach, slot, 0)
+    out, _ = _forward(_layers(spec, h), table.x.take(rows, axis=0))
+    starts = local[blocks] + len(slot) * np.arange(len(h))[:, None]
+    bounds = np.stack([starts, starts + sizes[blocks]], axis=-1).ravel()
+    totals = np.add.reduceat(_squared_residuals(out, table.y[rows]).ravel(), bounds)[::2]
+    return (np.sqrt(totals.reshape(starts.shape)) / np.sqrt(sizes[blocks])).T
 
 
-def client_losses(spec: ModelSpec, params: np.ndarray, table: ClientTable) -> np.ndarray:
+def client_losses(spec: ModelSpec, params: np.ndarray, table: ClientTable,
+                  blocks: np.ndarray | None = None) -> np.ndarray:
     """Loss of each client's vector on that client's rows: entry [..., i] of
     the result is ``params[..., i, :]``'s on client i of ``table``, for a
-    (U, n) or (G, U, n) ``params``.  One forward pass: the clients are
-    stacked, padded to the largest one, each under its own vector.  A padded
-    sum may round differently from the client's own, so on ragged clients an
-    entry can move in the last ulp with the other clients.
+    (U, n) or (G, U, n) ``params`` (of block ``blocks[c]`` in cell c).  One
+    forward pass: the clients are stacked, padded to the largest one, each
+    under its own vector.  A client's sum is ``np.sum``'s over its rows and
+    zeros up to its block's largest client (0, then numpy's pairwise sum,
+    which reduceat repeats), so on ragged clients an entry can move in the
+    last ulp with the other clients of its block.
     """
-    stack = _check_cells(spec, params, table)
-    sizes = table.sizes
-    slot = np.arange(sizes.max())
-    mask = slot < sizes[:, None]
-    rows = table.offsets[:, None] + np.where(mask, slot, 0)
-    out, _ = _forward(_layers(spec, stack), table.x[rows])
-    totals = np.sum(np.where(mask, _squared_residuals(out, table.y[rows]), 0.0), axis=-1)
+    stack, clients = _check_cells(spec, params, table, blocks)
+    slot = np.arange(table.sizes.max())
+    rows = table.offsets[:, None] + np.where(slot < table.sizes[:, None], slot, 0)
+    sizes = table.sizes[clients]
+    mask = slot < sizes[..., None]
+    out, _ = _forward(_layers(spec, stack), table.x.take(rows, axis=0)[clients])
+    squared = _squared_residuals(out, table.y[rows][clients])
+    padded = np.zeros((*squared.shape[:-1], len(slot) + 2))  # a leading 0, a spare column
+    np.copyto(padded[..., 1:-1], squared, where=mask)
+    starts = np.arange(0, padded.size, padded.shape[-1]).reshape(squared.shape[:-1])
+    bounds = np.stack([starts, starts + 1 + sizes.max(axis=-1, keepdims=True)], axis=-1)
+    totals = np.add.reduceat(padded.ravel(), bounds.ravel())[::2].reshape(starts.shape)
     return np.sqrt(totals) / np.sqrt(sizes)
 
 
@@ -390,48 +420,49 @@ def local_updates(
     epochs: int,
     batch_size: int,
     rngs: Sequence[np.random.Generator],
+    blocks: np.ndarray | None = None,
 ) -> np.ndarray:
     """Mini-batch SGD of U clients, in each of G cells: entry [..., i, :] of
     the result is client i's update of ``params[..., i, :]``.
 
     ``params`` is a (U, n_params(spec)) or (G, U, n_params(spec)) stack of
-    starting vectors, ``table`` holds the U local datasets and ``rngs`` their
-    streams; the input array is untouched.  Each epoch every client
-    reshuffles once with its own stream, in client order, and the shuffled
-    rows serve it in every cell; it walks blocks of ``batch_size`` rows (its
-    last one may be smaller).  All vectors step together: step j of an epoch
-    takes block j of every client, padded to ``batch_size`` rows with copies
-    of the client's first row.  A padded row, and a step past a client's
-    last block, leave the vector exactly as it was.  Blocks are
-    ``batch_size`` rows wide whatever the stack, and no operation mixes
-    vectors, so each is bit-identical to a stack of it alone; the price is
-    that a ``batch_size`` above the largest dataset computes padding rows.
-    ``params`` is copied once; each step writes its gradient into one buffer
-    and subtracts it from the copy in place, through layer views of both
-    built once per call.
+    starting vectors, left untouched; ``table`` holds the U local datasets
+    (cell c trains on block ``blocks[c]`` of several) and ``rngs`` their
+    streams.  Each epoch every client reshuffles once with its own stream,
+    in client order, for every cell, and walks blocks of ``batch_size`` rows
+    (its last one may be smaller).  Step j of an epoch takes block j of
+    every client, padded to ``batch_size`` rows with copies of its first
+    row; a padded row, and a step past a client's last block, leave the
+    vector exactly as it was.  No operation mixes vectors, so each is
+    bit-identical to a stack of it alone.  Each step writes its gradient
+    into one buffer and subtracts it from a copy of ``params`` in place,
+    through layer views of both built once per call.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     if epochs < 0:
         raise ValueError("epochs must be >= 0")
-    stack = _check_cells(spec, params, table).copy()
+    stack, clients = _check_cells(spec, params, table, blocks)
+    stack = stack.copy()
     if len(rngs) != len(table):
         raise ValueError("need one stream per client of the table")
     x, y, sizes, starts = table.x, table.y, table.sizes, table.offsets
-    n_clients = len(sizes)
     steps = -(-sizes.max() // batch_size)
     slots = steps * batch_size
-    mask = (np.arange(slots) < sizes[:, None]).reshape(n_clients, steps, batch_size, 1)
-    masks = mask.swapaxes(0, 1)
-    roots = np.sqrt(masks.sum(axis=2, keepdims=True))
+    shape = (*sizes[clients].shape, steps, batch_size)  # (..., U, steps, batch_size)
+    mask = (np.arange(slots) < sizes[clients][..., None]).reshape(*shape, 1)
+    at = mask.ndim - 3  # the steps axis, moved first
+    steps_first = (at, *range(at), at + 1, at + 2)
+    masks = mask.transpose(steps_first)
+    roots = np.sqrt(masks.sum(axis=-2, keepdims=True))
     layers, grad = _layers(spec, stack), np.empty_like(stack)
     grads = _layers(spec, grad)
     for _ in range(epochs):
         rows = np.repeat(starts[:, None], slots, axis=1)
         for i, rng in enumerate(rngs):
             rows[i, : sizes[i]] += rng.permutation(sizes[i])
-        xs = x[rows].reshape(n_clients, steps, batch_size, -1).swapaxes(0, 1)
-        ys = y[rows].reshape(n_clients, steps, batch_size, 1).swapaxes(0, 1)
+        xs = x.take(rows, axis=0)[clients].reshape(*shape, -1).transpose(steps_first)
+        ys = y[rows][clients].reshape(*shape, 1).transpose(steps_first)
         for x_j, y_j, mask_j, root_j in zip(xs, ys, masks, roots):
             out, inputs = _forward(layers, x_j)
             d_out, moving = _output_gradient(out, y_j, mask_j, root_j)

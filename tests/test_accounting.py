@@ -389,6 +389,12 @@ def group_of_one(columns):
     return (positions, *([column] for column in values))
 
 
+def positions_in(ledger, round):
+    """The positions that hold a row of ``round``, read from the columns."""
+    rows = ledger._columns()
+    return set(rows.position[rows.round == round].tolist())
+
+
 def ledger_state(ledger, tmp_path):
     path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger, path)
@@ -545,12 +551,12 @@ class TestGroupRecording:
             epsilons[2, -1] *= 2
         else:
             ledgers[2].record_participation(self.IDS[positions[1]], 3, 2.0, 0.2, 0)
-        before = [(len(ledger), ledger.composed.tolist(), set(ledger._rounds.get(3, ())))
+        before = [(len(ledger), ledger.composed.tolist(), positions_in(ledger, 3))
                   for ledger in ledgers]
         with pytest.raises(ValueError):
             record_rounds(ledgers, 3, positions, epsilons, [radius] * 3, [clusters] * 3,
                           [[0.4]] * 3)
-        after = [(len(ledger), ledger.composed.tolist(), set(ledger._rounds.get(3, ())))
+        after = [(len(ledger), ledger.composed.tolist(), positions_in(ledger, 3))
                  for ledger in ledgers]
         assert after == before
 

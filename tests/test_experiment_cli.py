@@ -396,25 +396,29 @@ class TestRunSweep:
 
 class TestPopulations:
     def test_shipped_tabular_sweep_splits_once_per_seed(self, tmp_path, monkeypatch):
-        splits, groups = [], []
-        real = experiment.split_population
+        splits, calls, built = [], [], {}
+        real, build = experiment.split_population, experiment.build_population
         monkeypatch.setattr(
             experiment, "split_population", lambda *a: splits.append(a) or real(*a)
         )
+        monkeypatch.setattr(experiment, "build_population",
+                            lambda config, seed, table: built.setdefault(seed, build(config, seed,
+                                                                                    table)))
 
-        def run_experiments(train, val, spec, configs):
-            groups.append([(c.nu, c.k, c.master_seed) for c in configs])
+        def run_experiments(views, spec, configs):
+            calls.append([(c.nu, c.k, c.master_seed) for c in configs])
+            assert all(view is built[c.master_seed] for view, c in zip(views, configs))
             return ((c, None) for c in range(len(configs)))
 
         monkeypatch.setattr(experiment, "run_experiments", run_experiments)
         monkeypatch.setattr(experiment, "write_cell", lambda *a: (1.0, 0.0, 0.0))
         config = load_config(CONFIG_DIR / "tabular.yaml")
         run_sweep(config, tmp_path / "out")
-        assert len(config.seeds) == len(splits) == 5
-        # One group per seed: all four cells of a seed run on that seed's
-        # views, in one call, not on a split of their own.
-        assert groups == [
-            [(nu, 5, seed) for nu in config.sweep_nu] for seed in config.seeds
+        assert len(config.seeds) == len(splits) == len(built) == 5
+        # One call for the whole sweep, seed by seed: each seed's four cells
+        # run on that seed's views, not on a split of their own.
+        assert calls == [
+            [(nu, 5, seed) for seed in config.seeds for nu in config.sweep_nu]
         ]
 
     def test_a_table_is_ingested_once_per_sweep(self, tmp_path, monkeypatch):
@@ -457,10 +461,12 @@ class TestPopulations:
         groups = []
         real = federation.server_round
 
-        def recording(table, pool, vectors, spec, configs, ledgers, round_index, streams):
+        def recording(table, draws, blocks, vectors, spec, configs, ledgers, round_index):
             if round_index == 0:
-                groups.append([(c.nu, c.k, c.master_seed) for c in configs])
-            return real(table, pool, vectors, spec, configs, ledgers, round_index, streams)
+                groups.extend([(c.nu, c.k, c.master_seed)
+                               for c, b in zip(configs, blocks) if b == at]
+                              for at in range(len(draws)))
+            return real(table, draws, blocks, vectors, spec, configs, ledgers, round_index)
 
         monkeypatch.setattr(federation, "server_round", recording)
         path = small_synthetic_config(
@@ -849,6 +855,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert "run 5_2_0: round 0: a local update diverged" in err
+        assert [p.name for p in (out / "mini").iterdir()] == ["config.yaml"]
+
+    def test_divergence_of_one_seed_names_its_cell_and_writes_no_cell(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Seeds 0 and 1 run in one stacked round; a stub turns every update
+        # from seed 1's one hypothesis into NaNs, so only seed 1 diverges in
+        # round 0.  The error names seed 1's cell, and since the sweep stops
+        # at that round, which no cell had stopped before, no cell is written.
+        linear = ModelSpec("linear", input_dim=2)
+        seed_1 = init_params(linear, substream(1, "hypotheses"))
+        real = federation.local_updates
+
+        def seed_1_diverges(spec, params, *rest):
+            updated = real(spec, params, *rest)
+            updated[(params == seed_1).all(axis=-1)] = np.nan
+            return updated
+
+        monkeypatch.setattr(federation, "local_updates", seed_1_diverges)
+        path = small_synthetic_config(tmp_path, sweep={"nu": [5.0], "k": [1], "seeds": [0, 1]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "run 5_1_1: round 0: a local update diverged" in err
         assert [p.name for p in (out / "mini").iterdir()] == ["config.yaml"]
 
     def test_run_exit_codes(self, tmp_path, capsys):

@@ -38,6 +38,7 @@ from test_models import table
 from test_accounting import ledger_rows
 
 LINEAR = ModelSpec("linear", input_dim=2)
+ONE_BLOCK = np.zeros(1, dtype=np.intp)  # one cell reading the one block of its round's table
 
 
 def make_config(**overrides):
@@ -75,20 +76,23 @@ class Run:
         self.spec = spec
         self.config = config
 
+    def draw(self):
+        """The run's one sampling draw of the next round: its eligible pool."""
+        pool = federation._eligible(self.ledger, self.spec, self.config)
+        return pool, 0, self.streams
+
     def round(self, hyps, t):
         """The (k, n) hypotheses after round t and the (1,) mean training loss."""
-        pool = federation._eligible(self.ledger, self.spec, self.config)
         return server_round(
-            self.table, pool, hyps, self.spec, [self.config], [self.ledger], t, self.streams
+            self.table, [self.draw()], ONE_BLOCK, hyps, self.spec, [self.config], [self.ledger], t
         )
 
 
 def client_steps(spec, datasets, hyps, config, rngs, round_index=0):
     """``_client_steps`` for a table of ``datasets``, every client sampled:
     the one cell's row of each stacked field, its leakage as a float."""
-    positions = np.arange(len(datasets))
     steps = federation._client_steps(
-        spec, table(spec, datasets), positions, hyps, [config], rngs, round_index
+        spec, table(spec, datasets), ONE_BLOCK, hyps, [config], rngs, round_index
     )
     cell = federation._ClientSteps(*(field[0] for field in steps))
     return cell._replace(leakage=float(cell.leakage[0]))
@@ -435,11 +439,14 @@ class TestRoundPath:
         assert len(result.ledger) == 12 * 7
 
 
-    @pytest.mark.parametrize("n_cells", [1, 3])
-    def test_a_stacked_round_runs_each_shared_step_once(self, monkeypatch, n_cells):
-        # Sampling, the client streams, the row gather, local SGD, selection,
-        # validation and the ledger record run once per round whatever the
-        # number of cells, and k-means once per round for each distinct k.
+    @pytest.mark.parametrize("n_cells, n_seeds", [
+        pytest.param(1, 1, id="1"), pytest.param(3, 1, id="3"), pytest.param(3, 2, id="3-2seeds"),
+    ])
+    def test_a_stacked_round_runs_each_shared_step_once(self, monkeypatch, n_cells, n_seeds):
+        # The row gather, local SGD, selection, validation and the ledger
+        # record run once per round whatever the number of cells and seeds,
+        # and k-means once per round for each distinct k; sampling and the
+        # client streams run once per round for each seed's group.
         calls = collections.Counter()
 
         def count(owner, name):
@@ -456,16 +463,18 @@ class TestRoundPath:
                             (federation, "loss_matrix"), (federation, "lloyd"),
                             (federation, "record_rounds"), (federation, "_validation_loss")]:
             count(owner, name)
-        train, val = split_views()
+        views = [split_views(seed) for seed in range(n_seeds)]
         cells = [(1, 0.0), (2, 0.5), (2, 5.0)][:n_cells]
-        configs = [make_config(k=k, nu=nu, T=8, validation_patience=8) for k, nu in cells]
-        results = dict(run_experiments(train, val, LINEAR, configs))
-        assert sorted(results) == list(range(n_cells))
+        configs = [make_config(k=k, nu=nu, T=8, validation_patience=8, master_seed=seed)
+                   for seed in range(n_seeds) for k, nu in cells]
+        results = dict(run_experiments([views[c.master_seed] for c in configs], LINEAR, configs))
+        assert sorted(results) == list(range(n_cells * n_seeds))
         assert all(len(result.history.train_loss) == 8 for result in results.values())
         # loss_matrix twice a round: selection and validation.
-        assert calls == {"sampling": 8, "clients": 8, "take": 8, "local_updates": 8,
-                         "loss_matrix": 16, "lloyd": 8 * len({k for k, _ in cells}),
-                         "record_rounds": 8, "_validation_loss": 8}
+        assert calls == {"sampling": 8 * n_seeds, "clients": 8 * n_seeds, "take": 8,
+                         "local_updates": 8, "loss_matrix": 16,
+                         "lloyd": 8 * len({k for k, _ in cells}), "record_rounds": 8,
+                         "_validation_loss": 8}
 
     @staticmethod
     def assert_round_matches_each_cell_alone(cells):
@@ -479,10 +488,11 @@ class TestRoundPath:
         def one_round(cells):
             # The cells' rows of the stacked result, cut at their cumulative k.
             runs = [Run(train, configs[c]) for c in cells]
-            pool = np.arange(len(runs[0].ids))
+            draw = np.arange(len(runs[0].ids)), 0, runs[0].streams
             vectors, losses = server_round(
-                runs[0].table, pool, np.concatenate([hyps[c] for c in cells]), LINEAR,
-                [configs[c] for c in cells], [r.ledger for r in runs], 0, runs[0].streams,
+                runs[0].table, [draw], np.zeros(len(runs), dtype=np.intp),
+                np.concatenate([hyps[c] for c in cells]), LINEAR,
+                [configs[c] for c in cells], [r.ledger for r in runs], 0,
             )
             ends = np.cumsum([configs[c].k for c in cells])
             return [(vectors[end - configs[c].k:end], loss, ledger_rows(run.ledger))
@@ -540,7 +550,7 @@ class TestSeedGroups:
             for nu in (0.0, 0.5, 5.0) for k in (1, 2, 3)
         ]
         stopped = []
-        for c, result in run_experiments(train, val, LINEAR, configs):
+        for c, result in run_experiments([(train, val)] * len(configs), LINEAR, configs):
             stopped.append((len(result.history.train_loss), c))
             grouped = artifacts(result, configs[c].k, tmp_path / f"group{c}")
             solo = run_experiment(train, val, LINEAR, configs[c])
@@ -552,28 +562,63 @@ class TestSeedGroups:
     def test_cells_that_cannot_share_a_draw_run_as_separate_groups(self, tmp_path, monkeypatch):
         # A group is the cells that share one sampling draw: a different U is
         # a different draw, and so is each nu under a cap, whose pool follows
-        # the composed leakage.  Groups run in the order of their first cell;
-        # each cell is yielded under its own index, as its solo run.
-        groups = []
-        real = federation.server_round
+        # the composed leakage.  The groups of one U share a stacked round,
+        # each in the order of its first cell and drawing once per round; the
+        # U = 5 cell cannot share the stack and runs in a second pass.  Each
+        # cell is yielded under its own index, as its solo run.
+        groups, draws = [], collections.Counter()
+        real, sampling = federation.server_round, RoundStreams.sampling
 
-        def recording(table, pool, vectors, spec, configs, ledgers, round_index, streams):
+        def recording(table, round_draws, blocks, vectors, spec, configs, ledgers, round_index):
             if round_index == 0:
-                groups.append([cell.k for cell in configs])
-            return real(table, pool, vectors, spec, configs, ledgers, round_index, streams)
+                groups.append([[cell.k for cell, b in zip(configs, blocks) if b == block]
+                               for block in range(len(round_draws))])
+            return real(table, round_draws, blocks, vectors, spec, configs, ledgers, round_index)
+
+        def counted(streams, round_index):
+            draws[streams, round_index] += 1  # the key keeps each stream table alive
+            return sampling(streams, round_index)
 
         monkeypatch.setattr(federation, "server_round", recording)
+        monkeypatch.setattr(RoundStreams, "sampling", counted)
         train, val = split_views()
         configs = [
             make_config(T=4, budget_cap=2.0), make_config(T=4, k=3), make_config(T=4, U=5, k=4),
             make_config(T=4, k=1, nu=0.0), make_config(T=4, k=5, nu=2.5, budget_cap=2.0),
             make_config(T=4, k=6, budget_cap=2.0),
         ]
-        yielded = dict(run_experiments(train, val, LINEAR, configs))
-        assert groups == [[2, 6], [3, 1], [4], [5]]
+        yielded = dict(run_experiments([(train, val)] * len(configs), LINEAR, configs))
+        assert groups == [[[2, 6], [3, 1], [5]], [[4]]]
+        # One draw per group and round: four groups of four rounds each.
+        assert sorted(draws.values()) == [1] * 16
+        assert len({streams for streams, _ in draws}) == 4
         assert sorted(yielded) == list(range(len(configs)))
         for c, config in enumerate(configs):
             solo = run_experiment(train, val, LINEAR, config)
+            grouped = artifacts(yielded[c], config.k, tmp_path / f"group{c}")
+            assert grouped == artifacts(solo, config.k, tmp_path / f"solo{c}")
+
+    def test_seeds_in_lockstep_match_their_solo_runs(self, tmp_path):
+        # Two seeds on populations of their own: every client of seed 0 holds
+        # 2 to 7 rows and every client of seed 1 9 to 14, so each round's
+        # stack holds clients of both below and above numpy's 8-row pairwise
+        # block.  Each cell's artifacts are the bytes of its run alone, its
+        # training loss included, whose sums are padded within its own seed.
+        def population(seed, sizes):
+            gen = np.random.default_rng(seed)
+            return {i: make_dataset(seed=int(gen.integers(1 << 30)), m=m,
+                                    theta=(5.0, 6.0) if i % 2 else (4.0, -4.5))
+                    for i, m in enumerate(sizes)}
+
+        views = [(population(0, [2, 7, 3, 5, 6, 4, 7, 2]), population(10, [3, 5, 6])),
+                 (population(1, [9, 14, 11, 10, 12, 9, 13, 14]), population(11, [12, 9, 10]))]
+        configs = [make_config(k=k, nu=nu, U=6, T=6, master_seed=seed)
+                   for seed in (0, 1) for nu in (0.0, 3.0) for k in (1, 2)]
+        yielded = dict(run_experiments([views[c.master_seed] for c in configs], LINEAR,
+                                       configs))
+        assert sorted(yielded) == list(range(len(configs)))
+        for c, config in enumerate(configs):
+            solo = run_experiment(*views[config.master_seed], LINEAR, config)
             grouped = artifacts(yielded[c], config.k, tmp_path / f"group{c}")
             assert grouped == artifacts(solo, config.k, tmp_path / f"solo{c}")
 
@@ -593,7 +638,7 @@ class TestSeedGroups:
         train, val = split_views()
         configs = [make_config(k=1), make_config(k=2), make_config(k=2, nu=0.0)]
         with pytest.raises(federation.Diverged, match="round 0: .* diverged") as failure:
-            list(run_experiments(train, val, LINEAR, configs))
+            list(run_experiments([(train, val)] * len(configs), LINEAR, configs))
         assert failure.value.config == configs[1]
 
 

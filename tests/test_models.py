@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_sgd import sgd_reference
 
+from metricfl.mechanism import sanitize_rows
 from metricfl.models import (
     Batch,
     ClientTable,
@@ -528,6 +529,42 @@ class TestLocalUpdates:
             alone = local_updates(spec, p[None], table(spec, [d]), 0.05, 1, 4, rngs)
             assert np.array_equal(stacked[i], alone[0])
             replay.permutation(len(d))
+
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_each_block_gets_the_bits_of_its_own_table(self, case):
+        # A table of three blocks of three clients, the seeds of a stacked
+        # round: 1 to 7 rows, 9 to 14 rows (past numpy's 8-element pairwise
+        # block) and a 40-row client.  Cells read blocks 2, 0, 0 and 1, and
+        # hypotheses blocks 1, 2, 0, 1 and 2; local SGD, the training loss,
+        # the release and the loss matrix give each the bits of a call on
+        # its block's own table.
+        spec = STACK_CASES[case]
+        gen = np.random.default_rng(31)
+        blocks = [random_batches(gen, spec, sizes)
+                  for sizes in ([3, 7, 1], [9, 14, 12], [1, 40, 5])]
+        alone = [table(spec, batches) for batches in blocks]
+        whole = table(spec, sum(blocks, [])).take(np.arange(9).reshape(3, 3))
+        assert whole.n_blocks == 3
+        cells = np.array([2, 0, 0, 1])
+        params = gen.standard_normal((len(cells), 3, n_params(spec)))
+        seeds = gen.integers(0, 2**31, size=(3, 3)).tolist()
+        stacked = local_updates(spec, params, whole, 0.05, 2, 4, streams(sum(seeds, [])), cells)
+        losses = client_losses(spec, stacked, whole, cells)
+        epsilons = gen.uniform(0.5, 2.0, size=losses.shape)
+        released = sanitize_rows(stacked, epsilons, streams(sum(seeds, [])), cells)
+        for c, b in enumerate(cells.tolist()):
+            solo = local_updates(spec, params[c:c + 1], alone[b], 0.05, 2, 4, streams(seeds[b]))
+            assert stacked[c].tobytes() == solo[0].tobytes()
+            assert losses[c].tobytes() == client_losses(spec, solo, alone[b])[0].tobytes()
+            noisy = sanitize_rows(solo[0], epsilons[c], streams(seeds[b]))
+            assert released[c].tobytes() == noisy.tobytes()
+        hypotheses = gen.standard_normal((5, n_params(spec)))
+        owners = np.array([1, 2, 0, 1, 2])
+        matrix = loss_matrix(spec, hypotheses, whole, owners)
+        assert matrix.shape == (3, 5)
+        for j, b in enumerate(owners.tolist()):
+            column = loss_matrix(spec, hypotheses[j:j + 1], alone[b])[:, 0]
+            assert matrix[:, j].tobytes() == column.tobytes()
 
     def test_stack_shape_checked(self):
         spec = STACK_CASES["linear"]
