@@ -2,15 +2,18 @@
 """Check that another checkout writes the same sweep artifacts as this one.
 
 For each checkout, runs `metricfl run` on configs/tabular.yaml,
-configs/synthetic.yaml, perfbench/ragged.yaml and two small sweeps, "edge"
-and "capped", into a temporary directory.  The ragged table is written by
+configs/synthetic.yaml, perfbench/ragged.yaml and three small sweeps,
+"edge", "capped" and "noisy", into a temporary directory.  The ragged table is written by
 that checkout's own perfbench/ragged.py (--seed 0 --split-seed 0) next to a
 copy of ragged.yaml, so nothing is written into either checkout.  The small
-sweeps (EDGE and CAPPED below) are written here and cover what the shipped
-sweeps do not.  EDGE has a 1-D linear model, one-row clients, B_s above
-every client's size and k > U.  CAPPED sets a budget cap, so the eligible
-pool shrinks, cells stop when it runs dry (at nu 1 after 8 rounds, at nu 2
-after 16) and each population runs as several groups.  The two trees are
+sweeps (EDGE, CAPPED and NOISY below) are written here and cover what the
+shipped sweeps do not.  EDGE has a 1-D linear model, one-row clients, B_s
+above every client's size and k > U.  CAPPED sets a budget cap, so the
+eligible pool shrinks, cells stop when it runs dry (at nu 1 after 8 rounds,
+at nu 2 after 16) and each population runs as several groups.  NOISY has
+no cap, so each seed's cells form one group whose cells all release with
+noise and share one k: one argmin selects for all of them, and they stop
+early at different rounds.  The two trees are
 then compared byte for byte; the only line allowed to differ is the absolute
 data `path:` line of each config.yaml.  Given this checkout itself, it checks
 that two runs are identical.  Uses the standard library only; each
@@ -33,7 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SWEEPS = ("tabular", "synthetic", "ragged", "edge", "capped")
+SWEEPS = ("tabular", "synthetic", "ragged", "edge", "capped", "noisy")
 PATH_LINE = re.compile(rb"^\s*path: .*\n?", re.MULTILINE)
 EDGE = """\
 experiment: synthetic
@@ -53,20 +56,30 @@ model: {kind: linear, input_dim: 2}
 data: {n_clients: 30, samples_per_client: 6, validation_fraction: 0.3}
 sweep: {nu: [1.0, 2.0, 5.0], k: [1, 2, 3], seeds: [0, 1]}
 """
+NOISY = """\
+experiment: synthetic
+name: noisy
+federation: {T: 40, U: 5, E: 2, s: 0.1, B_s: 3, validation_every: 1, validation_patience: 4}
+model: {kind: linear, input_dim: 2}
+data: {n_clients: 40, samples_per_client: 8, validation_fraction: 0.3}
+sweep: {nu: [0.5, 2.0, 5.0, 20.0], k: [3], seeds: [0, 1]}
+"""
 
 
 def run_sweeps(checkout: Path, out: Path) -> list[str]:
-    """Run the five sweeps of ``checkout`` into ``out / "runs"``; returns
+    """Run the six sweeps of ``checkout`` into ``out / "runs"``; returns
     one message per command that failed."""
     work = out / "ragged"
     work.mkdir(parents=True)
     shutil.copy(checkout / "perfbench" / "ragged.yaml", work / "ragged.yaml")
     (out / "edge.yaml").write_text(EDGE)
     (out / "capped.yaml").write_text(CAPPED)
+    (out / "noisy.yaml").write_text(NOISY)
     commands = [[str(checkout / "perfbench" / "ragged.py"), "--seed", "0", "--split-seed", "0",
                  "--out", str(work / "ragged.csv")]]
     for config in (checkout / "configs" / "tabular.yaml", checkout / "configs" / "synthetic.yaml",
-                   work / "ragged.yaml", out / "edge.yaml", out / "capped.yaml"):
+                   work / "ragged.yaml", out / "edge.yaml", out / "capped.yaml",
+                   out / "noisy.yaml"):
         commands.append(["-m", "metricfl", "run", "--config", str(config),
                          "--out", str(out / "runs")])
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}

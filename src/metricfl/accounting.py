@@ -262,23 +262,36 @@ class ClusterBudget:
 
 @dataclass
 class LedgerSummary:
-    """Median/max composed leakage over the clients with rows, and the
-    per-cluster series for plotting.
-
-    ``max_trajectory`` holds the running-max leakage per cluster, one value
-    per round 0..last round.  For cluster c at round t the value is the
-    largest composed leakage any client held right after a release
-    aggregated into c, over rounds 0..t; it is 0.0 before c's first
-    release.  The series never decreases, also when clients move between
-    clusters.  Clusters without any release are absent.
+    """Median/max composed leakage over the clients with rows, and each
+    cluster's running max for plotting: at round t, the largest composed
+    leakage any client held right after a release aggregated into c, over
+    rounds 0..t (0.0 before c's first release).  It never decreases, also
+    when clients move between clusters.  ``peaks[c][i + 1]`` is c's at
+    ``rounds[i]`` (after a leading 0.0), the rounds with rows; clusters
+    without a release are absent.  ``max_leakage`` reads it at any round.
     """
 
     overall: ClusterBudget | None
-    max_trajectory: dict[int, list[float]] = field(default_factory=dict)
+    rounds: list[int] = field(default_factory=list)
+    peaks: dict[int, list[float]] = field(default_factory=dict)
+
+    def max_leakage(self, clusters: Sequence[int], rounds: Sequence[int]) -> np.ndarray:
+        """Row i: cluster ``clusters[i]``'s running max at each of ``rounds``
+        (0.0 throughout for a cluster without a release), one searchsorted."""
+        at = np.searchsorted(np.array(self.rounds, dtype=np.int64), rounds, side="right")
+        zero = [0.0] * (len(self.rounds) + 1)
+        return np.array([self.peaks.get(c, zero) for c in clusters]).reshape(-1, len(zero))[:, at]
+
+    @property
+    def max_trajectory(self) -> dict[int, list[float]]:
+        """Each cluster's series at every round 0..last round: one float per round."""
+        everything = range(self.rounds[-1] + 1 if self.rounds else 0)
+        return dict(zip(self.peaks, self.max_leakage(list(self.peaks), everything).tolist()))
 
 
 def ledger_summary(ledger: PrivacyLedger) -> LedgerSummary:
-    """Summarize a ledger; empty ledgers give an empty summary."""
+    """Summarize a ledger (its size follows the rows, not the last round);
+    empty ledgers give an empty summary."""
     rows = ledger._columns()
     if not len(rows.round):
         return LedgerSummary(overall=None)
@@ -287,10 +300,11 @@ def ledger_summary(ledger: PrivacyLedger) -> LedgerSummary:
     composed = ledger.composed[held].tolist()
     overall = ClusterBudget(median=statistics.median(composed), maximum=max(composed))
     clusters, index = np.unique(rows.cluster, return_inverse=True)
-    peaks = np.zeros((len(clusters), rows.round[-1] + 1))
-    np.maximum.at(peaks, (index, rows.round), rows.composed)
+    rounds, at = np.unique(rows.round, return_inverse=True)
+    peaks = np.zeros((len(clusters), len(rounds) + 1))
+    np.maximum.at(peaks, (index, at + 1), rows.composed)
     series = np.maximum.accumulate(peaks, axis=1).tolist()
-    return LedgerSummary(overall=overall, max_trajectory=dict(zip(clusters.tolist(), series)))
+    return LedgerSummary(overall, rounds.tolist(), dict(zip(clusters.tolist(), series)))
 
 
 def write_ledger_csv(ledger: PrivacyLedger, path: str | Path) -> None:

@@ -28,7 +28,7 @@ from typing import Any, Hashable, Mapping
 
 import yaml
 
-from .accounting import ledger_summary, write_ledger_csv
+from .accounting import LedgerSummary, ledger_summary, write_ledger_csv
 from .data import (
     DEFAULT_THETAS,
     ClientPopulation,
@@ -343,21 +343,16 @@ def format_value(value: float) -> str:
     return f"{value:g}"
 
 
-def write_metrics_csv(
-    history: History,
-    leakage: Mapping[int, list[float]],
-    k: int,
-    path: str | Path,
-) -> None:
+def write_metrics_csv(history: History, summary: LedgerSummary, k: int, path: str | Path) -> None:
     """Per-round series: losses (no validation loss where a round was not
     evaluated), hypothesis norms and the per-cluster running-max leakage
     used for privacy plots.
 
-    ``leakage`` is ``ledger_summary(ledger).max_trajectory`` of the run's
-    ledger; a cluster with no release yet reads 0.0.
+    ``summary`` is ``ledger_summary`` of the run's ledger, read at each
+    round; a cluster with no release yet reads 0.0.
     """
     rounds = len(history.train_loss)
-    series = [leakage.get(j, [0.0] * rounds) for j in range(k)]
+    series = summary.max_leakage(range(k), range(rounds)).tolist()
     header = (
         ["round", "mean_train_loss", "validation_loss"]
         + [f"hypothesis_{j}_norm" for j in range(k)]
@@ -399,7 +394,7 @@ def write_cell(
     sweep = {"sweep": {"nu": [nu], "k": [k], "seeds": [seed]}}
     (run_dir / "config.yaml").write_text(head + yaml.safe_dump(sweep, sort_keys=True))
     summary = ledger_summary(result.ledger)
-    write_metrics_csv(result.history, summary.max_trajectory, k, run_dir / "metrics.csv")
+    write_metrics_csv(result.history, summary, k, run_dir / "metrics.csv")
     write_ledger_csv(result.ledger, run_dir / "ledger.csv")
     write_hypotheses(result.best_hypotheses, run_dir / "hypotheses.txt")
     write_hypotheses(result.final_hypotheses, run_dir / "hypotheses_final.txt")

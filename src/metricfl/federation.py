@@ -25,9 +25,11 @@ cell's result is built once and its rows leave the stack.  Only
 ``_client_steps`` and validation read a table: the server half of
 ``server_round`` sees positions, sanitized vectors and the ledgers, never
 a dataset size.  No operation mixes two rows, cells or blocks, so each
-release and each cell's result is bit-identical to the one it gets alone;
-only the reported training loss (``models.client_losses``) may move in the
-last ulp with the client's round-mates.  An overflow in local SGD, the
+release and each cell's result is bit-identical to the one it gets alone,
+but for two cases: the reported training loss (``models.client_losses``)
+may move in the last ulp with the client's round-mates, and in a table of
+several blocks one one-row client (U = 1) is no 1-row matmul, so its
+selection or validation loss may move by one ulp.  An overflow in local SGD, the
 release, k-means or validation stops the stacked round; each running cell
 reruns it alone, and ``Diverged`` names the first to fail.
 """
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import accumulate, compress
+from itertools import compress
 from typing import Hashable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -181,9 +183,26 @@ class Diverged(FloatingPointError):
         self.config = config
 
 
-def _offsets(configs: Sequence[FederationConfig]) -> list[int]:
-    """Cell c's rows of the group's stacked hypotheses: ``[c]`` up to ``[c + 1]``."""
-    return list(accumulate((config.k for config in configs), initial=0))
+class _Cells(tuple):
+    """Cells' configs and what a round reads of them, built when they change:
+    cell c's rows of the stacked hypotheses, ``rows[c]`` up to ``rows[c + 1]``;
+    ``ks`` and the ``k`` all share (else 0); (G, 1) ``nus`` and ``leakage``
+    (one division, not epsilon * radius: exact); ``by_k``, each k's cells
+    and rows.  Given cells, returns them."""
+
+    def __new__(cls, configs: Sequence[FederationConfig], spec: ModelSpec) -> "_Cells":
+        if isinstance(configs, _Cells):
+            return configs
+        cells = super().__new__(cls, configs)
+        cells.ks = np.array([cell.k for cell in cells], dtype=np.intp)
+        cells.nus = np.array([[cell.nu] for cell in cells])
+        cells.rows, ks = [0, *np.cumsum(cells.ks).tolist()], list(dict.fromkeys(cells.ks.tolist()))
+        cells.leakage = np.array([[n_params(spec) / c.nu if c.nu else math.inf] for c in cells])
+        cells.k = ks[0] if len(ks) == 1 else 0
+        cells.by_k = [(cells.k, slice(None), slice(None))] if cells.k else [
+            (k, np.flatnonzero(cells.ks == k), np.flatnonzero(np.repeat(cells.ks, cells.ks) == k))
+            for k in ks]
+        return cells
 
 
 @contextmanager
@@ -208,7 +227,7 @@ def _client_steps(
 ) -> _ClientSteps:
     """Select, train and release for the round's clients, ``table``, in
     each cell c (``configs[c]``, with its rows of the stacked ``vectors``,
-    see ``_offsets``) on block ``blocks[c]`` of the table.
+    see ``_Cells``) on block ``blocks[c]`` of the table.
 
     In each cell, each client picks the hypothesis with the lowest loss on
     its full local dataset (ties to the lowest index), trains it, and
@@ -219,27 +238,30 @@ def _client_steps(
     update norm is floored to ``RADIUS_FLOOR``; an overflow, a division by
     zero or an invalid value, or a non-finite update norm, raises.
     """
-    rows, config = _offsets(configs), configs[0]
+    cells, config = _Cells(configs, spec), configs[0]
     with _raising(round_index, "a local update diverged"):
-        losses = loss_matrix(spec, vectors, table, np.repeat(blocks, [cell.k for cell in configs]))
-        chosen = [np.argmin(losses[:, a:b], axis=1) + a for a, b in zip(rows, rows[1:])]
-        received = vectors[np.stack(chosen)]
+        losses = loss_matrix(spec, vectors, table, np.repeat(blocks, cells.ks))
+        rows = cells.rows
+        if cells.k:  # one argmin for all cells, over (U, G, k)
+            chosen = (losses.reshape(len(losses), -1, cells.k).argmin(axis=2) + rows[:-1]).T
+        else:
+            chosen = np.stack([np.argmin(losses[:, a:b], 1) + a for a, b in zip(rows, rows[1:])])
+        received = vectors[chosen]
         updated = local_updates(spec, received, table, config.s, config.E, config.B_s, rngs,
                                 blocks)
         train_losses = client_losses(spec, updated, table, blocks)
         norms = _row_norms(updated - received)
     if not np.isfinite(norms).all():
         raise FloatingPointError(f"round {round_index}: a local update diverged (non-finite norm)")
-    dim, nus = n_params(spec), np.array([[cell.nu] for cell in configs])
+    dim, nus = n_params(spec), cells.nus
     radius = np.where((norms == 0) & (nus > 0), RADIUS_FLOOR, norms)
     epsilon, released = np.full(norms.shape, math.inf), updated
-    if noisy := [c for c, cell in enumerate(configs) if cell.nu]:
+    if nus.any():  # the noisy cells' rows, or whole arrays when every cell is noisy
+        noisy = slice(None) if nus.all() else np.flatnonzero(nus)
         with _raising(round_index, "a release overflowed"):
             epsilon[noisy] = heuristic_epsilons(radius[noisy], dim, nus[noisy])
             released[noisy] = sanitize_rows(released[noisy], epsilon[noisy], rngs, blocks[noisy])
-    # One division, not epsilon*radius: keeps the recorded cost exact.
-    leakage = np.array([[dim / cell.nu if cell.nu else math.inf] for cell in configs])
-    return _ClientSteps(released, epsilon, radius, leakage, train_losses)
+    return _ClientSteps(released, epsilon, radius, cells.leakage, train_losses)
 
 
 def _eligible(ledger: PrivacyLedger, spec: ModelSpec, config: FederationConfig) -> np.ndarray:
@@ -284,17 +306,16 @@ def server_round(
         picked = streams.sampling(round_index).choice(len(pool), size=U, replace=False)
         sampled.append(np.sort(pool[picked]))
         rngs += streams.clients(round_index, sampled[-1].tolist())
-    sampled = np.stack(sampled)  # (groups, U): positions in each group's population
+    sampled = np.array(sampled)  # (groups, U): positions in each group's population
     local = table.take(sampled + np.array([[base] for _, base, _ in draws]))
+    configs = _Cells(configs, spec)
     steps = _client_steps(spec, local, blocks, vectors, configs, rngs, round_index)
-    rows = _offsets(configs)
     labels, means = np.empty(steps.epsilon.shape, dtype=np.intp), np.empty_like(vectors)
     with _raising(round_index, "a release overflowed"):
-        for k in dict.fromkeys(config.k for config in configs):
-            cells = [c for c, config in enumerate(configs) if config.k == k]
-            at = [row for c in cells for row in range(rows[c], rows[c + 1])]
-            fit = lloyd(steps.sanitized[cells], vectors[at].reshape(len(cells), k, -1))
-            labels[cells], means[at] = fit.labels, fit.means.reshape(len(at), -1)
+        for k, cells, at in configs.by_k:
+            points = steps.sanitized[cells]
+            fit = lloyd(points, vectors[at].reshape(len(points), k, -1))
+            labels[cells], means[at] = fit.labels, fit.means.reshape(-1, vectors.shape[1])
     record_rounds(ledgers, round_index, sampled[blocks], steps.epsilon, steps.radius, labels,
                   steps.leakage)
     return means, steps.train_loss.mean(axis=1)
@@ -319,8 +340,9 @@ def _evaluate(
         norms = _row_norms(vectors)
         if table is None:
             return norms, None
-        losses = loss_matrix(spec, vectors, table, np.repeat(blocks, [cell.k for cell in configs]))
-        return norms, _validation_loss(losses, _offsets(configs)[:-1])
+        cells = _Cells(configs, spec)
+        losses = loss_matrix(spec, vectors, table, np.repeat(blocks, cells.ks))
+        return norms, _validation_loss(losses, cells.rows[:-1])
 
 
 def run_experiments(
@@ -366,7 +388,8 @@ def _lockstep(
     """A pass of ``run_experiments``: ``groups[g]`` lists group g's cells."""
     cells = sorted((c, g) for g, members in enumerate(groups) for c in members)
     cells, owner = [c for c, _ in cells], np.array([g for _, g in cells])  # and each one's group
-    config, group, leads = configs[cells[0]], [configs[c] for c in cells], [m[0] for m in groups]
+    config, leads = configs[cells[0]], [m[0] for m in groups]
+    group = _Cells([configs[c] for c in cells], spec)
     # Each group is one block of both tables; its population's ids become positions here.
     trains, validations = zip(*(views[c] for c in leads))
     ids = [sorted(train) for train in trains]
@@ -386,7 +409,7 @@ def _lockstep(
     most = max(cell.k for cell in group)
     initial = [np.stack([init_params(spec, rng) for _ in range(most)]) for rng in rngs]
     vectors = np.concatenate([initial[g][:cell.k] for cell, g in zip(group, owner.tolist())])
-    best, rows = vectors.copy(), _offsets(group)  # the best hypotheses; each cell's rows
+    best = vectors.copy()  # the best hypotheses
     # By running cell: best loss, its round (-1: none yet), last loss, evaluations since it fell.
     best_loss, previous = np.full(len(group), math.inf), np.full(len(group), math.inf)
     best_round, stale = np.full(len(group), -1), np.zeros(len(group), dtype=int)
@@ -410,8 +433,8 @@ def _lockstep(
                 for c, (cell, g) in enumerate(zip(group, owner.tolist())):
                     try:
                         alone, _ = server_round(table, [draws[blocks[c]]], np.zeros(1, np.intp),
-                                                vectors[rows[c]:rows[c + 1]], spec, [cell],
-                                                [PrivacyLedger(ids[g])], t)
+                                                vectors[slice(*group.rows[c:c + 2])], spec,
+                                                [cell], [PrivacyLedger(ids[g])], t)
                         _evaluate(alone, [cell], spec, validated, owner[c:c + 1], t)
                     except FloatingPointError as failure:
                         raise Diverged(str(failure), cell) from None
@@ -425,7 +448,7 @@ def _lockstep(
                 improved = losses < best_loss
                 if np.count_nonzero(improved):  # a C call; .any() goes through Python
                     best_loss, best_round[improved] = np.where(improved, losses, best_loss), t
-                    at = np.repeat(improved, np.diff(rows))
+                    at = np.repeat(improved, group.ks)
                     best[at] = vectors[at]
                 # Convergence means no round-over-round decrease anymore; a noisy
                 # but still-descending loss sequence must not trigger the stop.
@@ -435,7 +458,7 @@ def _lockstep(
         if not np.count_nonzero(stops):
             continue
         for i in np.flatnonzero(stops).tolist():
-            a, b, found = rows[i], rows[i + 1], best_round[i] >= 0
+            a, b, found = group.rows[i], group.rows[i + 1], best_round[i] >= 0
             yield cells[i], ExperimentResult(
                 HypothesisSet(best[a:b] if found else vectors[a:b]), HypothesisSet(vectors[a:b]),
                 float(best_loss[i]), int(best_round[i]) if found else None,
@@ -443,10 +466,10 @@ def _lockstep(
                         columns.hypothesis_norms[:t, a:b].copy()),
                 ledgers[i],
             )
-        keep, kept_rows = ~stops, np.repeat(~stops, np.diff(rows))
+        keep, kept_rows = ~stops, np.repeat(~stops, group.ks)
         cells, group, ledgers = (list(compress(seq, keep)) for seq in (cells, group, ledgers))
         owner, vectors, best = owner[keep], vectors[kept_rows], best[kept_rows]
-        rows = _offsets(group)
+        group = _Cells(group, spec)
         columns = History(columns.train_loss[:, keep], columns.validation_loss[:, keep],
                           columns.hypothesis_norms[:, kept_rows])
         best_loss, best_round, previous, stale = (

@@ -136,8 +136,8 @@ def _noise_rows(
     Stream i draws its n exponentials, then its n normals; the arithmetic
     then runs once for all rows.
     """
-    exponentials = np.stack([rng.standard_exponential(dimension) for rng in rngs])
-    normals = np.stack([rng.standard_normal(dimension) for rng in rngs])
+    exponentials = np.array([rng.standard_exponential(dimension) for rng in rngs])
+    normals = np.array([rng.standard_normal(dimension) for rng in rngs])
     return exponentials.sum(axis=1), _unit_rows(normals, rngs)
 
 

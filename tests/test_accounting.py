@@ -23,6 +23,11 @@ from metricfl.accounting import (
 )
 
 
+def series(summary, cluster, rounds):
+    """A cluster's running-max leakage at rounds 0..rounds-1, as a list."""
+    return summary.max_leakage([cluster], range(rounds))[0].tolist()
+
+
 class TestHeuristicEpsilon:
     def test_documented_two_dimensional_case(self):
         # n=2, nu=5: each release costs 2/5 = 0.4 whatever the radius.
@@ -290,8 +295,8 @@ class TestSummary:
             "b", round=0, epsilon=4.0, radius=0.1, cluster_id=1, leakage=0.4
         )
         summary = ledger_summary(ledger)
-        assert summary.max_trajectory[0] == pytest.approx([0.4, 0.8, 1.2], abs=1e-12)
-        assert summary.max_trajectory[1] == pytest.approx([0.4, 0.4, 0.4], abs=1e-12)
+        assert series(summary, 0, 3) == pytest.approx([0.4, 0.8, 1.2], abs=1e-12)
+        assert series(summary, 1, 3) == pytest.approx([0.4, 0.4, 0.4], abs=1e-12)
 
     def test_overall_counts_only_the_clients_with_rows(self):
         # c0, c2 and c4 never release; the rows arrive out of (round, client) order.
@@ -309,6 +314,7 @@ class TestSummary:
     def test_empty_summary(self):
         summary = ledger_summary(PrivacyLedger())
         assert summary.overall is None
+        assert summary.rounds == [] and summary.peaks == {}
         assert summary.max_trajectory == {}
 
     def test_trajectory_is_nondecreasing_with_plateaus(self):
@@ -323,9 +329,45 @@ class TestSummary:
             ledger.record_participation(
                 f"small{t}", round=t, epsilon=1.0, radius=0.1, cluster_id=0, leakage=0.1
             )
-        trajectory = ledger_summary(ledger).max_trajectory[0]
+        trajectory = series(ledger_summary(ledger), 0, 6)
         assert trajectory == pytest.approx([0.4, 0.4, 0.8, 0.8, 0.8, 1.2])
         assert all(b >= a for a, b in zip(trajectory, trajectory[1:]))
+
+    def test_summary_size_follows_the_rows_not_the_last_round(self):
+        # A row at round 2**62: one float per round up to it would be 32 EiB.
+        # The summary keeps the two rounds that hold rows.
+        ledger = PrivacyLedger()
+        for cid, t, cluster in [("a", 3, 1), ("b", 2**62, 0), ("a", 2**62, 0)]:
+            ledger.record_participation(cid, round=t, epsilon=4.0, radius=0.1,
+                                        cluster_id=cluster, leakage=0.4)
+        summary = ledger_summary(ledger)
+        assert summary.rounds == [3, 2**62]
+        at = [0, 3, 4, 2**62 - 1, 2**62, 2**63 - 1]
+        assert summary.max_leakage([0, 1, 2], at).tolist() == [
+            [0.0, 0.0, 0.0, 0.0, 0.8, 0.8], [0.0, 0.4, 0.4, 0.4, 0.4, 0.4], [0.0] * 6]
+
+    @given(rows=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(0, 2),
+                                   st.floats(0.0, 2.0)), min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_max_leakage_is_the_running_max_at_every_round(self, rows):
+        # Against one float per round, built row by row: the series at every
+        # round 0..last + 1, and max_trajectory, which holds it per round.
+        ledger, seen = PrivacyLedger(), set()
+        for cid, t, cluster, cost in rows:
+            if (cid, t) not in seen:
+                seen.add((cid, t))
+                ledger.record_participation(cid, round=t, epsilon=cost + 1.0, radius=1.0,
+                                            cluster_id=cluster)
+        last = max(t for _, t in seen)
+        dense = {c: [0.0] * (last + 2) for c in range(3)}
+        for row in ledger_rows(ledger):
+            for t in range(row.round, last + 2):
+                dense[row.cluster][t] = max(dense[row.cluster][t], row.composed)
+        summary = ledger_summary(ledger)
+        got = summary.max_leakage(range(3), range(last + 2)).tolist()
+        assert got == [dense[c] for c in range(3)]
+        assert summary.max_trajectory == {c: dense[c][:-1] for c in summary.peaks}
+        assert sorted(summary.peaks) == sorted({row.cluster for row in ledger_rows(ledger)})
 
     def test_trajectory_holds_when_a_client_switches_clusters(self):
         # "mover" releases into cluster 0 at rounds 0-1, then into cluster 1;
@@ -341,10 +383,10 @@ class TestSummary:
             )
         summary = ledger_summary(ledger)
         # cluster 0 keeps the 0.8 "mover" held after its last release there
-        assert summary.max_trajectory[0] == pytest.approx([0.4, 0.8, 0.8, 0.8])
-        assert summary.max_trajectory[1] == pytest.approx([0.0, 0.0, 1.2, 1.6])
+        assert series(summary, 0, 4) == pytest.approx([0.4, 0.8, 0.8, 0.8])
+        assert series(summary, 1, 4) == pytest.approx([0.0, 0.0, 1.2, 1.6])
         # no client ends in cluster 2, yet its releases are still plotted
-        assert summary.max_trajectory[2] == pytest.approx([0.4, 0.4, 0.4, 0.4])
+        assert series(summary, 2, 4) == pytest.approx([0.4, 0.4, 0.4, 0.4])
 
 
 class TestCsvExport:
@@ -399,7 +441,7 @@ def ledger_state(ledger, tmp_path):
     path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger, path)
     composed = [ledger.composed_leakage(cid) for cid in ledger.clients()]
-    return ledger_rows(ledger), composed, ledger_summary(ledger).max_trajectory, path.read_bytes()
+    return ledger_rows(ledger), composed, ledger_summary(ledger), path.read_bytes()
 
 
 class TestColumnarLedger:

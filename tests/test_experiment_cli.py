@@ -363,11 +363,11 @@ class TestRunSweep:
             "hypothesis_0_norm", "hypothesis_1_norm",
             "cluster_0_max_leakage", "cluster_1_max_leakage",
         }
-        trajectory = ledger_summary(read_ledger(exp_dir / "5_2_0" / "ledger.csv")).max_trajectory
+        summary = ledger_summary(read_ledger(exp_dir / "5_2_0" / "ledger.csv"))
         for j in range(2):
             series = [float(row[f"cluster_{j}_max_leakage"]) for row in rows]
             assert all(b >= a for a, b in zip(series, series[1:]))
-            assert series == trajectory.get(j, [0.0] * len(rows))
+            assert series == summary.max_leakage([j], range(len(rows)))[0].tolist()
 
     def test_exhausted_budget_ends_the_run_with_all_artifacts(self, tmp_path):
         # 8 training clients, U=3 and a cap of two 0.4 releases: the pool

@@ -514,6 +514,23 @@ class TestRoundPath:
         # block is gathered into the one release.
         self.assert_round_matches_each_cell_alone([(1, 5.0), (2, 0.5), (3, 5.0), (2, 2.0)])
 
+    def test_an_all_noisy_round_of_one_k_matches_each_cell_alone(self):
+        # Cells that share k select with one argmin over (U, G, k), each
+        # offset to its own rows, and release as whole arrays.
+        self.assert_round_matches_each_cell_alone([(2, 5.0), (2, 0.5), (2, 2.0)])
+
+    @pytest.mark.parametrize("cells", [[(3, 5.0), (3, 0.5), (3, 2.0)],
+                                       [(1, 5.0), (3, 0.5), (2, 2.0)]])
+    def test_an_all_noisy_group_matches_each_cell_alone(self, cells, tmp_path):
+        # A whole run of a group whose cells all release with noise, at one k
+        # and at unequal ones, in lockstep until the last cell stops.
+        train, val = split_views()
+        configs = [make_config(k=k, nu=nu, T=12, validation_patience=3) for k, nu in cells]
+        for c, result in run_experiments([(train, val)] * len(configs), LINEAR, configs):
+            solo = run_experiment(train, val, LINEAR, configs[c])
+            grouped = artifacts(result, configs[c].k, tmp_path / f"group{c}")
+            assert grouped == artifacts(solo, configs[c].k, tmp_path / f"solo{c}")
+
 
 class TestRowNorms:
     @pytest.mark.parametrize("n", [2, 3, 11, 17, 40])
@@ -531,9 +548,8 @@ class TestRowNorms:
 def artifacts(result, k, path):
     """The bytes of a result's ledger.csv, metrics.csv and hypothesis files."""
     path.mkdir()
-    trajectory = ledger_summary(result.ledger).max_trajectory
     write_ledger_csv(result.ledger, path / "ledger.csv")
-    write_metrics_csv(result.history, trajectory, k, path / "metrics.csv")
+    write_metrics_csv(result.history, ledger_summary(result.ledger), k, path / "metrics.csv")
     write_hypotheses(result.best_hypotheses, path / "hypotheses.txt")
     write_hypotheses(result.final_hypotheses, path / "hypotheses_final.txt")
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}

@@ -515,6 +515,26 @@ class TestLocalUpdates:
         assert losses.shape == (1, 4)
         assert losses.tobytes() == client_losses(spec, plain, data).tobytes()
 
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_one_cell_view_matches_the_general_path(self, case):
+        # A (1, U, n) stack on a one-block table steps as its (U, n) view.
+        # The general path gives the same bits: the cell on block 0 of a
+        # two-block table, and a (3, U, n) stack on the one-block table.
+        spec = STACK_CASES[case]
+        gen = np.random.default_rng(25)
+        params, datasets, seeds = random_stack(gen, spec, [1, 13, 4, 7])
+        others, more, more_seeds = random_stack(gen, spec, [5, 2, 9, 3])
+        data = table(spec, datasets)
+        two = table(spec, datasets + more).take(np.arange(8).reshape(2, 4))
+        one = local_updates(spec, params[None], data, 0.05, 2, 4, streams(seeds))
+        block = local_updates(spec, params[None], two, 0.05, 2, 4, streams(seeds + more_seeds),
+                              np.array([0]))
+        three = local_updates(spec, np.stack([others, params, params]), data, 0.05, 2, 4,
+                              streams(seeds))
+        assert one.shape == block.shape == (1, 4, n_params(spec))
+        assert one.tobytes() == block.tobytes() == three[1:2].tobytes() == three[2:].tobytes()
+        assert not np.array_equal(three[0], three[1])
+
     def test_one_stream_repeated_serves_the_clients_in_order(self):
         # [stream] * m gives m clients one stream: in a one-epoch run, client
         # i shuffles with the draws that follow clients 0..i-1's permutations.
